@@ -90,15 +90,14 @@ func (e *evaluator) rank(ctx context.Context, req ScheduleRequest, mix workload.
 	}
 	r := rng.New(rng.Hash2(req.Seed, saltSchedDraw, 0))
 	scheds := schedule.Sample(r, mix.Tasks(), mix.SMTLevel, mix.Swap, req.Samples)
-	if err := warm(ctx, m, scheds[0], e.scale.WarmupCycles); err != nil {
+	if err := m.Warm(ctx, scheds[0], e.scale.WarmupCycles); err != nil {
 		return nil, err
 	}
 	// The sample phase is inherently sequential: every candidate schedule
 	// must be observed on this one machine, whose jobs keep progressing
 	// across samples (the paper's overhead-free sample phase). Batched
-	// evaluation (core.EvalBatch) applies to the fan-outs around it — the
-	// solo calibrations (core.SoloRates) and the experiments' symbios
-	// validations — not to this loop.
+	// evaluation (core.EvalBatch) interleaves whole requests, each on its
+	// own machine (rankBatch) — never the samples of one.
 	samples := make([]core.Sample, 0, len(scheds))
 	for _, s := range scheds {
 		run, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*e.scale.SampleRounds)
@@ -146,7 +145,7 @@ func (e *evaluator) adaptive(ctx context.Context, req ScheduleRequest, mix workl
 	for i := range seeds {
 		seeds[i] = rng.Hash2(req.Seed, uint64(i), saltJobSeed)
 	}
-	solo, err := core.SoloRates(cfg, jobs, seeds, e.scale.CalibWarmup, e.scale.CalibMeasure)
+	solo, err := core.SoloRates(ctx, cfg, jobs, seeds, e.scale.CalibWarmup, e.scale.CalibMeasure)
 	if err != nil {
 		return nil, err
 	}
@@ -215,20 +214,10 @@ func roundRobin(req ScheduleRequest) (*ScheduleResponse, error) {
 	}, nil
 }
 
-// warm runs whole rotations of s, unrecorded, until at least cycles have
-// elapsed (the experiments layer's warm, replicated since it is unexported
-// there).
-func warm(ctx context.Context, m *core.Machine, s schedule.Schedule, cycles uint64) error {
-	rot := s.CycleSlices()
-	rounds := int(cycles/(uint64(rot)*m.SliceCycles)) + 1
-	_, err := m.RunScheduleCtx(ctx, s, rot*rounds)
-	return err
-}
-
 // rankBatchChunk is how many batch items share one core.EvalBatch advance.
-// Fixed — like the experiments layer's symbiosBatch — so the grouping, and
-// with it every result, is a pure function of the request list: the same
-// batch yields the same bytes at -workers 1 and -workers 8.
+// Fixed, so the grouping, and with it every result, is a pure function of
+// the request list: the same batch yields the same bytes at -workers 1 and
+// -workers 8.
 const rankBatchChunk = 8
 
 // rankBatch evaluates many rank requests through shared EvalBatch advances,
@@ -306,17 +295,15 @@ func (e *evaluator) rankChunk(ctx context.Context, reqs []ScheduleRequest, out [
 		}
 	}
 
-	// Warm-up round: the same rotations warm() would run, one machine each,
-	// interleaved.
+	// Warm-up round: the same rotations Machine.Warm would run, one machine
+	// each, interleaved.
 	var wb core.EvalBatch
 	warming := false
 	for i, it := range items {
 		if it == nil {
 			continue
 		}
-		rot := it.scheds[0].CycleSlices()
-		rounds := int(e.scale.WarmupCycles/(uint64(rot)*it.m.SliceCycles)) + 1
-		if _, err := wb.Add(it.m, it.scheds[0], rot*rounds); err != nil {
+		if _, err := wb.Add(it.m, it.scheds[0], core.WarmSlices(it.scheds[0], it.m.SliceCycles, e.scale.WarmupCycles)); err != nil {
 			errs[i] = err
 			items[i] = nil
 			continue

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	for i := range seeds {
 		seeds[i] = rng.Hash2(seed, uint64(i), 0x3017)
 	}
-	solo, err := core.SoloRates(cfg, jobs, seeds, 1_000_000, 400_000)
+	solo, err := core.SoloRates(context.Background(), cfg, jobs, seeds, 1_000_000, 400_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -351,12 +351,10 @@ func (a *adaptiveState) samplePlan() (plan, error) {
 
 	if !a.warmed && a.opt.WarmupCycles > 0 {
 		a.warmed = true
-		rot := scheds[0].CycleSlices()
-		rounds := int(a.opt.WarmupCycles/(uint64(rot)*a.m.SliceCycles)) + 1
 		// Warmup work is unmeasured; lost counter reads during it are
 		// harmless and ignored.
 		endWarm := a.tr.Span("sos/warmup", "")
-		_, err := a.m.RunScheduleCtx(a.ctx, scheds[0], rot*rounds)
+		err := a.m.Warm(a.ctx, scheds[0], a.opt.WarmupCycles)
 		endWarm()
 		if err != nil {
 			return plan{}, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func adaptiveSetup(t *testing.T, label string, seed uint64) (*Machine, workload.
 		seeds[i] = rng.Hash2(seed, uint64(i), 0x3017)
 	}
 	cfg := archFor(mix)
-	solo, err := SoloRates(cfg, jobs, seeds, 200_000, 200_000)
+	solo, err := SoloRates(context.Background(), cfg, jobs, seeds, 200_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	spec := workload.MustLookup("IS")
 	spec.Threads, spec.SyncEvery = 1, 0
 	arrival := workload.MustNewJob(spec, 100, 77)
-	arrSolo, err := SoloRates(archFor(mix), []*workload.Job{arrival}, []uint64{77}, 200_000, 200_000)
+	arrSolo, err := SoloRates(context.Background(), archFor(mix), []*workload.Job{arrival}, []uint64{77}, 200_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

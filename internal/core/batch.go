@@ -11,11 +11,10 @@ import (
 // pass. Each Add enqueues a (machine, schedule, slices) run; Run interleaves
 // them timeslice by timeslice on the calling goroutine.
 //
-// Batching amortizes per-evaluation dispatch overhead across the
-// pairwise/shootout/Figure-1 fan-outs: a worker claims one batch (one
-// coarse work item for the parallel pool) instead of one schedule, and the
-// batch walks its runs round-robin so the instruction and data footprint of
-// each simulated core stays warm across its own consecutive slices.
+// Its one user is sosd's /v1/schedule/batch, which advances the rank
+// requests of one envelope together inside a single queue task. The
+// experiment drivers fan out one simulation per work item instead; DESIGN
+// §12 has the measurement behind that choice.
 //
 // Equivalence contract: each run's machine touches only its own state, and
 // every run executes exactly the operation sequence RunScheduleCtx would

@@ -252,6 +252,21 @@ func (m *Machine) RunScheduleCtx(ctx context.Context, s schedule.Schedule, slice
 	return r.finish(), nil
 }
 
+// WarmSlices is the warm-up length every driver uses: the timeslices of
+// whole rotations of s, at sliceCycles each, that cover at least cycles.
+func WarmSlices(s schedule.Schedule, sliceCycles, cycles uint64) int {
+	rot := s.CycleSlices()
+	return rot * (int(cycles/(uint64(rot)*sliceCycles)) + 1)
+}
+
+// Warm runs WarmSlices of s, unrecorded, bringing the memory system to
+// steady state ("we begin simulation with each benchmark partially
+// executed"). A nil context is unbounded.
+func (m *Machine) Warm(ctx context.Context, s schedule.Schedule, cycles uint64) error {
+	_, err := m.RunScheduleCtx(ctx, s, WarmSlices(s, m.SliceCycles, cycles))
+	return err
+}
+
 // scheduleRun is one schedule execution in progress, advanced one timeslice
 // at a time. Splitting the slice loop out of RunScheduleCtx lets EvalBatch
 // interleave many runs; a run's machine operations are a function of its own

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/arch"
@@ -136,7 +137,7 @@ func TestSoloRatesBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint64{1, 2, 3, 4}
-	rates, err := SoloRates(arch.Default21264(mix.SMTLevel), jobs, seeds, 100_000, 100_000)
+	rates, err := SoloRates(context.Background(), arch.Default21264(mix.SMTLevel), jobs, seeds, 100_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSoloRatesBasic(t *testing.T) {
 			t.Error("calibration disturbed the mix's jobs")
 		}
 	}
-	if _, err := SoloRates(arch.Default21264(2), jobs, seeds[:2], 1000, 1000); err == nil {
+	if _, err := SoloRates(context.Background(), arch.Default21264(2), jobs, seeds[:2], 1000, 1000); err == nil {
 		t.Error("seed/job length mismatch accepted")
 	}
 }
@@ -173,7 +174,7 @@ func TestSOSRunEndToEnd(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	solo, err := SoloRates(cfg, jobs, seeds, 500_000, 200_000)
+	solo, err := SoloRates(context.Background(), cfg, jobs, seeds, 500_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func TestSoloIPCProfile(t *testing.T) {
 		spec.Threads = 1 // solo thread rate
 		spec.SyncEvery = 0
 		job := workload.MustNewJob(spec, 0, 42)
-		rates, err := SoloRates(cfg, []*workload.Job{job}, []uint64{42}, 200_000, 300_000)
+		rates, err := SoloRates(context.Background(), cfg, []*workload.Job{job}, []uint64{42}, 200_000, 300_000)
 		if err != nil {
 			t.Fatalf("calibrating %s: %v", name, err)
 		}

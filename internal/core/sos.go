@@ -92,10 +92,8 @@ func Run(m *Machine, y, z int, soloIPC []float64, opt Options) (Result, error) {
 	}
 
 	if opt.WarmupCycles > 0 {
-		rot := scheds[0].CycleSlices()
-		rounds := int(opt.WarmupCycles/(uint64(rot)*m.SliceCycles)) + 1
 		endWarm := opt.Tracer.Span("sos/warmup", "")
-		_, err := m.RunSchedule(scheds[0], rot*rounds)
+		err := m.Warm(nil, scheds[0], opt.WarmupCycles)
 		endWarm()
 		if err != nil {
 			return Result{}, err

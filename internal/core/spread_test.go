@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/arch"
@@ -29,7 +30,7 @@ func TestScheduleSpread(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = rng.Hash2(7, uint64(i), 0x3017)
 	}
-	solo, err := SoloRates(cfg, jobs, seeds, 100_000, 200_000)
+	solo, err := SoloRates(context.Background(), cfg, jobs, seeds, 100_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package cpu
 // Batch advances many independent Cores through the same number of cycles,
 // interleaved in bounded chunks. It is the core-level counterpart of
 // core.EvalBatch: a worker claims one batch — one coarse work item for the
-// parallel pool — instead of one simulation, amortizing work-queue and
-// scheduling overhead across a group of short calibration or cell runs.
+// parallel pool — instead of one simulation. Its one user is the pairwise
+// matrix, whose cell groups are also its checkpoint shard keys.
 //
 // Equivalence contract: a Core's step function reads and writes only that
 // Core's state, and Run(a) followed by Run(b) is by construction identical

@@ -138,25 +138,14 @@ func AblationFetchPolicyCtx(ctx context.Context, sc Scale) ([]FetchPolicyRow, er
 		if err != nil {
 			return FetchPolicyRow{}, err
 		}
-		solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+		solo, err := core.SoloRates(ctx, cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 		if err != nil {
 			return FetchPolicyRow{}, err
 		}
 
 		type run struct{ ws, ipc float64 }
 		runs, err := parallel.Map(scheds, parallel.Options{Context: ctx}, func(_ int, s schedule.Schedule) (run, error) {
-			jobs, _, err := buildJobs(mix, sc.Seed)
-			if err != nil {
-				return run{}, err
-			}
-			m, err := core.NewMachine(cfg, jobs, sc.Slice)
-			if err != nil {
-				return run{}, err
-			}
-			if err := warm(ctx, m, s, sc.WarmupCycles); err != nil {
-				return run{}, err
-			}
-			res, err := m.RunScheduleCtx(ctx, s, sc.symbiosSlices(sc.Slice, s.CycleSlices()))
+			res, err := symbiosRun(ctx, mix, cfg, sc.Slice, sc, s)
 			if err != nil {
 				return run{}, err
 			}

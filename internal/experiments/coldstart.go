@@ -42,25 +42,14 @@ func ColdstartStudyCtx(ctx context.Context, sc Scale, slices []uint64) ([]Coldst
 	if err != nil {
 		return nil, err
 	}
-	solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+	solo, err := core.SoloRates(ctx, cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 	if err != nil {
 		return nil, err
 	}
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: mix.SMTLevel, Z: mix.Swap}
 
 	return shardedMap(ctx, "coldstart", slices, parallel.Options{}, func(ctx context.Context, _ int, slice uint64) (ColdstartRow, error) {
-		jobs, _, err := buildJobs(mix, sc.Seed)
-		if err != nil {
-			return ColdstartRow{}, err
-		}
-		m, err := core.NewMachine(cfg, jobs, slice)
-		if err != nil {
-			return ColdstartRow{}, err
-		}
-		if err := warm(ctx, m, s, sc.WarmupCycles); err != nil {
-			return ColdstartRow{}, err
-		}
-		res, err := m.RunScheduleCtx(ctx, s, sc.symbiosSlices(slice, s.CycleSlices()))
+		res, err := symbiosRun(ctx, mix, cfg, slice, sc, s)
 		if err != nil {
 			return ColdstartRow{}, err
 		}

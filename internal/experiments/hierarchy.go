@@ -174,7 +174,7 @@ func hierLevel(ctx context.Context, level int, sc Scale) (Figure4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		soloTask, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+		soloTask, err := core.SoloRates(ctx, cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +196,7 @@ func hierLevel(ctx context.Context, level int, sc Scale) (Figure4Row, error) {
 			if err != nil {
 				return hierCandidate{}, err
 			}
-			if err := warm(ctx, m, s, sc.WarmupCycles); err != nil {
+			if err := m.Warm(ctx, s, sc.WarmupCycles); err != nil {
 				return hierCandidate{}, err
 			}
 			res, err := m.RunScheduleCtx(ctx, s, sc.symbiosSlices(sc.Slice, s.CycleSlices()))

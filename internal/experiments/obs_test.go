@@ -46,25 +46,22 @@ func TestFigure1ObsDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(base, traced) {
 			t.Fatalf("workers=%d: rows differ with obs enabled:\n%+v\nvs\n%+v", workers, base, traced)
 		}
-		// The trace must actually cover the run: SOS phases and one shard
-		// span per mix.
-		shards := 0
+		// The trace must actually cover the run: one shard span per mix and
+		// one SOS phase span per task of each mix's flat fan-out, so a
+		// name's total is that phase's CPU time. Jsb(4,2,2) has 4 jobs and 3
+		// schedules, Jsb(6,3,3) 6 and 10; every symbios run and each mix's
+		// sample chain warms its own machine.
+		spans := map[string]int{}
 		for _, line := range strings.Split(strings.TrimSpace(jsonl), "\n") {
 			var ev obs.SpanEvent
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("workers=%d: bad JSONL line %q: %v", workers, line, err)
 			}
-			if ev.Name == "shard" {
-				shards++
-			}
+			spans[ev.Name]++
 		}
-		if shards != len(labels) {
-			t.Errorf("workers=%d: %d shard spans, want %d", workers, shards, len(labels))
-		}
-		for _, span := range []string{`"name":"sos/calibrate"`, `"name":"sos/sample"`, `"name":"sos/symbios"`} {
-			if !strings.Contains(jsonl, span) {
-				t.Errorf("workers=%d: trace missing %s", workers, span)
-			}
+		want := map[string]int{"shard": len(labels), "sos/calibrate": 4 + 6, "sos/warmup": 3 + 10 + 2, "sos/sample": 2, "sos/symbios": 3 + 10}
+		if !reflect.DeepEqual(spans, want) {
+			t.Errorf("workers=%d: span counts %v, want %v", workers, spans, want)
 		}
 	}
 	ClearEvalCache() // leave no quick-scale entries for other tests

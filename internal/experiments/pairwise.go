@@ -92,6 +92,19 @@ func PairwiseCtx(ctx context.Context, sc Scale, names []string) (*PairTable, err
 // cpu.Batch work item.
 const pairBatch = 6
 
+// chunkRanges splits [0,n) into half-open [lo,hi) ranges of at most size.
+func chunkRanges(n, size int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; lo += size {
+		hi := lo + size
+		if hi > n {
+			hi = n
+		}
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
+}
+
 // pairCell indexes one upper-triangle cell of the matrix.
 type pairCell struct{ i, j int }
 

@@ -135,14 +135,14 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	solo, err := core.SoloRates(cfg, calJobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+	solo, err := core.SoloRates(ctx, cfg, calJobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 	if err != nil {
 		return RobustnessRow{}, fmt.Errorf("experiments: %s: %w", label, err)
 	}
 
 	row := RobustnessRow{Mix: label, Fault: fc.String()}
 
-	naiveChurn, err := resolveChurn(churn, cfg, sc, symSlices, cellSeed)
+	naiveChurn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
 	if err != nil {
 		return RobustnessRow{}, err
 	}
@@ -169,7 +169,7 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 	if afc.Active() {
 		m.SetCounterReader(faults.New(afc))
 	}
-	adChurn, err := resolveChurn(churn, cfg, sc, symSlices, cellSeed)
+	adChurn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
 	if err != nil {
 		return RobustnessRow{}, err
 	}
@@ -220,7 +220,7 @@ func staticPredictorWS(ctx context.Context, mix workload.Mix, cfg arch.Config, s
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("experiments: no schedules for %s", mix.Label)
 	}
-	if err := warm(ctx, m, scheds[0], sc.WarmupCycles); err != nil {
+	if err := m.Warm(ctx, scheds[0], sc.WarmupCycles); err != nil {
 		return nil, err
 	}
 	samples := make([]core.Sample, 0, len(scheds))
@@ -255,7 +255,7 @@ func staticPredictorWS(ctx context.Context, mix workload.Mix, cfg arch.Config, s
 // calibrated arrival jobs. Each call builds new job instances (jobs are
 // stateful), from the same seeds, so the naive and adaptive runs of a cell
 // see identical arrivals.
-func resolveChurn(specs []faults.ChurnSpec, cfg arch.Config, sc Scale, symSlices int, cellSeed uint64) ([]core.ChurnEvent, error) {
+func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config, sc Scale, symSlices int, cellSeed uint64) ([]core.ChurnEvent, error) {
 	var evs []core.ChurnEvent
 	for i, spec := range specs {
 		if spec.AtFraction <= 0 || spec.AtFraction >= 1 {
@@ -282,7 +282,7 @@ func resolveChurn(specs []faults.ChurnSpec, cfg arch.Config, sc Scale, symSlices
 			if err != nil {
 				return nil, err
 			}
-			soloArr, err := core.SoloRates(cfg, []*workload.Job{cal}, []uint64{jseed}, sc.CalibWarmup, sc.CalibMeasure)
+			soloArr, err := core.SoloRate(ctx, cfg, cal, jseed, sc.CalibWarmup, sc.CalibMeasure)
 			if err != nil {
 				return nil, err
 			}
@@ -316,7 +316,7 @@ func naiveChurnWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice 
 	if err != nil {
 		return 0, err
 	}
-	if err := warm(ctx, m, rr, sc.WarmupCycles); err != nil {
+	if err := m.Warm(ctx, rr, sc.WarmupCycles); err != nil {
 		return 0, err
 	}
 	jobSolo, err := splitByJob(jobs, solo)

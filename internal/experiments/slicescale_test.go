@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/arch"
@@ -23,7 +24,7 @@ func TestSliceScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := core.SoloRates(cfg, jobs, seeds, 1_500_000, 500_000)
+	solo, err := core.SoloRates(context.Background(), cfg, jobs, seeds, 1_500_000, 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestSliceScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := warmFor(m, s, 2_000_000); err != nil {
+		if err := m.Warm(context.Background(), s, 2_000_000); err != nil {
 			t.Fatal(err)
 		}
 		res, err := m.RunSchedule(s, 8*s.CycleSlices())

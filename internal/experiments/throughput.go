@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"symbios/internal/arch"
 	"symbios/internal/core"
@@ -69,87 +70,116 @@ func EvalMixSchedules(mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*
 	return EvalMixSchedulesCtx(context.Background(), mix, scheds, sc)
 }
 
-// EvalMixSchedulesCtx is EvalMixSchedules bounded by a context.
+// EvalMixSchedulesCtx is EvalMixSchedules bounded by a context. Every
+// simulation of the evaluation — one solo calibration per job, the
+// warm-up→sample chain, one symbios run per schedule — is independent of
+// the others (solo rates are only the weighted-speedup denominator), so
+// they run as one fan-out over mixTasks; each task builds its own jobs and
+// fills only its own result slot, and the weighted speedups are computed
+// after the join.
 func EvalMixSchedulesCtx(ctx context.Context, mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*MixEval, error) {
+	if len(scheds) == 0 {
+		return nil, fmt.Errorf("experiments: %s: no schedules to evaluate", mix.Label)
+	}
 	cfg := arch.Default21264(mix.SMTLevel)
 	slice := sc.sliceFor(mix)
 	tr := obs.TracerFrom(ctx)
 
-	jobs, seeds, err := buildJobs(mix, sc.Seed)
+	// calJobs is only read (spec, ID, thread count): calibrations rebuild
+	// their job, and every machine below builds its own.
+	calJobs, seeds, err := buildJobs(mix, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	endCal := tr.Span("sos/calibrate", mix.Label)
-	solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
-	endCal()
+	ev := &MixEval{Mix: mix, Cfg: cfg, Scheds: scheds}
+	soloJob := make([][]float64, len(calJobs))
+	runs := make([]core.RunResult, len(scheds))
+
+	err = parallel.ForEach(mixTasks(len(calJobs), scheds, slice, sc), parallel.Options{Context: ctx}, func(_ int, t mixTask) error {
+		switch t.kind {
+		case taskCalibrate:
+			defer tr.Span("sos/calibrate", mix.Label)()
+			solo, err := core.SoloRate(ctx, cfg, calJobs[t.idx], seeds[t.idx], sc.CalibWarmup, sc.CalibMeasure)
+			if err != nil {
+				return fmt.Errorf("experiments: %s: %w", mix.Label, err)
+			}
+			soloJob[t.idx] = solo
+		case taskSample:
+			// One machine, jobs progressing throughout (the overhead-free
+			// sample phase), warmed on the first schedule.
+			m, err := warmMachine(ctx, mix, cfg, slice, sc, scheds[0])
+			if err != nil {
+				return err
+			}
+			defer tr.Span("sos/sample", mix.Label)()
+			ev.Samples = make([]core.Sample, len(scheds))
+			for i, s := range scheds {
+				res, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*sc.SampleRounds)
+				if err != nil {
+					return err
+				}
+				ev.Samples[i] = core.NewSample(s, res)
+			}
+		case taskSymbios:
+			res, err := symbiosRun(ctx, mix, cfg, slice, sc, scheds[t.idx])
+			if err != nil {
+				return err
+			}
+			runs[t.idx] = res
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", mix.Label, err)
+		return nil, err
 	}
 
-	ev := &MixEval{Mix: mix, Cfg: cfg, Solo: solo, Scheds: scheds}
-
-	// Sample phase: one machine, jobs progressing throughout. Warm it with
-	// unrecorded rotations until the memory system reaches steady state
-	// ("we begin simulation with each benchmark partially executed").
-	m, err := core.NewMachine(cfg, jobs, slice)
-	if err != nil {
-		return nil, err
+	for _, solo := range soloJob {
+		ev.Solo = append(ev.Solo, solo...)
 	}
-	endWarm := tr.Span("sos/warmup", mix.Label)
-	err = warm(ctx, m, scheds[0], sc.WarmupCycles)
-	endWarm()
-	if err != nil {
-		return nil, err
-	}
-	endSample := tr.Span("sos/sample", mix.Label)
-	for _, s := range scheds {
-		res, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*sc.SampleRounds)
-		if err != nil {
-			endSample()
+	ev.WS = make([]float64, len(runs))
+	for i, r := range runs {
+		if ev.WS[i], err = metrics.WeightedSpeedup(r.Cycles, r.Committed, ev.Solo); err != nil {
 			return nil, err
 		}
-		ev.Samples = append(ev.Samples, core.NewSample(s, res))
-	}
-	endSample()
-
-	// Symbios validation: run each sampled schedule from an identical
-	// starting state and record its weighted speedup. Each run builds its
-	// own jobs and machine from the same seed, so the runs are independent
-	// and fan out across workers with bit-identical results — grouped into
-	// core.EvalBatch chunks so one worker drives several machines through
-	// warmup and the symbios window as a single coarse work item.
-	endSym := tr.Span("sos/symbios", mix.Label)
-	groups := chunkRanges(len(scheds), symbiosBatch)
-	wsGroups, err := parallel.Map(groups, parallel.Options{Context: ctx}, func(_ int, g [2]int) ([]float64, error) {
-		return symbiosWSBatch(ctx, mix, cfg, slice, sc, scheds[g[0]:g[1]], solo)
-	})
-	endSym()
-	if err != nil {
-		return nil, err
-	}
-	for _, ws := range wsGroups {
-		ev.WS = append(ev.WS, ws...)
 	}
 	return ev, nil
 }
 
-// symbiosBatch is how many schedule evaluations one worker drives as a
-// single EvalBatch work item. Grouping only regroups the fan-out — every
-// schedule still runs on its own identically-seeded machine — so the
-// weighted speedups are bit-identical at any batch size or worker count.
-const symbiosBatch = 4
+// mixTask is one independent simulation of a mix evaluation.
+type mixTask struct {
+	kind   int
+	idx    int    // schedule (taskSymbios) or job (taskCalibrate) index
+	budget uint64 // simulated cycles the task advances one core
+}
 
-// chunkRanges splits [0,n) into half-open [lo,hi) ranges of at most size.
-func chunkRanges(n, size int) [][2]int {
-	var out [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
+const (
+	taskSymbios = iota
+	taskSample
+	taskCalibrate
+)
+
+// mixTasks lists a mix evaluation's simulations longest first, so that at
+// any worker count the long runs start early and the short ones fill the
+// tail. The order is by simulated-cycle budget descending, ties broken by
+// position in the list as built (symbios runs in schedule order, the sample
+// chain, calibrations in job order): a pure function of mix and scale, never
+// of timing, so the lowest-index error parallel reports is the same at any
+// worker count.
+func mixTasks(jobs int, scheds []schedule.Schedule, slice uint64, sc Scale) []mixTask {
+	tasks := make([]mixTask, 0, len(scheds)+1+jobs)
+	sample := mixTask{kind: taskSample, budget: uint64(core.WarmSlices(scheds[0], slice, sc.WarmupCycles)) * slice}
+	for i, s := range scheds {
+		rot := s.CycleSlices()
+		tasks = append(tasks, mixTask{kind: taskSymbios, idx: i,
+			budget: uint64(core.WarmSlices(s, slice, sc.WarmupCycles)+sc.symbiosSlices(slice, rot)) * slice})
+		sample.budget += uint64(rot*sc.SampleRounds) * slice
 	}
-	return out
+	tasks = append(tasks, sample)
+	for j := 0; j < jobs; j++ {
+		tasks = append(tasks, mixTask{kind: taskCalibrate, idx: j, budget: sc.CalibWarmup + sc.CalibMeasure})
+	}
+	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].budget > tasks[b].budget })
+	return tasks
 }
 
 // EnumerateFor returns every distinct schedule of a mix (for mixes whose
@@ -158,76 +188,40 @@ func EnumerateFor(m workload.Mix) ([]schedule.Schedule, error) {
 	return schedule.Enumerate(m.Tasks(), m.SMTLevel, m.Swap, 10_000)
 }
 
-// warmFor runs whole rotations of s, unrecorded, until at least cycles have
-// elapsed, bringing the memory system to steady state.
-func warmFor(m *core.Machine, s schedule.Schedule, cycles uint64) error {
-	return warm(nil, m, s, cycles)
+// warmMachine builds the mix's jobs and a machine over them from the
+// evaluation's seed and warms it on s — the identical starting state every
+// measured run of an evaluation begins from.
+func warmMachine(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule) (*core.Machine, error) {
+	jobs, _, err := buildJobs(mix, sc.Seed)
+	if err != nil {
+		return nil, err
+	}
+	m, err := core.NewMachine(cfg, jobs, slice)
+	if err != nil {
+		return nil, err
+	}
+	defer obs.TracerFrom(ctx).Span("sos/warmup", mix.Label)()
+	return m, m.Warm(ctx, s, sc.WarmupCycles)
 }
 
-// warm runs whole rotations of s, unrecorded, until at least cycles have
-// elapsed, bringing the memory system to steady state. A nil context is
-// unbounded.
-func warm(ctx context.Context, m *core.Machine, s schedule.Schedule, cycles uint64) error {
-	rot := s.CycleSlices()
-	rounds := int(cycles/(uint64(rot)*m.SliceCycles)) + 1
-	_, err := m.RunScheduleCtx(ctx, s, rot*rounds)
-	return err
+// symbiosRun measures one schedule over a symbios phase on a fresh, warmed
+// machine.
+func symbiosRun(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule) (core.RunResult, error) {
+	m, err := warmMachine(ctx, mix, cfg, slice, sc, s)
+	if err != nil {
+		return core.RunResult{}, err
+	}
+	defer obs.TracerFrom(ctx).Span("sos/symbios", mix.Label)()
+	return m.RunScheduleCtx(ctx, s, sc.symbiosSlices(slice, s.CycleSlices()))
 }
 
-// symbiosWS measures one schedule's symbios-phase weighted speedup on a
-// fresh machine (a batch of one).
+// symbiosWS is symbiosRun reduced to the schedule's weighted speedup.
 func symbiosWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule, solo []float64) (float64, error) {
-	ws, err := symbiosWSBatch(ctx, mix, cfg, slice, sc, []schedule.Schedule{s}, solo)
+	res, err := symbiosRun(ctx, mix, cfg, slice, sc, s)
 	if err != nil {
 		return 0, err
 	}
-	return ws[0], nil
-}
-
-// symbiosWSBatch measures a group of schedules' symbios-phase weighted
-// speedups, each on its own fresh machine (full warmup, then the symbios
-// budget), with both phases advanced through one core.EvalBatch.
-func symbiosWSBatch(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, group []schedule.Schedule, solo []float64) ([]float64, error) {
-	ms := make([]*core.Machine, len(group))
-	var warmup core.EvalBatch
-	for i, s := range group {
-		jobs, _, err := buildJobs(mix, sc.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.NewMachine(cfg, jobs, slice)
-		if err != nil {
-			return nil, err
-		}
-		ms[i] = m
-		// Whole warmup rotations, exactly as warm() computes them.
-		rot := s.CycleSlices()
-		rounds := int(sc.WarmupCycles/(uint64(rot)*m.SliceCycles)) + 1
-		if _, err := warmup.Add(m, s, rot*rounds); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := warmup.Run(ctx); err != nil {
-		return nil, err
-	}
-	var sym core.EvalBatch
-	for i, s := range group {
-		if _, err := sym.Add(ms[i], s, sc.symbiosSlices(slice, s.CycleSlices())); err != nil {
-			return nil, err
-		}
-	}
-	res, err := sym.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ws := make([]float64, len(group))
-	for i, r := range res {
-		ws[i], err = metrics.WeightedSpeedup(r.Cycles, r.Committed, solo)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ws, nil
+	return metrics.WeightedSpeedup(res.Cycles, res.Committed, solo)
 }
 
 // Best, Worst and Avg summarize the symbios weighted speedups.

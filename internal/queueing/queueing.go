@@ -19,6 +19,7 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -112,7 +113,7 @@ func CalibrateSolo(cfg arch.Config, warmup, measure uint64) (map[string]float64,
 		if err != nil {
 			return nil, err
 		}
-		rates, err := core.SoloRates(cfg, []*workload.Job{job}, []uint64{rng.Hash2(0xCA11B, uint64(i), 7)}, warmup, measure)
+		rates, err := core.SoloRate(context.TODO(), cfg, job, rng.Hash2(0xCA11B, uint64(i), 7), warmup, measure)
 		if err != nil {
 			return nil, err
 		}
