@@ -1,10 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestPairwiseMatrix: the symbiosis matrix is symmetric with a unit
 // diagonal, and coscheduled pairs achieve weighted speedups in a plausible
-// band (above serial time-sharing for compatible jobs).
+// band (above serial time-sharing for compatible jobs). The three cells are
+// also pinned bit-for-bit, so a change to how the cells fan out cannot move
+// a result.
 func TestPairwiseMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -37,6 +42,19 @@ func TestPairwiseMatrix(t *testing.T) {
 				t.Errorf("pair %s+%s WS %.3f out of plausible band",
 					tbl.Names[i], tbl.Names[j], tbl.WS[i][j])
 			}
+		}
+	}
+	for _, want := range []struct {
+		i, j int
+		bits uint64
+	}{
+		{0, 1, 0x3ffec9764a2a1ccc}, // EP+GO 1.9241850754786354
+		{0, 2, 0x3ff08912b211fc0b}, // EP+MG 1.033465095126078
+		{1, 2, 0x3ff9f349800972e5}, // GO+MG 1.621896267074754
+	} {
+		if got := math.Float64bits(tbl.WS[want.i][want.j]); got != want.bits {
+			t.Errorf("pair %s+%s WS %v (%#x), pinned %#x", tbl.Names[want.i], tbl.Names[want.j],
+				tbl.WS[want.i][want.j], got, want.bits)
 		}
 	}
 	// EP (fp compute) + GO (int branchy) should symbiose: WS > 1.
