@@ -240,44 +240,6 @@ func BenchmarkCoreCycles(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim_cycles/sec")
 }
 
-// BenchmarkBatchEval measures batched coschedule evaluation: four
-// identically-warmed machines advanced through a symbios run as one
-// core.EvalBatch work item (the unit the experiment fan-outs hand to a
-// worker).
-func BenchmarkBatchEval(b *testing.B) {
-	mix := workload.MustMix("Jsb(4,2,2)")
-	cfg := arch.Default21264(mix.SMTLevel)
-	s := schedule.Schedule{Order: []int{0, 1, 2, 3}, Y: mix.SMTLevel, Z: mix.Swap}
-	b.ReportAllocs()
-	simCycles := uint64(0)
-	for i := 0; i < b.N; i++ {
-		var batch core.EvalBatch
-		ms := make([]*core.Machine, 4)
-		for k := range ms {
-			jobs, err := mix.Build(uint64(7 + k))
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := core.NewMachine(cfg, jobs, 20_000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ms[k] = m
-			if _, err := batch.Add(m, s, 4*s.CycleSlices()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := batch.Run(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range res {
-			simCycles += r.Cycles
-		}
-	}
-	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/sec")
-}
-
 // BenchmarkTraceAt measures synthetic stream generation.
 func BenchmarkTraceAt(b *testing.B) {
 	spec := workload.MustLookup("GCC")

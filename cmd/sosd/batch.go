@@ -2,18 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
-
-	"symbios/internal/integrity"
-	"symbios/internal/obs"
-	"symbios/internal/resilience"
 )
 
 // Batch endpoint limits. The item bound keeps one envelope from monopolizing
@@ -83,68 +75,20 @@ func DecodeBatchRequest(data []byte) ([]json.RawMessage, error) {
 	return env.Requests, nil
 }
 
-// singletonDigest computes the digest a singleton response for raw would
-// carry: the hash is over the wire bytes, which append a trailing newline.
-func singletonDigest(raw []byte) string {
-	wire := make([]byte, 0, len(raw)+1)
-	wire = append(wire, raw...)
-	wire = append(wire, '\n')
-	return integrity.Digest(wire)
-}
-
-// batchItemOK wraps singleton response bytes as a 200 item.
-func batchItemOK(raw []byte, hit bool) BatchItem {
-	cache := "miss"
-	if hit {
-		cache = "hit"
-	}
-	return BatchItem{
-		Status: http.StatusOK,
-		Cache:  cache,
-		Digest: singletonDigest(raw),
-		Body:   json.RawMessage(raw),
-	}
-}
-
-// batchItemError builds an error item whose body is byte-identical to the
-// singleton httpError body for the same message.
-func batchItemError(status int, format string, args ...any) BatchItem {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
-	return BatchItem{
-		Status: status,
-		Digest: singletonDigest(body),
-		Body:   json.RawMessage(body),
-	}
-}
-
-// batchWork is one cache-missing batch item headed for evaluation.
-type batchWork struct {
-	idx int
-	req ScheduleRequest
-	key string
-}
-
 // handleScheduleBatch answers a bounded array of schedule requests in one
-// envelope. The batch rides the same pipeline as a singleton request —
-// drain gate, admission limiter (charged once per item), circuit breaker,
-// deadline budget, bounded queue — while lookup, recording, evaluation and
-// error reporting happen per item, so every item's bytes are byte-identical
-// to the singleton answer for the same request. Item failures are isolated:
-// a malformed item 400s that item, not the batch. Only batch-level refusals
-// (drain, admission, breaker, queue, deadline) fail the whole envelope, and
-// they use the same statuses and Retry-After hints the singleton path does.
+// envelope: the same pipeline a singleton rides, rendered per item, so every
+// item's bytes are byte-identical to the singleton answer for the same
+// request. Only a malformed envelope or a whole-request refusal (drain,
+// admission, breaker, queue, deadline) fails the batch, with the statuses and
+// Retry-After hints the singleton path uses.
 func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
-	mode := s.mode()
-	w.Header().Set("X-Brownout-Mode", strconv.Itoa(mode))
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "server draining")
+	mode, ok := s.gate(w)
+	if !ok {
 		return
 	}
 	t0 := time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBatchRequestBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r, MaxBatchRequestBytes)
+	if !ok {
 		return
 	}
 	items, err := DecodeBatchRequest(body)
@@ -154,196 +98,26 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.obs.batchRequests.Inc()
-
-	// The limiter charges one token per item — a batch of n is the same
-	// admission load as n singletons. This runs after the envelope decode
-	// (the charge needs the item count) but before per-item validation, like
-	// the singleton path charges before decoding.
-	t0 = time.Now()
-	allowed := s.limiter.AllowN(len(items))
-	s.obs.stageLimiter.ObserveSince(t0)
-	if !allowed {
-		setRetryAfter(w, s.limiter.RetryAfter())
-		httpError(w, http.StatusTooManyRequests, "admission rate exceeded")
+	// Admission runs after the envelope decode (the charge needs the item
+	// count) but before per-item validation, like the singleton path charges
+	// before decoding.
+	if !s.admit(w, len(items)) {
 		return
 	}
-
-	out := make([]BatchItem, len(items))
-	var evals []batchWork
-	seen := make(map[string]int, len(items))
-	var maxDeadline int64
-	for i, rawReq := range items {
-		req, derr := DecodeScheduleRequest(rawReq)
-		if derr != nil {
-			out[i] = batchItemError(http.StatusBadRequest, "%v", derr)
-			continue
-		}
-		if req.Fault != nil && s.eval.chaos == nil {
-			out[i] = batchItemError(http.StatusBadRequest, "fault injection requires a server started with -chaos")
-			continue
-		}
-		if req.Mode == "adaptive" {
-			// The batch pass is a rank-only fast path; an adaptive run cannot
-			// share the interleaved advance (it re-decides its schedule from
-			// its own measurements mid-run). Clients send those singly.
-			out[i] = batchItemError(http.StatusBadRequest, "mode \"adaptive\" is not batchable (send it to /v1/schedule)")
-			continue
-		}
-		key := req.Fingerprint()
-		if first, dup := seen[key]; dup {
-			// Two items with one fingerprint would race one cache slot and
-			// waste one evaluation; a client batching duplicates is confused
-			// (the fleet batcher coalesces them before they get here).
-			out[i] = batchItemError(http.StatusBadRequest, "duplicate of item %d in this batch", first)
-			continue
-		}
-		seen[key] = i
-		if req.DeadlineMS > maxDeadline {
-			maxDeadline = req.DeadlineMS
-		}
-		t0 = time.Now()
-		var cached json.RawMessage
-		hit, lerr := s.rec.Lookup(key, &cached)
-		s.obs.stageCache.ObserveSince(t0)
-		if lerr == nil && hit {
-			s.obs.cacheHits.Inc()
-			out[i] = batchItemOK(s.maybeDiverge(key, cached), true)
-			continue
-		}
-		evals = append(evals, batchWork{idx: i, req: req, key: key})
+	answers, refusal := s.schedule(r, mode, items, true)
+	if refusal != nil {
+		refusal.write(w)
+		return
 	}
-
-	if len(evals) > 0 {
-		t0 = time.Now()
-		report, berr := s.breaker.Allow()
-		s.obs.stageBreaker.ObserveSince(t0)
-		if berr != nil {
-			setRetryAfter(w, s.breaker.RetryAfter())
-			httpError(w, http.StatusServiceUnavailable, "%v", berr)
-			return
+	env := BatchResponse{Items: make([]BatchItem, len(answers))}
+	for i, a := range answers {
+		env.Items[i] = BatchItem{
+			Status: a.status,
+			Cache:  a.cache,
+			Digest: a.digest,
+			Body:   json.RawMessage(a.wire[:len(a.wire)-1]),
 		}
-		// One deadline budget for the whole batch, clamped like a singleton's:
-		// the most patient item's deadline bounds everyone (items were grouped
-		// by a client that considers them one unit of work).
-		ctx, cancel := resilience.WithBudget(r.Context(), time.Duration(maxDeadline)*time.Millisecond,
-			s.cfg.DeadlineDef, s.cfg.DeadlineMax)
-		defer cancel()
-		stop := context.AfterFunc(s.base, cancel)
-		defer stop()
-		ctx = obs.WithTracer(ctx, s.obs.tracer)
-
-		client := clientID(r)
-		rr := mode >= 2
-		tQueue := time.Now()
-		qerr := s.queue.Do(ctx, func(ctx context.Context) error {
-			return s.evalBatchItems(ctx, evals, out, rr, client)
-		})
-		s.obs.stageQueue.ObserveSince(tQueue)
-		switch {
-		case qerr == nil:
-			report(resilience.Success)
-		case errors.Is(qerr, resilience.ErrSaturated), errors.Is(qerr, resilience.ErrOverloaded), errors.Is(qerr, resilience.ErrDraining):
-			report(resilience.Skipped)
-			setRetryAfter(w, s.queue.SojournEstimate())
-			httpError(w, http.StatusServiceUnavailable, "%v", qerr)
-			return
-		case errors.Is(qerr, context.DeadlineExceeded):
-			report(resilience.Failure)
-			httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
-			return
-		case errors.Is(qerr, context.Canceled):
-			report(resilience.Skipped)
-			httpError(w, http.StatusServiceUnavailable, "request cancelled")
-			return
-		default:
-			report(resilience.Failure)
-			httpError(w, http.StatusInternalServerError, "%v", qerr)
-			return
-		}
+		s.obs.countBatchItem(env.Items[i])
 	}
-
-	for _, item := range out {
-		s.obs.countBatchItem(item)
-	}
-	s.writeJSON(w, http.StatusOK, BatchResponse{Items: out})
-}
-
-// evalBatchItems evaluates the cache-missing items and fills their slots in
-// out. Rank items go through the chunked batched ranking pass; an item the
-// batched pass could not finish (a transient counter-read loss, most often)
-// falls back to the full singleton retry path, so its final bytes — success
-// or error — match what the singleton endpoint would have produced. A dead
-// context aborts the remaining work and fails the whole batch, exactly as it
-// fails a singleton request.
-func (s *server) evalBatchItems(ctx context.Context, evals []batchWork, out []BatchItem, rr bool, client string) error {
-	if rr {
-		// Ladder floor: round-robin answers, uncached, like the singleton
-		// path at mode 2.
-		for _, wk := range evals {
-			resp, rerr := roundRobin(wk.req)
-			if rerr != nil {
-				out[wk.idx] = batchItemError(http.StatusInternalServerError, "%v", rerr)
-				continue
-			}
-			raw, merr := json.Marshal(resp)
-			if merr != nil {
-				s.obs.encodeFailures.Inc()
-				out[wk.idx] = batchItemError(http.StatusInternalServerError, "encoding response: %v", merr)
-				continue
-			}
-			out[wk.idx] = batchItemOK(s.maybeDiverge(wk.key, raw), false)
-		}
-		return ctx.Err()
-	}
-
-	reqs := make([]ScheduleRequest, len(evals))
-	for i, wk := range evals {
-		reqs[i] = wk.req
-	}
-	// The batched pass runs as attempt 0 — the same ordinal the singleton
-	// path's first try uses — so fault injection draws, and therefore every
-	// byte of the result, line up with a singleton evaluation.
-	resps, errs := s.eval.rankBatch(ctx, reqs, 0)
-	for i, wk := range evals {
-		resp, rerr := resps[i], errs[i]
-		if rerr != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			// The batched attempt 0 failed; rerun the item on the singleton
-			// retry path. Deterministic failures replay attempt 0 identically
-			// and surface the same error; transients get the same budgeted
-			// retries (attempt 1, 2, ...) a singleton request would.
-			s.obs.batchFallbacks.Inc()
-			resp, rerr = s.predictWithRetry(ctx, wk.req, client)
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				out[wk.idx] = batchItemEvalError(rerr)
-				continue
-			}
-		}
-		raw, merr := json.Marshal(resp)
-		if merr != nil {
-			s.obs.encodeFailures.Inc()
-			out[wk.idx] = batchItemError(http.StatusInternalServerError, "encoding response: %v", merr)
-			continue
-		}
-		if rerr := s.rec.Record(wk.key, json.RawMessage(raw)); rerr != nil {
-			s.logger.Printf("cache record: %v", rerr)
-		}
-		out[wk.idx] = batchItemOK(s.maybeDiverge(wk.key, raw), false)
-	}
-	return ctx.Err()
-}
-
-// batchItemEvalError maps an evaluation error to the per-item status the
-// singleton error switch would have chosen (retryable trouble is 503, the
-// rest 500; deadline and cancellation fail the batch before this runs).
-func batchItemEvalError(err error) BatchItem {
-	if errors.Is(err, resilience.ErrBudgetExhausted) || isTransient(err) {
-		return batchItemError(http.StatusServiceUnavailable, "%v", err)
-	}
-	return batchItemError(http.StatusInternalServerError, "%v", err)
+	s.writeJSON(w, http.StatusOK, env)
 }

@@ -11,8 +11,11 @@ import (
 	"testing"
 
 	"symbios/internal/checkpoint"
+	"symbios/internal/faults"
 	"symbios/internal/integrity"
 	"symbios/internal/leakcheck"
+	"symbios/internal/obs"
+	"symbios/internal/resilience"
 )
 
 // postBatch sends a batch envelope and returns status, raw body, and the
@@ -52,121 +55,176 @@ func batchEnvelope(items ...string) string {
 	return `{"requests":[` + strings.Join(items, ",") + `]}`
 }
 
-// checkItemAgainstSingleton asserts one batch item reconstructs byte-for-
-// byte into the singleton answer for the same body: same status, same wire
-// bytes (item body + '\n'), and a digest that both verifies and equals the
-// digest header the singleton response carried.
-func checkItemAgainstSingleton(t *testing.T, item BatchItem, singletonStatus int, singletonBody []byte, singletonDig string) {
-	t.Helper()
-	if item.Status != singletonStatus {
-		t.Fatalf("item status %d, singleton answered %d", item.Status, singletonStatus)
-	}
-	wire := append(append([]byte{}, item.Body...), '\n')
-	if !bytes.Equal(wire, singletonBody) {
-		t.Fatalf("item bytes diverge from singleton:\nitem:      %s\nsingleton: %s", wire, singletonBody)
-	}
-	if err := integrity.Check(item.Digest, wire); err != nil {
-		t.Fatalf("item digest: %v", err)
-	}
-	if singletonDig != "" && item.Digest != singletonDig {
-		t.Fatalf("item digest %q != singleton header %q", item.Digest, singletonDig)
-	}
+// verdict is one request's answer as a client sees it, in either shape: the
+// singleton response's status, wire bytes, X-Content-Digest and X-Cache, or
+// a batch item's status, body + '\n', digest and cache.
+type verdict struct {
+	status int
+	wire   string
+	digest string
+	cache  string
 }
 
-// postSingleton fetches the singleton truth for a body: status, wire bytes,
-// digest header.
-func postSingleton(t *testing.T, ts *httptest.Server, body string) (int, []byte, string) {
+// askSingletons sends each body to /v1/schedule.
+func askSingletons(t *testing.T, ts *httptest.Server, bodies []string) []verdict {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/schedule", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatalf("build request: %v", err)
+	out := make([]verdict, len(bodies))
+	for i, body := range bodies {
+		resp := postRaw(t, ts, body)
+		out[i] = verdict{
+			status: resp.StatusCode,
+			wire:   string(checkDigest(t, "singleton", resp)),
+			digest: resp.Header.Get(integrity.Header),
+			cache:  resp.Header.Get("X-Cache"),
+		}
 	}
-	req.Header.Set("X-Client-ID", "t")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatalf("POST /v1/schedule: %v", err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("read response: %v", err)
-	}
-	return resp.StatusCode, buf.Bytes(), resp.Header.Get(integrity.Header)
+	return out
 }
 
-// TestScheduleBatchByteIdentity proves the tentpole contract: every batch
-// item — cache miss on a fresh server, then cache hit on the second ask —
-// is byte-identical to the singleton answer for the same request, per-item
-// digest included. Error items (unknown mix, adaptive mode) reproduce the
-// singleton error bytes the same way.
-func TestScheduleBatchByteIdentity(t *testing.T) {
+// askBatch sends the bodies as one envelope, which must be answered 200.
+func askBatch(t *testing.T, ts *httptest.Server, bodies []string) []verdict {
+	t.Helper()
+	status, raw, env := postBatch(t, ts, batchEnvelope(bodies...))
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, raw)
+	}
+	if len(env.Items) != len(bodies) {
+		t.Fatalf("%d items answered, want %d", len(env.Items), len(bodies))
+	}
+	out := make([]verdict, len(bodies))
+	for i, item := range env.Items {
+		out[i] = verdict{status: item.Status, wire: string(item.Body) + "\n", digest: item.Digest, cache: item.Cache}
+		if err := integrity.Check(item.Digest, []byte(out[i].wire)); err != nil {
+			t.Fatalf("item %d digest: %v", i, err)
+		}
+	}
+	return out
+}
+
+// askBatchesOfOne sends each body in an envelope of its own.
+func askBatchesOfOne(t *testing.T, ts *httptest.Server, bodies []string) []verdict {
+	t.Helper()
+	var out []verdict
+	for _, body := range bodies {
+		out = append(out, askBatch(t, ts, []string{body})...)
+	}
+	return out
+}
+
+// TestSchedulePipelineEquivalence proves a singleton request is a batch of
+// one: the same request set sent as singletons, as envelopes of one and as
+// one envelope of n yields, per request, the same status, wire bytes, digest
+// and cache verdict — first as misses, then again as hits — and leaves the
+// same side effects behind: circuit-breaker state, cache-hit count, retry
+// stage observations and recorded cache contents. The set runs against a
+// server without -chaos (the fault item is a 400) and one with it (the fault
+// item is evaluated and fails every attempt — its second failure is the
+// fourth breaker verdict and trips it, in singletons and envelopes of one
+// alike; the one-envelope shape is a single verdict per pass by design, so
+// its breaker is not held to the singletons').
+func TestSchedulePipelineEquivalence(t *testing.T) {
 	leakcheck.Check(t)
-	// Singleton truth comes from its own server so the batch server's cache
-	// state cannot contaminate the comparison.
-	_, single := newTestServer(t, testServerOpts{})
-	rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "batch.ckpt"),
-		checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
-	_, batch := newTestServer(t, testServerOpts{rec: rec})
+	const primed = `{"mix":"Jsb(4,2,2)","seed":7,"samples":3}`
+	const miss = `{"mix":"Jsb(5,2,2)","seed":9,"samples":2,"predictor":"IPC"}`
+	bodies := []string{
+		primed, // rank hit
+		miss,   // rank miss
+		`{"mix":"Jsb(4,2,2)","seed":1,"bogus":true}`, // malformed
+		`{"mix":"nope","seed":1}`,                    // unknown mix
+		`{"mix":"Jsb(4,2,2)","seed":3,"samples":2,"fault":{"fail_rate":1}}`,
+	}
+	// An envelope rejects adaptive items by contract, touching nothing; a
+	// singleton evaluates them, so the item rides only the batched shapes.
+	const adaptive = `{"mix":"Jsb(4,2,2)","seed":7,"samples":3,"mode":"adaptive"}`
+	shapes := []struct {
+		name string
+		ask  func(*testing.T, *httptest.Server, []string) []verdict
+		set  []string
+		// perBody: one HTTP request, hence one breaker verdict, per body.
+		perBody bool
+	}{
+		{"singletons", askSingletons, bodies, true},
+		{"batches of one", askBatchesOfOne, append(bodies[:len(bodies):len(bodies)], adaptive), true},
+		{"one batch", askBatch, append(bodies[:len(bodies):len(bodies)], adaptive), false},
+	}
+	type effects struct {
+		breaker   resilience.BreakerStats
+		cacheHits uint64
+		retries   uint64
+		cache     string
+	}
+	for _, flavour := range []struct {
+		name        string
+		chaos       *faults.Config
+		faultStatus int
+	}{
+		{"no chaos", nil, http.StatusBadRequest},
+		{"chaos", &faults.Config{}, http.StatusServiceUnavailable},
+	} {
+		var wantPasses [2][]verdict
+		var wantEffects effects
+		for si, shape := range shapes {
+			rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "equiv.ckpt"),
+				checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
+			srv, ts := newTestServer(t, testServerOpts{chaos: flavour.chaos, rec: rec, reg: obs.NewRegistry()})
+			if v := askSingletons(t, ts, []string{primed}); v[0].status != http.StatusOK || v[0].cache != "miss" {
+				t.Fatalf("%s/%s: priming answered %+v", flavour.name, shape.name, v[0])
+			}
+			for pass := range wantPasses {
+				got := shape.ask(t, ts, shape.set)
+				if len(got) > len(bodies) {
+					if a := got[len(bodies)]; a.status != http.StatusBadRequest || !strings.Contains(a.wire, "not batchable") {
+						t.Errorf("%s/%s: adaptive item answered %+v, want the per-item 400", flavour.name, shape.name, a)
+					}
+					got = got[:len(bodies)]
+				}
+				if si == 0 {
+					wantPasses[pass] = got
+					continue
+				}
+				for i := range bodies {
+					if got[i] != wantPasses[pass][i] {
+						t.Errorf("%s/%s pass %d item %d:\n got %+v\nwant %+v (singleton)", flavour.name, shape.name, pass, i, got[i], wantPasses[pass][i])
+					}
+				}
+			}
+			snap, err := json.Marshal(rec.Export())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eff := effects{srv.breaker.Stats(), srv.obs.cacheHits.Value(), srv.obs.stageRetry.Count(), string(snap)}
+			if !shape.perBody {
+				eff.breaker = wantEffects.breaker
+			}
+			if si == 0 {
+				wantEffects = eff
+			} else if eff != wantEffects {
+				t.Errorf("%s/%s side effects:\n got %+v\nwant %+v (singletons)", flavour.name, shape.name, eff, wantEffects)
+			}
+			// Cache interop: whatever shape recorded the answer, a singleton
+			// ask now replays the same bytes as a hit.
+			if v := askSingletons(t, ts, []string{miss}); v[0] != wantPasses[1][1] {
+				t.Errorf("%s/%s: singleton after the passes answered %+v, want %+v", flavour.name, shape.name, v[0], wantPasses[1][1])
+			}
+		}
 
-	items := []string{
-		`{"mix":"Jsb(4,2,2)","seed":7,"samples":3}`,
-		`{"mix":"Jsb(5,2,2)","seed":9,"samples":2,"predictor":"IPC"}`,
-		`{"mix":"nope","seed":1}`,
-		`{"mix":"Jsb(4,2,2)","seed":7,"samples":3,"mode":"adaptive"}`,
-	}
-	type truth struct {
-		status int
-		body   []byte
-		digest string
-	}
-	truths := make([]truth, len(items))
-	for i, it := range items {
-		if strings.Contains(it, "adaptive") {
-			// The batch endpoint rejects adaptive items by contract; the
-			// expected bytes are the documented per-item 400.
-			continue
-		}
-		st, body, dig := postSingleton(t, single, it)
-		truths[i] = truth{st, body, dig}
-	}
-
-	for pass, wantCache := range []string{"miss", "hit"} {
-		status, _, env := postBatch(t, batch, batchEnvelope(items...))
-		if status != http.StatusOK {
-			t.Fatalf("pass %d: batch status %d", pass, status)
-		}
-		if len(env.Items) != len(items) {
-			t.Fatalf("pass %d: %d items answered, want %d", pass, len(env.Items), len(items))
-		}
-		for i, item := range env.Items {
-			switch i {
-			case 2: // unknown mix: singleton 400, byte-identical
-				checkItemAgainstSingleton(t, item, truths[i].status, truths[i].body, truths[i].digest)
-				if item.Cache != "" {
-					t.Fatalf("error item carries cache %q", item.Cache)
+		// The singleton truth itself: what each request must have answered.
+		for pass, want := range [2][]string{{"hit", "miss"}, {"hit", "hit"}} {
+			got := wantPasses[pass]
+			for i, cache := range want {
+				if got[i].status != http.StatusOK || got[i].cache != cache {
+					t.Errorf("%s pass %d item %d: %d cache %q, want 200 %q", flavour.name, pass, i, got[i].status, got[i].cache, cache)
 				}
-			case 3: // adaptive: rejected per item, batch untouched
-				if item.Status != http.StatusBadRequest {
-					t.Fatalf("adaptive item status %d, want 400", item.Status)
-				}
-				wire := append(append([]byte{}, item.Body...), '\n')
-				if err := integrity.Check(item.Digest, wire); err != nil {
-					t.Fatalf("adaptive item digest: %v", err)
-				}
-			default:
-				checkItemAgainstSingleton(t, item, truths[i].status, truths[i].body, truths[i].digest)
-				if item.Cache != wantCache {
-					t.Fatalf("pass %d item %d cache %q, want %q", pass, i, item.Cache, wantCache)
+			}
+			if got[1].wire != wantPasses[0][1].wire {
+				t.Errorf("%s: cache hit bytes differ from the miss that recorded them", flavour.name)
+			}
+			for i, status := range []int{http.StatusBadRequest, http.StatusBadRequest, flavour.faultStatus} {
+				if got[2+i].status != status || got[2+i].cache != "" {
+					t.Errorf("%s pass %d item %d: %+v, want status %d and no cache verdict", flavour.name, pass, 2+i, got[2+i], status)
 				}
 			}
 		}
-	}
-
-	// The batch's recorded answers are the singleton answers: a singleton
-	// ask on the batch server now hits the cache with identical bytes.
-	st, body, _ := postSingleton(t, batch, items[0])
-	if st != http.StatusOK || !bytes.Equal(body, truths[0].body) {
-		t.Fatalf("singleton-after-batch status %d, bytes match %v", st, bytes.Equal(body, truths[0].body))
 	}
 }
 

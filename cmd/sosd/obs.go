@@ -32,10 +32,8 @@ type serverObs struct {
 	warmShards     *obs.Counter
 	warmBytes      *obs.Counter
 
-	// Batch endpoint counters: envelopes admitted, and items whose batched
-	// rank attempt failed and reran on the singleton retry path.
-	batchRequests  *obs.Counter
-	batchFallbacks *obs.Counter
+	// batchRequests counts the well-formed envelopes on /v1/schedule/batch.
+	batchRequests *obs.Counter
 
 	// tracer feeds SOS phase spans from the evaluator's adaptive runs into
 	// obs_span_seconds. No JSONL sink in the service; spans surface only as
@@ -73,8 +71,6 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		"Bytes transferred from fleet siblings during cache warm-up.")
 	o.batchRequests = reg.Counter("sosd_batch_requests_total",
 		"Batch envelopes admitted on /v1/schedule/batch.")
-	o.batchFallbacks = reg.Counter("sosd_batch_fallbacks_total",
-		"Batch items rerun on the singleton retry path after the batched rank attempt failed.")
 	o.tracer = obs.NewTracer(nil, reg)
 	return o
 }

@@ -95,9 +95,7 @@ func (e *evaluator) rank(ctx context.Context, req ScheduleRequest, mix workload.
 	}
 	// The sample phase is inherently sequential: every candidate schedule
 	// must be observed on this one machine, whose jobs keep progressing
-	// across samples (the paper's overhead-free sample phase). Batched
-	// evaluation (core.EvalBatch) interleaves whole requests, each on its
-	// own machine (rankBatch) — never the samples of one.
+	// across samples (the paper's overhead-free sample phase).
 	samples := make([]core.Sample, 0, len(scheds))
 	for _, s := range scheds {
 		run, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*e.scale.SampleRounds)
@@ -212,175 +210,4 @@ func roundRobin(req ScheduleRequest) (*ScheduleResponse, error) {
 		Best:      s.String(),
 		Degraded:  "round-robin",
 	}, nil
-}
-
-// rankBatchChunk is how many batch items share one core.EvalBatch advance.
-// Fixed, so the grouping, and with it every result, is a pure function of
-// the request list: the same batch yields the same bytes at -workers 1 and
-// -workers 8.
-const rankBatchChunk = 8
-
-// rankBatch evaluates many rank requests through shared EvalBatch advances,
-// chunked at rankBatchChunk. Each request gets its own machine executing
-// exactly the operation sequence rank would run — warm on the first sampled
-// schedule, then each sample in draw order — and the batch interleaves those
-// sequences timeslice by timeslice, which EvalBatch's equivalence contract
-// guarantees is bit-identical to running each alone. Results and errors are
-// per item, parallel to reqs; an error on one item (a lost counter read,
-// a build failure) never touches its chunk-mates unless the shared context
-// died, in which case every unfinished item reports the context error.
-func (e *evaluator) rankBatch(ctx context.Context, reqs []ScheduleRequest, attempt int) ([]*ScheduleResponse, []error) {
-	out := make([]*ScheduleResponse, len(reqs))
-	errs := make([]error, len(reqs))
-	for lo := 0; lo < len(reqs); lo += rankBatchChunk {
-		hi := lo + rankBatchChunk
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		e.rankChunk(ctx, reqs[lo:hi], out[lo:hi], errs[lo:hi], attempt)
-	}
-	return out, errs
-}
-
-// rankChunkItem is one request's in-flight state inside rankChunk.
-type rankChunkItem struct {
-	mix     workload.Mix
-	m       *core.Machine
-	scheds  []schedule.Schedule
-	samples []core.Sample
-}
-
-// rankChunk advances one chunk of rank evaluations together: one EvalBatch
-// for every item's warm-up run, then one EvalBatch per sample round over the
-// items still standing.
-func (e *evaluator) rankChunk(ctx context.Context, reqs []ScheduleRequest, out []*ScheduleResponse, errs []error, attempt int) {
-	items := make([]*rankChunkItem, len(reqs))
-	for i, req := range reqs {
-		mix, err := workload.MixByLabel(req.Mix)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		jobs, err := mix.Build(req.Seed)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		m, err := core.NewMachine(arch.Default21264(mix.SMTLevel), jobs, e.scale.SliceFor(mix))
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		m.SetSimMetrics(e.sim)
-		if inj := e.injectorFor(req, attempt); inj != nil {
-			m.SetCounterReader(inj)
-		}
-		r := rng.New(rng.Hash2(req.Seed, saltSchedDraw, 0))
-		items[i] = &rankChunkItem{
-			mix:    mix,
-			m:      m,
-			scheds: schedule.Sample(r, mix.Tasks(), mix.SMTLevel, mix.Swap, req.Samples),
-		}
-	}
-
-	// abort fails every item still in flight — EvalBatch.Run abandons the
-	// whole batch on its first error (in practice the shared context dying),
-	// so no item has a usable partial result afterwards.
-	abort := func(err error) {
-		for i, it := range items {
-			if it != nil {
-				errs[i] = err
-				items[i] = nil
-			}
-		}
-	}
-
-	// Warm-up round: the same rotations Machine.Warm would run, one machine
-	// each, interleaved.
-	var wb core.EvalBatch
-	warming := false
-	for i, it := range items {
-		if it == nil {
-			continue
-		}
-		if _, err := wb.Add(it.m, it.scheds[0], core.WarmSlices(it.scheds[0], it.m.SliceCycles, e.scale.WarmupCycles)); err != nil {
-			errs[i] = err
-			items[i] = nil
-			continue
-		}
-		warming = true
-	}
-	if warming {
-		if _, err := wb.Run(ctx); err != nil {
-			abort(err)
-			return
-		}
-	}
-
-	// Sample rounds: round r runs every surviving item's r-th sampled
-	// schedule. An item that loses counter reads drops out of later rounds —
-	// the singleton path returns at that point too, so its machine would
-	// never have run them.
-	maxSamples := 0
-	for _, it := range items {
-		if it != nil && len(it.scheds) > maxSamples {
-			maxSamples = len(it.scheds)
-		}
-	}
-	for rnd := 0; rnd < maxSamples; rnd++ {
-		var eb core.EvalBatch
-		var live []int
-		for i, it := range items {
-			if it == nil || rnd >= len(it.scheds) {
-				continue
-			}
-			s := it.scheds[rnd]
-			if _, err := eb.Add(it.m, s, s.CycleSlices()*e.scale.SampleRounds); err != nil {
-				errs[i] = err
-				items[i] = nil
-				continue
-			}
-			live = append(live, i)
-		}
-		if len(live) == 0 {
-			break
-		}
-		runs, err := eb.Run(ctx)
-		if err != nil {
-			abort(err)
-			return
-		}
-		for j, i := range live {
-			it, run := items[i], runs[j]
-			if run.ReadFailures > 0 {
-				errs[i] = fmt.Errorf("sample of %s lost %d counter reads: %w",
-					it.scheds[rnd], run.ReadFailures, core.ErrCounterRead)
-				items[i] = nil
-				continue
-			}
-			it.samples = append(it.samples, core.NewSample(it.scheds[rnd], run))
-		}
-	}
-
-	for i, it := range items {
-		if it == nil {
-			continue
-		}
-		req := reqs[i]
-		order := core.Rank(it.samples, predictorNames[req.Predictor])
-		resp := &ScheduleResponse{
-			Mix:       req.Mix,
-			Mode:      req.Mode,
-			Predictor: req.Predictor,
-			Seed:      req.Seed,
-			Best:      it.scheds[order[0]].String(),
-		}
-		for _, k := range order {
-			resp.Ranking = append(resp.Ranking, RankedSchedule{
-				Schedule: it.scheds[k].String(),
-				IPC:      it.samples[k].IPC,
-			})
-		}
-		out[i] = resp
-	}
 }

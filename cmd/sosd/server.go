@@ -197,28 +197,80 @@ func (s *server) handler() http.Handler {
 	return s.obs.instrument(mux)
 }
 
-// httpError writes a JSON error body with the given status. Like every
-// other write path it stamps X-Content-Digest over the exact bytes sent,
-// so a verifying front can tell a genuine error answer from one a flaky
-// wire mangled in transit.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(integrity.Header, integrity.Digest(body))
-	w.WriteHeader(status)
-	w.Write(body)
+// answer is one response in wire form: the status, the exact bytes sent
+// (body plus trailing newline) and the digest over those bytes, hashed and
+// copied once. The same value renders as a whole /v1/schedule response or as
+// one item of a batch envelope, which is what keeps the two byte-identical.
+type answer struct {
+	status int
+	// cache is the X-Cache verdict of a schedule 200 ("hit" or "miss").
+	cache string
+	// retryAfter is the Retry-After hint in whole seconds; 0 sends none.
+	retryAfter int
+	wire       []byte
+	digest     string
 }
 
-// setRetryAfter renders d as a Retry-After header: whole seconds, rounded
-// up, at least 1 — a real backoff hint derived from the shedding stage's
-// own state (limiter refill rate, breaker cooldown) instead of a constant.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// newAnswer frames raw as a response body. The digest is computed over the
+// exact bytes written, so a verifier hashing the body it read gets an
+// equality check against the bytes this replica actually produced.
+func newAnswer(status int, raw []byte) answer {
+	wire := make([]byte, 0, len(raw)+1)
+	wire = append(wire, raw...)
+	wire = append(wire, '\n')
+	return answer{status: status, wire: wire, digest: integrity.Digest(wire)}
+}
+
+// okAnswer frames cached-or-fresh schedule response bytes. The body is the
+// recorded bytes verbatim either way, so identical requests get
+// byte-identical responses; only the cache verdict differs.
+func okAnswer(raw []byte, hit bool) answer {
+	a := newAnswer(http.StatusOK, raw)
+	a.cache = "miss"
+	if hit {
+		a.cache = "hit"
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	return a
+}
+
+// errorAnswer frames a JSON error body.
+func errorAnswer(status int, format string, args ...any) answer {
+	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
+	return newAnswer(status, body)
+}
+
+// shedAnswer is an errorAnswer carrying a backoff hint derived from the
+// shedding stage's own state (limiter refill, breaker cooldown, queue
+// sojourn) instead of a constant: whole seconds, rounded up, at least 1.
+func shedAnswer(status int, wait time.Duration, format string, args ...any) answer {
+	a := errorAnswer(status, format, args...)
+	a.retryAfter = int((wait + time.Second - 1) / time.Second)
+	if a.retryAfter < 1 {
+		a.retryAfter = 1
+	}
+	return a
+}
+
+// write sends the answer as a whole response. Errors are digest-stamped like
+// everything else, so a verifying front can tell a genuine error answer from
+// one a flaky wire mangled in transit.
+func (a answer) write(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set(integrity.Header, a.digest)
+	if a.cache != "" {
+		h.Set("X-Cache", a.cache)
+	}
+	if a.retryAfter > 0 {
+		h.Set("Retry-After", strconv.Itoa(a.retryAfter))
+	}
+	w.WriteHeader(a.status)
+	w.Write(a.wire)
+}
+
+// httpError writes a JSON error body with the given status.
+func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+	errorAnswer(status, format, args...).write(w)
 }
 
 // clientID keys retry budgets: the X-Client-ID header when present, else
@@ -249,82 +301,153 @@ func (s *server) mode() int {
 	return s.brownout.Mode()
 }
 
-// handleSchedule is the full resilient pipeline for one request.
-func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	// The serving mode is sampled once per request and advertised on every
-	// response — sheds included — so the fleet tier can steer new work
-	// toward the least-degraded replica.
-	mode := s.mode()
+// gate samples the serving mode once per request and advertises it on every
+// response — sheds included — so the fleet tier can steer new work toward
+// the least-degraded replica; it refuses the request while draining.
+func (s *server) gate(w http.ResponseWriter) (mode int, ok bool) {
+	mode = s.mode()
 	w.Header().Set("X-Brownout-Mode", strconv.Itoa(mode))
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "server draining")
+		shedAnswer(http.StatusServiceUnavailable, time.Second, "server draining").write(w)
+		return mode, false
+	}
+	return mode, true
+}
+
+// admit charges the limiter one token per schedule request carried — a
+// batch of n is the same admission load as n singletons — and sheds the
+// whole request when the bucket cannot pay.
+func (s *server) admit(w http.ResponseWriter, n int) bool {
+	t0 := time.Now()
+	allowed := s.limiter.AllowN(n)
+	s.obs.stageLimiter.ObserveSince(t0)
+	if !allowed {
+		shedAnswer(http.StatusTooManyRequests, s.limiter.RetryAfter(n), "admission rate exceeded").write(w)
+	}
+	return allowed
+}
+
+// readBody reads a request body of at most limit bytes (one more is read so
+// the decoder can reject an oversized body rather than parse a truncated one).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// handleSchedule answers one schedule request: a batch of one through the
+// pipeline, rendered as a bare response.
+func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+	mode, ok := s.gate(w)
+	if !ok || !s.admit(w, 1) {
 		return
 	}
 	t0 := time.Now()
-	allowed := s.limiter.Allow()
-	s.obs.stageLimiter.ObserveSince(t0)
-	if !allowed {
-		setRetryAfter(w, s.limiter.RetryAfter())
-		httpError(w, http.StatusTooManyRequests, "admission rate exceeded")
-		return
-	}
-	t0 = time.Now()
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxRequestBytes+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	req, err := DecodeScheduleRequest(body)
+	body, ok := readBody(w, r, MaxRequestBytes)
 	s.obs.stageDecode.ObserveSince(t0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	if !ok {
 		return
 	}
-	if req.Fault != nil && s.eval.chaos == nil {
-		httpError(w, http.StatusBadRequest, "fault injection requires a server started with -chaos")
+	answers, refusal := s.schedule(r, mode, []json.RawMessage{body}, false)
+	if refusal != nil {
+		refusal.write(w)
 		return
 	}
+	answers[0].write(w)
+}
 
-	// Degradation ladder. Mode 1 answers adaptive requests with the cheap
-	// predictor ranking (no adaptive simulation); mode 2 serves cache hits
-	// or a round-robin fallback with no simulation at all. The degraded
-	// request's own fingerprint keys the cache, so a mode-1 answer is keyed
-	// — and byte-identical to — a genuine rank request, and never poisons a
-	// mode-0 adaptive entry.
-	eff := req
-	if mode >= 1 && eff.Mode == "adaptive" {
-		eff.Mode = "rank"
+// schedule is the one pipeline every schedule request rides, singleton or
+// batched: per item decode -> response cache, then once for the items the
+// cache could not answer circuit breaker -> deadline budget -> bounded queue,
+// and inside that single queue task per item budgeted retry -> evaluator ->
+// cache record. It returns one answer per body, or a refusal when the request
+// as a whole was turned away (breaker open, queue shed, deadline, cancel).
+// Item failures are isolated: a malformed or failing item is that item's 4xx
+// or 5xx, never its neighbours'. batched marks an envelope, whose items must
+// be rank requests with distinct fingerprints.
+func (s *server) schedule(r *http.Request, mode int, bodies []json.RawMessage, batched bool) ([]answer, *answer) {
+	type work struct {
+		idx int
+		req ScheduleRequest
+		key string
+	}
+	out := make([]answer, len(bodies))
+	var evals []work
+	seen := make(map[string]int, len(bodies))
+	var deadlineMS int64
+	for i, body := range bodies {
+		t0 := time.Now()
+		req, err := DecodeScheduleRequest(body)
+		s.obs.stageDecode.ObserveSince(t0)
+		if err != nil {
+			out[i] = errorAnswer(http.StatusBadRequest, "%v", err)
+			continue
+		}
+		if req.Fault != nil && s.eval.chaos == nil {
+			out[i] = errorAnswer(http.StatusBadRequest, "fault injection requires a server started with -chaos")
+			continue
+		}
+		if req.Mode == "adaptive" {
+			if batched {
+				// An envelope is one queue task under one deadline budget,
+				// sized for rank evaluations; a full adaptive run costs many
+				// times a ranking and would starve its batch-mates of both.
+				out[i] = errorAnswer(http.StatusBadRequest, "mode \"adaptive\" is not batchable (send it to /v1/schedule)")
+				continue
+			}
+			// Degradation ladder. Mode 1 answers adaptive requests with the
+			// cheap predictor ranking (no adaptive simulation). The degraded
+			// request's own fingerprint keys the cache, so a mode-1 answer is
+			// keyed — and byte-identical to — a genuine rank request, and
+			// never poisons a mode-0 adaptive entry.
+			if mode >= 1 {
+				req.Mode = "rank"
+			}
+		}
+		key := req.Fingerprint()
+		if first, dup := seen[key]; dup {
+			// Two items with one fingerprint would race one cache slot and
+			// waste one evaluation; a client batching duplicates is confused
+			// (the fleet batcher coalesces them before they get here).
+			out[i] = errorAnswer(http.StatusBadRequest, "duplicate of item %d in this batch", first)
+			continue
+		}
+		seen[key] = i
+		// One deadline budget for the whole request, clamped by server
+		// policy: the most patient item's deadline bounds everyone (items
+		// were grouped by a client that considers them one unit of work).
+		if req.DeadlineMS > deadlineMS {
+			deadlineMS = req.DeadlineMS
+		}
+		t0 = time.Now()
+		var cached json.RawMessage
+		hit, lerr := s.rec.Lookup(key, &cached)
+		s.obs.stageCache.ObserveSince(t0)
+		if lerr == nil && hit {
+			s.obs.cacheHits.Inc()
+			out[i] = okAnswer(s.maybeDiverge(key, cached), true)
+			continue
+		}
+		evals = append(evals, work{idx: i, req: req, key: key})
+	}
+	if len(evals) == 0 {
+		return out, nil
 	}
 
-	key := eff.Fingerprint()
-	t0 = time.Now()
-	var cached json.RawMessage
-	hit, lerr := s.rec.Lookup(key, &cached)
-	s.obs.stageCache.ObserveSince(t0)
-	if lerr == nil && hit {
-		s.obs.cacheHits.Inc()
-		s.writeResponse(w, s.maybeDiverge(key, cached), true)
-		return
-	}
-	// Cache miss at the ladder floor: answer round-robin. The work is a
-	// pure function of the request but still rides the queue, so dequeue
-	// sojourn keeps feeding the brownout controller — recovery must never
-	// depend on measurements that degradation itself has silenced.
-	rr := mode >= 2
-
-	t0 = time.Now()
+	t0 := time.Now()
 	report, err := s.breaker.Allow()
 	s.obs.stageBreaker.ObserveSince(t0)
 	if err != nil {
-		setRetryAfter(w, s.breaker.RetryAfter())
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		a := shedAnswer(http.StatusServiceUnavailable, s.breaker.RetryAfter(), "%v", err)
+		return nil, &a
 	}
 
 	// The request context inherits the client connection (disconnects
 	// cancel) and the server's hard-stop, bounded by the deadline budget.
-	ctx, cancel := resilience.WithBudget(r.Context(), time.Duration(req.DeadlineMS)*time.Millisecond,
+	ctx, cancel := resilience.WithBudget(r.Context(), time.Duration(deadlineMS)*time.Millisecond,
 		s.cfg.DeadlineDef, s.cfg.DeadlineMax)
 	defer cancel()
 	stop := context.AfterFunc(s.base, cancel)
@@ -333,61 +456,72 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// tracer (metrics disabled) is carried as a no-op.
 	ctx = obs.WithTracer(ctx, s.obs.tracer)
 
-	var resp *ScheduleResponse
+	// Cache miss at the ladder floor (mode 2): answer round-robin. The work
+	// is a pure function of the request but still rides the queue, so dequeue
+	// sojourn keeps feeding the brownout controller — recovery must never
+	// depend on measurements that degradation itself has silenced.
+	rr := mode >= 2
+	client := clientID(r)
+	failed := false // an evaluated item ended 5xx; read only once Do returned nil
 	tQueue := time.Now()
 	qerr := s.queue.Do(ctx, func(ctx context.Context) error {
-		if rr {
-			var rerr error
-			resp, rerr = roundRobin(eff)
-			return rerr
+		for _, wk := range evals {
+			raw, err := s.evalBytes(ctx, wk.req, rr, client)
+			switch {
+			case err == nil:
+				// Round-robin answers are deliberately uncached: once the
+				// ladder recovers, the same fingerprint deserves a real
+				// evaluation.
+				if !rr {
+					if rerr := s.rec.Record(wk.key, json.RawMessage(raw)); rerr != nil {
+						s.logger.Printf("cache record: %v", rerr)
+					}
+				}
+				out[wk.idx] = okAnswer(s.maybeDiverge(wk.key, raw), false)
+			case ctx.Err() != nil:
+				// A dead context fails the request, not the item: nothing
+				// evaluated after it could finish either.
+				return ctx.Err()
+			case errors.Is(err, resilience.ErrBudgetExhausted), isTransient(err):
+				out[wk.idx] = shedAnswer(http.StatusServiceUnavailable, time.Second, "%v", err)
+				failed = true
+			default:
+				out[wk.idx] = errorAnswer(http.StatusInternalServerError, "%v", err)
+				failed = true
+			}
 		}
-		tRetry := time.Now()
-		var werr error
-		resp, werr = s.predictWithRetry(ctx, eff, clientID(r))
-		s.obs.stageRetry.ObserveSince(tRetry)
-		return werr
+		return nil
 	})
 	s.obs.stageQueue.ObserveSince(tQueue)
 
+	// One outcome -> breaker verdict and status mapping for both shapes.
+	var refusal answer
 	switch {
 	case qerr == nil:
-		report(resilience.Success)
-		raw, merr := json.Marshal(resp)
-		if merr != nil {
-			s.obs.encodeFailures.Inc()
-			httpError(w, http.StatusInternalServerError, "encoding response: %v", merr)
-			return
+		if failed {
+			report(resilience.Failure)
+		} else {
+			report(resilience.Success)
 		}
-		if !rr {
-			// Round-robin answers are deliberately uncached: once the ladder
-			// recovers, the same fingerprint deserves a real evaluation.
-			if rerr := s.rec.Record(key, json.RawMessage(raw)); rerr != nil {
-				s.logger.Printf("cache record: %v", rerr)
-			}
-		}
-		s.writeResponse(w, s.maybeDiverge(key, raw), false)
+		return out, nil
 	case errors.Is(qerr, resilience.ErrSaturated), errors.Is(qerr, resilience.ErrOverloaded), errors.Is(qerr, resilience.ErrDraining):
 		// Never reached the backend: no verdict on its health. The hint is
 		// the queue's own sojourn estimate — roughly how long new work is
-		// currently waiting — instead of a constant.
+		// currently waiting.
 		report(resilience.Skipped)
-		setRetryAfter(w, s.queue.SojournEstimate())
-		httpError(w, http.StatusServiceUnavailable, "%v", qerr)
+		refusal = shedAnswer(http.StatusServiceUnavailable, s.queue.SojournEstimate(), "%v", qerr)
 	case errors.Is(qerr, context.DeadlineExceeded):
 		report(resilience.Failure)
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
+		refusal = errorAnswer(http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(qerr, context.Canceled):
 		// Client went away (or the server hard-stopped): not a backend fault.
 		report(resilience.Skipped)
-		httpError(w, http.StatusServiceUnavailable, "request cancelled")
-	case errors.Is(qerr, resilience.ErrBudgetExhausted), isTransient(qerr):
-		report(resilience.Failure)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", qerr)
+		refusal = errorAnswer(http.StatusServiceUnavailable, "request cancelled")
 	default:
 		report(resilience.Failure)
-		httpError(w, http.StatusInternalServerError, "%v", qerr)
+		refusal = errorAnswer(http.StatusInternalServerError, "%v", qerr)
 	}
+	return nil, &refusal
 }
 
 // maybeDiverge perturbs the response for a deterministic fraction of
@@ -421,6 +555,29 @@ func (s *server) maybeDiverge(key string, raw []byte) []byte {
 	return out
 }
 
+// evalBytes produces the response bytes for one cache-missing request: the
+// round-robin floor, or the evaluator under the client's retry budget.
+func (s *server) evalBytes(ctx context.Context, req ScheduleRequest, rr bool, client string) ([]byte, error) {
+	var resp *ScheduleResponse
+	var err error
+	if rr {
+		resp, err = roundRobin(req)
+	} else {
+		t0 := time.Now()
+		resp, err = s.predictWithRetry(ctx, req, client)
+		s.obs.stageRetry.ObserveSince(t0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	raw, err := json.Marshal(resp)
+	if err != nil {
+		s.obs.encodeFailures.Inc()
+		return nil, fmt.Errorf("encoding response: %v", err)
+	}
+	return raw, nil
+}
+
 // predictWithRetry runs the evaluation under the client's retry budget with
 // full-jitter backoff. The jitter stream is seeded from the request, so a
 // request's retry timing — like everything else about it — is deterministic.
@@ -440,26 +597,6 @@ func (s *server) predictWithRetry(ctx context.Context, req ScheduleRequest, clie
 		return aerr
 	})
 	return resp, err
-}
-
-// writeResponse sends cached-or-fresh response bytes. The body is the
-// recorded bytes verbatim either way, so identical requests get
-// byte-identical responses; only the X-Cache header differs. The digest is
-// computed over the exact bytes written (body plus trailing newline), so a
-// verifier hashing the body it read gets an equality check against the
-// bytes this replica actually produced.
-func (s *server) writeResponse(w http.ResponseWriter, raw []byte, hit bool) {
-	body := make([]byte, 0, len(raw)+1)
-	body = append(body, raw...)
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(integrity.Header, integrity.Digest(body))
-	if hit {
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.Write(body)
 }
 
 // writeJSON marshals v fully before touching the ResponseWriter, so an

@@ -300,48 +300,76 @@ func TestScheduleDeadline(t *testing.T) {
 }
 
 // TestBreakerOpensAndRecovers drives the breaker through a full
-// open -> half-open -> closed cycle with guaranteed-failing requests.
+// open -> half-open -> closed cycle with guaranteed-failing requests, once
+// with singleton requests and once with envelopes whose every item fails: the
+// breaker hears the same verdict whichever endpoint the work arrived on.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	leakcheck.Check(t)
-	transitions := make(chan string, 16)
-	srv, ts := newTestServer(t, testServerOpts{
-		chaos: &faults.Config{FailRate: 1}, // every counter read fails
-		cfg: func(c *serverConfig) {
-			c.BreakerMin = 2
-			c.BreakerWindow = 4
-			c.BreakerCooldown = 100 * time.Millisecond
-			c.BreakerProbes = 1
-			c.RetryAttempts = 1
-		},
-		onTrans: func(from, to resilience.State) {
-			transitions <- from.String() + "->" + to.String()
-		},
-	})
-	// Guaranteed failures: FailRate 1 and no retries.
-	req := `{"mix":"Jsb(4,2,2)","seed":1,"samples":2}`
-	for i := 0; i < 4; i++ {
-		if status, body := postSchedule(t, ts, req, "t"); status != http.StatusServiceUnavailable {
-			t.Fatalf("request %d: status %d (%s), want 503", i, status, body)
-		}
+	reqs := []string{
+		`{"mix":"Jsb(4,2,2)","seed":1,"samples":2}`,
+		`{"mix":"Jsb(4,2,2)","seed":2,"samples":2}`,
 	}
-	waitTransition(t, transitions, "closed->open")
-	if srv.breaker.State() != resilience.Open {
-		t.Fatalf("breaker %v after failures, want open", srv.breaker.State())
-	}
-	// While open: fast-fail without touching the backend.
-	if status, _ := postSchedule(t, ts, req, "t"); status != http.StatusServiceUnavailable {
-		t.Fatal("open breaker did not fast-fail")
-	}
-	// Heal the backend, wait out the cooldown, and probe.
-	srv.eval.chaos = nil
-	time.Sleep(150 * time.Millisecond)
-	if status, body := postSchedule(t, ts, req, "t"); status != http.StatusOK {
-		t.Fatalf("probe after cooldown: status %d (%s), want 200", status, body)
-	}
-	waitTransition(t, transitions, "open->half-open")
-	waitTransition(t, transitions, "half-open->closed")
-	if srv.breaker.State() != resilience.Closed {
-		t.Fatalf("breaker %v after successful probe, want closed", srv.breaker.State())
+	for _, shape := range []struct {
+		name string
+		// ask sends one request and returns its verdict: the response status,
+		// or for an answered envelope the status its items agree on.
+		ask func(*testing.T, *httptest.Server) (int, []byte)
+	}{
+		{"singleton", func(t *testing.T, ts *httptest.Server) (int, []byte) {
+			return postSchedule(t, ts, reqs[0], "t")
+		}},
+		{"batch", func(t *testing.T, ts *httptest.Server) (int, []byte) {
+			status, body, env := postBatch(t, ts, batchEnvelope(reqs...))
+			if status != http.StatusOK {
+				return status, body
+			}
+			if env.Items[0].Status != env.Items[1].Status {
+				t.Fatalf("items disagree: %s", body)
+			}
+			return env.Items[0].Status, body
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			transitions := make(chan string, 16)
+			srv, ts := newTestServer(t, testServerOpts{
+				chaos: &faults.Config{FailRate: 1}, // every counter read fails
+				cfg: func(c *serverConfig) {
+					c.BreakerMin = 2
+					c.BreakerWindow = 4
+					c.BreakerCooldown = 100 * time.Millisecond
+					c.BreakerProbes = 1
+					c.RetryAttempts = 1
+				},
+				onTrans: func(from, to resilience.State) {
+					transitions <- from.String() + "->" + to.String()
+				},
+			})
+			// Guaranteed failures: FailRate 1 and no retries.
+			for i := 0; i < 4; i++ {
+				if status, body := shape.ask(t, ts); status != http.StatusServiceUnavailable {
+					t.Fatalf("request %d: status %d (%s), want 503", i, status, body)
+				}
+			}
+			waitTransition(t, transitions, "closed->open")
+			if srv.breaker.State() != resilience.Open {
+				t.Fatalf("breaker %v after failures, want open", srv.breaker.State())
+			}
+			// While open: fast-fail without touching the backend.
+			if status, _ := shape.ask(t, ts); status != http.StatusServiceUnavailable {
+				t.Fatal("open breaker did not fast-fail")
+			}
+			// Heal the backend, wait out the cooldown, and probe.
+			srv.eval.chaos = nil
+			time.Sleep(150 * time.Millisecond)
+			if status, body := shape.ask(t, ts); status != http.StatusOK {
+				t.Fatalf("probe after cooldown: status %d (%s), want 200", status, body)
+			}
+			waitTransition(t, transitions, "open->half-open")
+			waitTransition(t, transitions, "half-open->closed")
+			if srv.breaker.State() != resilience.Closed {
+				t.Fatalf("breaker %v after successful probe, want closed", srv.breaker.State())
+			}
+		})
 	}
 }
 

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +72,37 @@ func TestLimiterShedRetryAfterDerived(t *testing.T) {
 	}
 	if secs := retryAfterSeconds(t, resp); secs < 2 || secs > 4 {
 		t.Fatalf("Retry-After = %ds, want the ~4s refill time (not the old constant 1)", secs)
+	}
+
+	// A shed envelope is told when all the tokens it was refused will be
+	// there: 8 items against an empty bucket refilling at 4/s wait ~2s, not
+	// the fraction of a second the first token takes.
+	_, ts = newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+		c.Rate = 4
+		c.Burst = 8
+	}})
+	var items []string
+	for i := 0; i < 8; i++ {
+		items = append(items, fmt.Sprintf(`{"mix":"nope","seed":%d}`, i))
+	}
+	post := func() *http.Response {
+		resp, err := ts.Client().Post(ts.URL+"/v1/schedule/batch", "application/json", strings.NewReader(batchEnvelope(items...)))
+		if err != nil {
+			t.Fatalf("POST /v1/schedule/batch: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if resp := post(); resp.StatusCode != http.StatusOK { // spends the whole bucket
+		t.Fatalf("first batch = %d, want 200", resp.StatusCode)
+	}
+	resp = post()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second batch = %d, want 429", resp.StatusCode)
+	}
+	if secs := retryAfterSeconds(t, resp); secs != 2 {
+		t.Fatalf("Retry-After = %ds for a shed batch of 8 at 4 tokens/s, want 2", secs)
 	}
 }
 

@@ -240,16 +240,92 @@ func (m *Machine) RunSchedule(s schedule.Schedule, slices int) (RunResult, error
 // behaves like RunSchedule. The poll never changes results: an un-aborted
 // run is bit-identical with or without a context.
 func (m *Machine) RunScheduleCtx(ctx context.Context, s schedule.Schedule, slices int) (RunResult, error) {
-	r, err := m.newScheduleRun(s, slices)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	for !r.done() {
-		if err := r.stepSlice(ctx); err != nil {
-			return RunResult{}, err
-		}
+	if s.X() != len(m.tasks) {
+		return RunResult{}, fmt.Errorf("core: schedule over %d entries, machine has %d tasks", s.X(), len(m.tasks))
 	}
-	return r.finish(), nil
+	if s.Y != m.Core.Config().Contexts {
+		return RunResult{}, fmt.Errorf("core: schedule Y=%d, machine has %d contexts", s.Y, m.Core.Config().Contexts)
+	}
+
+	res := RunResult{
+		Committed: make([]uint64, len(m.tasks)),
+		SliceIPCs: make([]float64, 0, slices),
+	}
+	running := append([]int(nil), s.Order[:s.Y]...)
+	queue := append([]int(nil), s.Order[s.Y:]...)
+
+	start := m.Core.Snapshot()
+	prev := start
+	for slice := 0; slice < slices; slice++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				m.DetachAll()
+				return RunResult{}, err
+			}
+		}
+		for _, ti := range running {
+			if err := m.attach(ti); err != nil {
+				m.DetachAll()
+				return RunResult{}, err
+			}
+		}
+		m.Core.Run(m.SliceCycles)
+
+		snap := m.Core.Snapshot()
+		d := snap.Sub(prev)
+		// Observability sees the true delta, before any fault-injected
+		// reader corrupts the scheduler's view.
+		m.sim.recordSlice(d)
+		if m.reader != nil {
+			// The scheduler reads the counters through the interposed
+			// (possibly faulty) reader; progress accounting below stays
+			// true regardless. A transient read failure loses only the
+			// observation — the hardware does not stop because the PMU
+			// misbehaved — and is tallied for the caller to judge; any
+			// other reader error is a harness bug and aborts.
+			obs, err := m.reader.Observe(d)
+			switch {
+			case err == nil:
+				d = obs
+				res.Counters = res.Counters.Add(d)
+				res.SliceIPCs = append(res.SliceIPCs, d.IPC())
+			case errors.Is(err, ErrCounterRead):
+				res.ReadFailures++
+				m.sim.recordReadFailure()
+			default:
+				m.DetachAll()
+				return RunResult{}, fmt.Errorf("core: slice %d: %w", slice, err)
+			}
+		} else {
+			res.SliceIPCs = append(res.SliceIPCs, d.IPC())
+		}
+		prev = snap
+
+		// Rotate: swap out the Z longest-resident running tasks FIFO,
+		// admit Z from the queue head.
+		z := s.Z
+		for _, ti := range running[:z] {
+			m.detach(ti, res.Committed)
+		}
+		queue = append(queue, running[:z]...)
+		running = append(running[z:], queue[:z]...)
+		queue = queue[z:]
+	}
+	// Collect the tasks still resident.
+	for _, ti := range running {
+		m.detach(ti, res.Committed)
+	}
+	end := m.Core.Snapshot()
+	if m.reader == nil {
+		res.Counters = end.Sub(start)
+	}
+	// Cycles is the timebase, always true even under an interposed reader:
+	// the weighted-speedup metric measures real machine time.
+	res.Cycles = end.Sub(start).Cycles
+	return res, nil
 }
 
 // WarmSlices is the warm-up length every driver uses: the timeslices of
@@ -267,130 +343,8 @@ func (m *Machine) Warm(ctx context.Context, s schedule.Schedule, cycles uint64) 
 	return err
 }
 
-// scheduleRun is one schedule execution in progress, advanced one timeslice
-// at a time. Splitting the slice loop out of RunScheduleCtx lets EvalBatch
-// interleave many runs; a run's machine operations are a function of its own
-// state alone, so any interleaving of independent runs produces results
-// bit-identical to running each to completion by itself.
-type scheduleRun struct {
-	m              *Machine
-	s              schedule.Schedule
-	slices, slice  int
-	res            RunResult
-	running, queue []int
-	start, prev    counters.Set
-}
-
-// newScheduleRun validates s against the machine and prepares a run.
-func (m *Machine) newScheduleRun(s schedule.Schedule, slices int) (*scheduleRun, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.X() != len(m.tasks) {
-		return nil, fmt.Errorf("core: schedule over %d entries, machine has %d tasks", s.X(), len(m.tasks))
-	}
-	if s.Y != m.Core.Config().Contexts {
-		return nil, fmt.Errorf("core: schedule Y=%d, machine has %d contexts", s.Y, m.Core.Config().Contexts)
-	}
-	start := m.Core.Snapshot()
-	return &scheduleRun{
-		m:      m,
-		s:      s,
-		slices: slices,
-		res: RunResult{
-			Committed: make([]uint64, len(m.tasks)),
-			SliceIPCs: make([]float64, 0, slices),
-		},
-		running: append([]int(nil), s.Order[:s.Y]...),
-		queue:   append([]int(nil), s.Order[s.Y:]...),
-		start:   start,
-		prev:    start,
-	}, nil
-}
-
-// done reports whether every timeslice has executed.
-func (r *scheduleRun) done() bool { return r.slice >= r.slices }
-
-// stepSlice executes one timeslice: attach the running set, run, observe the
-// counter delta, rotate. On error (including context cancellation) all task
-// progress is saved and the run must be abandoned.
-func (r *scheduleRun) stepSlice(ctx context.Context) error {
-	m := r.m
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			m.DetachAll()
-			return err
-		}
-	}
-	for _, ti := range r.running {
-		if err := m.attach(ti); err != nil {
-			m.DetachAll()
-			return err
-		}
-	}
-	m.Core.Run(m.SliceCycles)
-
-	snap := m.Core.Snapshot()
-	d := snap.Sub(r.prev)
-	// Observability sees the true delta, before any fault-injected
-	// reader corrupts the scheduler's view.
-	m.sim.recordSlice(d)
-	if m.reader != nil {
-		// The scheduler reads the counters through the interposed
-		// (possibly faulty) reader; progress accounting below stays
-		// true regardless. A transient read failure loses only the
-		// observation — the hardware does not stop because the PMU
-		// misbehaved — and is tallied for the caller to judge; any
-		// other reader error is a harness bug and aborts.
-		obs, err := m.reader.Observe(d)
-		switch {
-		case err == nil:
-			d = obs
-			r.res.Counters = r.res.Counters.Add(d)
-			r.res.SliceIPCs = append(r.res.SliceIPCs, d.IPC())
-		case errors.Is(err, ErrCounterRead):
-			r.res.ReadFailures++
-			m.sim.recordReadFailure()
-		default:
-			m.DetachAll()
-			return fmt.Errorf("core: slice %d: %w", r.slice, err)
-		}
-	} else {
-		r.res.SliceIPCs = append(r.res.SliceIPCs, d.IPC())
-	}
-	r.prev = snap
-
-	// Rotate: swap out the Z longest-resident running tasks FIFO,
-	// admit Z from the queue head.
-	z := r.s.Z
-	for _, ti := range r.running[:z] {
-		m.detach(ti, r.res.Committed)
-	}
-	r.queue = append(r.queue, r.running[:z]...)
-	r.running = append(r.running[z:], r.queue[:z]...)
-	r.queue = r.queue[z:]
-	r.slice++
-	return nil
-}
-
-// finish detaches the resident tasks and returns the aggregated result.
-func (r *scheduleRun) finish() RunResult {
-	m := r.m
-	for _, ti := range r.running {
-		m.detach(ti, r.res.Committed)
-	}
-	end := m.Core.Snapshot()
-	if m.reader == nil {
-		r.res.Counters = end.Sub(r.start)
-	}
-	// Cycles is the timebase, always true even under an interposed reader:
-	// the weighted-speedup metric measures real machine time.
-	r.res.Cycles = end.Sub(r.start).Cycles
-	return r.res
-}
-
-// DetachAll removes every resident task, saving progress (used by drivers
-// that interleave schedules with other work).
+// DetachAll removes every resident task, saving progress: an aborted run and
+// a SetTasks rebind both leave the machine with no task attached.
 func (m *Machine) DetachAll() {
 	for ti := range m.taskCtx {
 		m.detach(ti, nil)

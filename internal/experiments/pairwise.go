@@ -62,47 +62,24 @@ func PairwiseCtx(ctx context.Context, sc Scale, names []string) (*PairTable, err
 		t.WS[i][i] = 1
 	}
 	// The upper-triangle cells are independent two-context simulations —
-	// the embarrassingly parallel heart of the matrix. Each shard drives a
-	// group of cells as one cpu.Batch, so a worker claims several short
-	// pair simulations at once; the grouping changes no simulated bit.
+	// the embarrassingly parallel heart of the matrix — one work item and
+	// one checkpoint shard each.
 	var cells []pairCell
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			cells = append(cells, pairCell{i, j})
 		}
 	}
-	groups := chunkRanges(len(cells), pairBatch)
-	wsGroups, err := shardedMap(ctx, "pairwise", groups, parallel.Options{}, func(_ context.Context, _ int, g [2]int) ([]float64, error) {
-		return pairWSBatch(cfg, names, solo, cells[g[0]:g[1]], sc)
+	wss, err := shardedMap(ctx, "pairwise/cell", cells, parallel.Options{}, func(_ context.Context, _ int, cl pairCell) (float64, error) {
+		return pairWS(cfg, names, solo, cl, sc)
 	})
 	if err != nil {
 		return nil, err
-	}
-	var wss []float64
-	for _, g := range wsGroups {
-		wss = append(wss, g...)
 	}
 	for k, c := range cells {
 		t.WS[c.i][c.j], t.WS[c.j][c.i] = wss[k], wss[k]
 	}
 	return t, nil
-}
-
-// pairBatch is how many matrix cells one worker drives as a single
-// cpu.Batch work item.
-const pairBatch = 6
-
-// chunkRanges splits [0,n) into half-open [lo,hi) ranges of at most size.
-func chunkRanges(n, size int) [][2]int {
-	var out [][2]int
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
 }
 
 // pairCell indexes one upper-triangle cell of the matrix.
@@ -125,11 +102,9 @@ func soloOnly(cfg arch.Config, job *workload.Job, sc Scale) (float64, error) {
 	return rate, nil
 }
 
-// pairWSBatch coschedules a group of benchmark pairs, each continuously on
-// its own two-context core, and returns their weighted speedups. The cores
-// advance together as one cpu.Batch; each pair's result is identical to
-// running its core alone.
-func pairWSBatch(cfg arch.Config, names []string, solo []float64, cells []pairCell, sc Scale) ([]float64, error) {
+// pairWS coschedules one benchmark pair continuously on a two-context core
+// and returns its weighted speedup.
+func pairWS(cfg arch.Config, names []string, solo []float64, cl pairCell, sc Scale) (float64, error) {
 	mk := func(name string, id int) (*workload.Job, error) {
 		spec, err := workload.Lookup(name)
 		if err != nil {
@@ -138,42 +113,28 @@ func pairWSBatch(cfg arch.Config, names []string, solo []float64, cells []pairCe
 		spec.Threads, spec.SyncEvery = 1, 0
 		return workload.NewJob(spec, id, rng.Hash2(sc.Seed, uint64(id), 0x9a2))
 	}
-	var batch cpu.Batch
-	cores := make([]*cpu.Core, len(cells))
-	for k, cl := range cells {
-		ja, err := mk(names[cl.i], 0)
-		if err != nil {
-			return nil, err
-		}
-		jb, err := mk(names[cl.j], 1)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cpu.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.Attach(0, ja.Source(0), 0, nil, 0)
-		c.Attach(1, jb.Source(0), 0, nil, 0)
-		cores[k] = c
-		batch.Add(c)
+	ja, err := mk(names[cl.i], 0)
+	if err != nil {
+		return 0, err
 	}
-	batch.Run(sc.WarmupCycles)
-	before := make([][2]uint64, len(cells))
-	for k, c := range cores {
-		before[k] = [2]uint64{c.ThreadCommitted(0), c.ThreadCommitted(1)}
+	jb, err := mk(names[cl.j], 1)
+	if err != nil {
+		return 0, err
 	}
+	c, err := cpu.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	c.Attach(0, ja.Source(0), 0, nil, 0)
+	c.Attach(1, jb.Source(0), 0, nil, 0)
+	c.Run(sc.WarmupCycles)
+	a0, b0 := c.ThreadCommitted(0), c.ThreadCommitted(1)
 	measure := sc.SymbiosCycles / 4
 	if measure == 0 {
 		measure = 1_000_000
 	}
-	batch.Run(measure)
-	wss := make([]float64, len(cells))
-	for k, c := range cores {
-		cl := cells[k]
-		wsA := float64(c.ThreadCommitted(0)-before[k][0]) / float64(measure) / solo[cl.i]
-		wsB := float64(c.ThreadCommitted(1)-before[k][1]) / float64(measure) / solo[cl.j]
-		wss[k] = wsA + wsB
-	}
-	return wss, nil
+	c.Run(measure)
+	wsA := float64(c.ThreadCommitted(0)-a0) / float64(measure) / solo[cl.i]
+	wsB := float64(c.ThreadCommitted(1)-b0) / float64(measure) / solo[cl.j]
+	return wsA + wsB, nil
 }

@@ -16,8 +16,8 @@ import (
 	"symbios/internal/resilience"
 )
 
-// The batcher is the wire-level twin of the in-process core.EvalBatch: small
-// rank-mode requests headed for the same replica set are held briefly, sent
+// The batcher amortizes the wire, not the evaluation: small rank-mode
+// requests headed for the same replica set are held briefly, sent
 // to one backend as a single POST /v1/schedule/batch envelope, and split back
 // into per-request results. Coalescing (singleflight) still runs first — the
 // batcher only ever sees distinct bodies — and every item's bytes come back

@@ -33,6 +33,13 @@ import (
 // readmit probes — which ride the same audit draws, re-asking every
 // quarantined backend and comparing against the authoritative answer —
 // prove it agrees with the fleet again.
+//
+// The byte-identical contract holds between replicas at full service only: a
+// browned-out replica answers an adaptive request as a rank request (mode 1)
+// or round-robin (mode 2) by design. So an answer is evidence — as either
+// side of a pair, as an arbiter's opinion, as a readmit probe or its
+// authority — only when it advertises X-Brownout-Mode 0 (or predates the
+// header); a healthy/degraded pair that disagrees honestly charges nobody.
 
 // DivergenceConfig tunes replica divergence detection and quarantine.
 type DivergenceConfig struct {
@@ -55,6 +62,20 @@ type DivergenceConfig struct {
 	ReadmitAfter int
 	// AuditTimeout bounds one audit or readmit probe (<= 0 selects 2s).
 	AuditTimeout time.Duration
+}
+
+// fullService reports whether r was answered at full service — the only
+// kind of answer the byte-identical contract covers.
+func fullService(r *Result) bool {
+	mode := r.Header.Get("X-Brownout-Mode")
+	return mode == "" || mode == "0"
+}
+
+// evidence reports whether an attempt's outcome can be digest-compared: a
+// deterministic answer given at full service. Sheds, failures and timeouts
+// say nothing about divergence.
+func evidence(out attemptOut) bool {
+	return out.class == classGood && out.res != nil && fullService(out.res)
 }
 
 // maybeAudit decides — deterministically — whether the just-answered
@@ -81,6 +102,9 @@ func (f *Front) maybeAudit(body []byte, winner *Result) {
 // answer against what was served, then runs readmit probes against every
 // quarantined backend using the served answer as the authority.
 func (f *Front) audit(body []byte, winner *Result) {
+	if !fullService(winner) {
+		return // a degraded answer is no authority to compare against
+	}
 	ctx, cancel := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
 	defer cancel()
 	wantDigest := integrity.Digest(winner.Body)
@@ -90,14 +114,10 @@ func (f *Front) audit(body []byte, winner *Result) {
 		f.audits.Add(1)
 		f.obsAudits.Inc()
 		out := f.attempt(ctx, second, body, true)
-		// Only a deterministic answer is evidence; sheds, failures and
-		// timeouts say nothing about divergence.
-		if out.class == classGood && out.res != nil {
-			if integrity.Digest(out.res.Body) != wantDigest {
-				f.auditMismatches.Add(1)
-				f.obsAuditMiss.Inc()
-				f.arbitrate(ctx, body, winner, out.res)
-			}
+		if evidence(out) && integrity.Digest(out.res.Body) != wantDigest {
+			f.auditMismatches.Add(1)
+			f.obsAuditMiss.Inc()
+			f.arbitrate(ctx, body, winner, out.res)
 		}
 	}
 	f.readmitProbes(ctx, body, wantDigest)
@@ -143,7 +163,7 @@ func (f *Front) arbitrate(ctx context.Context, body []byte, a, b *Result) {
 	third := f.arbiter(a.Backend, b.Backend)
 	if third != nil {
 		out := f.attempt(ctx, third, body, true)
-		if out.class != classGood || out.res == nil {
+		if !evidence(out) {
 			return // inconclusive tiebreak: no evidence either way
 		}
 		switch integrity.Digest(out.res.Body) {
@@ -198,7 +218,7 @@ func (f *Front) readmitProbes(ctx context.Context, body []byte, wantDigest strin
 			continue
 		}
 		out := f.attempt(ctx, b, body, true)
-		if out.class != classGood || out.res == nil {
+		if !evidence(out) {
 			continue // inconclusive: quarantine stands, count unchanged
 		}
 		if integrity.Digest(out.res.Body) != wantDigest {
@@ -236,9 +256,10 @@ func (f *Front) drainCompare(cancel, acancel context.CancelFunc, results <-chan 
 		cancel()
 	}()
 	wantDigest := integrity.Digest(winner.Body)
+	authority := fullService(winner)
 	for i := 0; i < remaining; i++ {
 		out := <-results
-		if out.class != classGood || out.res == nil || out.res.Backend == winner.Backend {
+		if !authority || !evidence(out) || out.res.Backend == winner.Backend {
 			continue
 		}
 		if integrity.Digest(out.res.Body) == wantDigest {

@@ -312,3 +312,57 @@ func TestFrontHedgeLoserDivergenceCompare(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontDegradedAnswersAreNotDivergenceEvidence checks the brownout
+// exemption: a replica below full service answers differently by design (an
+// adaptive request as a rank request, or round-robin), so its bytes convict
+// nobody — neither as the audited second of a healthy/degraded pair, nor as
+// the arbiter between two full-service replicas that disagree.
+func TestFrontDegradedAnswersAreNotDivergenceEvidence(t *testing.T) {
+	leakcheck.Check(t)
+	full, degraded := `{"mode":"adaptive"}`, `{"mode":"rank"}`
+	for _, tc := range []struct {
+		name     string
+		handlers []http.HandlerFunc // in candidate order: served, audited, arbiter
+	}{
+		{"pair", []http.HandlerFunc{modeHandler(full, 0), modeHandler(degraded, 1)}},
+		{"arbiter", []http.HandlerFunc{modeHandler(full, 0), modeHandler(`{"ok":2}`, 0), modeHandler(degraded, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fakes []*fakeBackend
+			var order []string
+			for _, h := range tc.handlers {
+				fb := newFakeBackend(t, h)
+				fakes = append(fakes, fb)
+				order = append(order, fb.ts.URL)
+			}
+			f := newTestFront(t, fakes, func(cfg *Config) {
+				cfg.Replicas = len(fakes)
+				cfg.Divergence = DivergenceConfig{AuditRate: 1, Seed: 7, QuarantineAfter: 3, ReadmitAfter: 2}
+			})
+			body := bodyWithOrder(t, f, order)
+			for i := 0; i < 3; i++ {
+				res, err := f.Dispatch(context.Background(), body)
+				if err != nil {
+					t.Fatalf("Dispatch %d: %v", i, err)
+				}
+				if string(res.Body) != full {
+					t.Fatalf("Dispatch %d served %q, want the full-service answer", i, res.Body)
+				}
+				f.wg.Wait() // the audit this dispatch spawned has reached its verdict
+			}
+			st := f.Stats()
+			if st.DivergencesTotal != 0 {
+				t.Fatalf("divergence observations = %d, want 0", st.DivergencesTotal)
+			}
+			if st.Audits != 3 || fakes[len(fakes)-1].hits.Load() != 3 {
+				t.Fatalf("audits = %d, last replica asked %d times; want 3 each", st.Audits, fakes[len(fakes)-1].hits.Load())
+			}
+			for _, bs := range st.Backends {
+				if bs.Quarantined || bs.Quarantines != 0 || bs.Divergences != 0 {
+					t.Fatalf("backend %s charged: %+v", bs.Backend, bs)
+				}
+			}
+		})
+	}
+}

@@ -46,28 +46,7 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 }
 
 // Allow reports whether a request may proceed, spending one token if so.
-func (l *Limiter) Allow() bool {
-	if l == nil {
-		return true
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.cfg.Now()
-	if el := now.Sub(l.last).Seconds(); el > 0 {
-		l.tokens += el * l.cfg.Rate
-		if l.tokens > l.cfg.Burst {
-			l.tokens = l.cfg.Burst
-		}
-		l.last = now
-	}
-	if l.tokens < 1 {
-		l.shed++
-		return false
-	}
-	l.tokens--
-	l.admitted++
-	return true
-}
+func (l *Limiter) Allow() bool { return l.AllowN(1) }
 
 // AllowN reports whether a request worth n tokens may proceed, spending all
 // n if so. The withdrawal is all-or-nothing: a batch either pays for every
@@ -100,13 +79,19 @@ func (l *Limiter) AllowN(n int) bool {
 	return true
 }
 
-// RetryAfter reports how long until the bucket accrues a full token — the
-// honest Retry-After value for a 429: a client that waits this long is
-// admitted (absent competition) instead of hot-looping against an empty
-// bucket. Reports zero when a token is already available.
-func (l *Limiter) RetryAfter() time.Duration {
+// RetryAfter reports how long until the bucket holds the n tokens a shed
+// request was refused (n < 1 is treated as 1) — the honest Retry-After value
+// for a 429: a client that waits this long is admitted (absent competition)
+// instead of hot-looping against a bucket that can pay for one item but not
+// its batch. Reports zero when the tokens are already available. A request
+// larger than Burst can never be admitted; its hint is the uncapped refill
+// time.
+func (l *Limiter) RetryAfter(n int) time.Duration {
 	if l == nil {
 		return 0
+	}
+	if n < 1 {
+		n = 1
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -117,10 +102,10 @@ func (l *Limiter) RetryAfter() time.Duration {
 			tokens = l.cfg.Burst
 		}
 	}
-	if tokens >= 1 {
+	if tokens >= float64(n) {
 		return 0
 	}
-	return time.Duration((1 - tokens) / l.cfg.Rate * float64(time.Second))
+	return time.Duration((float64(n) - tokens) / l.cfg.Rate * float64(time.Second))
 }
 
 // LimiterStats is a point-in-time admission tally.

@@ -104,32 +104,55 @@ func TestLimiterDefaults(t *testing.T) {
 func TestLimiterRetryAfter(t *testing.T) {
 	clock := newFakeClock()
 	l := NewLimiter(LimiterConfig{Rate: 10, Burst: 1, Now: clock.Now})
-	if d := l.RetryAfter(); d != 0 {
+	if d := l.RetryAfter(1); d != 0 {
 		t.Fatalf("full bucket RetryAfter = %v, want 0", d)
 	}
 	if !l.Allow() {
 		t.Fatal("first request shed")
 	}
-	if d := l.RetryAfter(); d != 100*time.Millisecond {
+	if d := l.RetryAfter(1); d != 100*time.Millisecond {
 		t.Fatalf("empty bucket RetryAfter = %v, want 100ms", d)
 	}
 	clock.Advance(60 * time.Millisecond)
-	if d := l.RetryAfter(); d != 40*time.Millisecond {
+	if d := l.RetryAfter(1); d != 40*time.Millisecond {
 		t.Fatalf("after 60ms RetryAfter = %v, want 40ms", d)
 	}
 	clock.Advance(40 * time.Millisecond)
-	if d := l.RetryAfter(); d != 0 {
+	if d := l.RetryAfter(1); d != 0 {
 		t.Fatalf("refilled bucket RetryAfter = %v, want 0", d)
 	}
-	if l.RetryAfter() != 0 || !l.Allow() {
+	if l.RetryAfter(1) != 0 || !l.Allow() {
 		t.Fatal("RetryAfter must not spend tokens")
+	}
+
+	// The hint is for the refused amount: a shed batch of n is told when n
+	// tokens will be there, not when the first one is.
+	for _, tc := range []struct {
+		n    int
+		want time.Duration
+	}{
+		{1, 100 * time.Millisecond},
+		{8, 800 * time.Millisecond},
+	} {
+		clock := newFakeClock()
+		l := NewLimiter(LimiterConfig{Rate: 10, Burst: 8, Now: clock.Now})
+		if !l.AllowN(8) {
+			t.Fatal("full bucket shed a batch of its own size")
+		}
+		if d := l.RetryAfter(tc.n); d != tc.want {
+			t.Errorf("empty bucket RetryAfter(%d) = %v, want %v", tc.n, d, tc.want)
+		}
+		clock.Advance(tc.want)
+		if d := l.RetryAfter(tc.n); d != 0 || !l.AllowN(tc.n) {
+			t.Errorf("after the hinted wait RetryAfter(%d) = %v and the request is still shed", tc.n, d)
+		}
 	}
 }
 
 // TestLimiterRetryAfterNil checks the nil receiver reports no wait.
 func TestLimiterRetryAfterNil(t *testing.T) {
 	var l *Limiter
-	if d := l.RetryAfter(); d != 0 {
+	if d := l.RetryAfter(1); d != 0 {
 		t.Fatalf("nil RetryAfter = %v, want 0", d)
 	}
 }

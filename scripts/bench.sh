@@ -27,7 +27,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkBatchEval}"
+PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire}"
 BENCHTIME="${2:-1s}"
 COUNT="${3:-5}"
 FIG1="${BENCH_FIG1:-1}"
