@@ -10,6 +10,7 @@
 package symbios
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/arch"
@@ -38,7 +39,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3: the Jsb(6,3,3) predictor detail.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, ev, err := experiments.Table3(benchScale())
+		rows, ev, err := experiments.Table3(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func BenchmarkFigure1(b *testing.B) {
 		// memo would otherwise make all but the first iteration (and all
 		// but the first -count run) a cache read instead of a simulation.
 		experiments.ClearEvalCache()
-		rows, err := experiments.Figure1(benchScale(), nil)
+		rows, err := experiments.Figure1(context.Background(), benchScale(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func BenchmarkFigure1(b *testing.B) {
 // Jsb(6,3,3).
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bars, err := experiments.Figure2(benchScale())
+		bars, err := experiments.Figure2(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func BenchmarkFigure2(b *testing.B) {
 // average (random) schedule.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure3(benchScale(), nil)
+		rows, err := experiments.Figure3(context.Background(), benchScale(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,11 +124,11 @@ func BenchmarkFigure3(b *testing.B) {
 // J2pb(10,2,2) (loose synchronization, splitting them wins).
 func BenchmarkParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tight, err := experiments.ParallelStudy(benchScale(), "Jpb(10,2,2)")
+		tight, err := experiments.ParallelStudy(context.Background(), benchScale(), "Jpb(10,2,2)")
 		if err != nil {
 			b.Fatal(err)
 		}
-		loose, err := experiments.ParallelStudy(benchScale(), "J2pb(10,2,2)")
+		loose, err := experiments.ParallelStudy(context.Background(), benchScale(), "J2pb(10,2,2)")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func BenchmarkParallel(b *testing.B) {
 // levels 2, 3, 4 and 6.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4(benchScale())
+		rows, err := experiments.Figure4(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func BenchmarkFigure4(b *testing.B) {
 // swapping one job per timeslice.
 func BenchmarkWarmstart(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.WarmstartStudy(benchScale())
+		rows, err := experiments.WarmstartStudy(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func BenchmarkWarmstart(b *testing.B) {
 // over a naive scheduler at SMT levels 2, 3, 4 and 6.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure5(experiments.QuickQueueScale())
+		rows, err := experiments.Figure5(context.Background(), experiments.QuickQueueScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func BenchmarkFigure5(b *testing.B) {
 // arrival rate at SMT level 3.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6(experiments.QuickQueueScale(), nil)
+		rows, err := experiments.Figure6(context.Background(), experiments.QuickQueueScale(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func BenchmarkPairwise(b *testing.B) {
 	sc := benchScale()
 	names := []string{"FP", "GCC", "IS", "CG"}
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Pairwise(sc, names)
+		tbl, err := experiments.Pairwise(context.Background(), sc, names)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func BenchmarkSOSRun(b *testing.B) {
 // BenchmarkLevels runs the SMT-level throughput sweep extension.
 func BenchmarkLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ThroughputVsLevel(benchScale(), []int{2, 4, 6})
+		rows, err := experiments.ThroughputVsLevel(context.Background(), benchScale(), []int{2, 4, 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func BenchmarkLevels(b *testing.B) {
 // BenchmarkAblationFetchPolicy compares ICOUNT with round-robin fetch.
 func BenchmarkAblationFetchPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationFetchPolicy(benchScale())
+		rows, err := experiments.AblationFetchPolicy(context.Background(), benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}

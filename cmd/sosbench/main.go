@@ -354,7 +354,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "table3":
 		fmt.Println("== Table 3: Jsb(6,3,3) predictor detail ==")
-		rows, ev, err := experiments.Table3Ctx(ctx, sc)
+		rows, ev, err := experiments.Table3(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -369,7 +369,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig1":
 		fmt.Println("== Figure 1: worst and best weighted speedup per jobmix ==")
-		rows, err := experiments.Figure1Ctx(ctx, sc, labels)
+		rows, err := experiments.Figure1(ctx, sc, labels)
 		if err != nil {
 			return err
 		}
@@ -382,7 +382,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig2":
 		fmt.Println("== Figure 2: weighted speedup by predictor, Jsb(6,3,3) ==")
-		bars, err := experiments.Figure2Ctx(ctx, sc)
+		bars, err := experiments.Figure2(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -391,7 +391,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig3":
 		fmt.Println("== Figure 3: weighted speedup by predictor, all jobmixes ==")
-		rows, err := experiments.Figure3Ctx(ctx, sc, labels)
+		rows, err := experiments.Figure3(ctx, sc, labels)
 		if err != nil {
 			return err
 		}
@@ -405,7 +405,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 		fmt.Println("== Section 6: parallel workload scheduling ==")
 		var parallelRows []experiments.ParallelRow
 		for _, label := range []string{"Jpb(10,2,2)", "J2pb(10,2,2)"} {
-			row, err := experiments.ParallelStudyCtx(ctx, sc, label)
+			row, err := experiments.ParallelStudy(ctx, sc, label)
 			if err != nil {
 				return err
 			}
@@ -417,7 +417,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig4":
 		fmt.Println("== Figure 4: hierarchical symbiosis ==")
-		rows, err := experiments.Figure4Ctx(ctx, sc)
+		rows, err := experiments.Figure4(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -430,7 +430,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "warmstart":
 		fmt.Println("== Section 8: warmstart scheduling ==")
-		rows, err := experiments.WarmstartStudyCtx(ctx, sc)
+		rows, err := experiments.WarmstartStudy(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -443,7 +443,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig5":
 		fmt.Println("== Figure 5: response time improvement vs SMT level ==")
-		rows, err := experiments.Figure5Ctx(ctx, qs)
+		rows, err := experiments.Figure5(ctx, qs)
 		if err != nil {
 			return err
 		}
@@ -452,7 +452,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "fig6":
 		fmt.Println("== Figure 6: response time improvement vs arrival rate (SMT=3) ==")
-		rows, err := experiments.Figure6Ctx(ctx, qs, nil)
+		rows, err := experiments.Figure6(ctx, qs, nil)
 		if err != nil {
 			return err
 		}
@@ -461,7 +461,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "openload":
 		fmt.Println("== Extension: open-system overload sweep (SMT=3, 0.5x-1.5x capacity) ==")
-		rows, err := experiments.OpenLoadCtx(ctx, qs, nil)
+		rows, err := experiments.OpenLoad(ctx, qs, nil)
 		if err != nil {
 			return err
 		}
@@ -470,7 +470,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "shootout":
 		fmt.Println("== Extension: predictor shootout (paper's ten + experimental variants) ==")
-		rows, err := experiments.PredictorShootoutCtx(ctx, sc, nil)
+		rows, err := experiments.PredictorShootout(ctx, sc, nil)
 		if err != nil {
 			return err
 		}
@@ -482,7 +482,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "pairwise":
 		fmt.Println("== Extension: pairwise symbiosis matrix (WS of each pair on a 2-context machine) ==")
-		tbl, err := experiments.PairwiseCtx(ctx, sc, nil)
+		tbl, err := experiments.Pairwise(ctx, sc, nil)
 		if err != nil {
 			return err
 		}
@@ -493,7 +493,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "coldstart":
 		fmt.Println("== Section 8 extension: coldstart amortization vs timeslice length (Jsb(6,3,3), schedule 012_345) ==")
-		rows, err := experiments.ColdstartStudyCtx(ctx, sc, nil)
+		rows, err := experiments.ColdstartStudy(ctx, sc, nil)
 		if err != nil {
 			return err
 		}
@@ -505,7 +505,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "levels":
 		fmt.Println("== Extension: throughput and schedule sensitivity vs SMT level (12-job mix) ==")
-		rows, err := experiments.ThroughputVsLevelCtx(ctx, sc, nil)
+		rows, err := experiments.ThroughputVsLevel(ctx, sc, nil)
 		if err != nil {
 			return err
 		}
@@ -518,7 +518,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 
 	case "ablation":
 		fmt.Println("== Ablation: fetch policy (Jsb(6,3,3)) ==")
-		fps, err := experiments.AblationFetchPolicyCtx(ctx, sc)
+		fps, err := experiments.AblationFetchPolicy(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -527,7 +527,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 			fmt.Println(" ", r)
 		}
 		fmt.Println("== Ablation: sample count (Jsb(8,4,1)) ==")
-		scs, err := experiments.AblationSampleCountCtx(ctx, "Jsb(8,4,1)", sc, nil)
+		scs, err := experiments.AblationSampleCount(ctx, "Jsb(8,4,1)", sc, nil)
 		if err != nil {
 			return err
 		}
@@ -536,7 +536,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 				r.Samples, r.ChosenWS, r.BestWS, r.AvgWS, 100*r.Regret)
 		}
 		fmt.Println("== Ablation: sampling-seed robustness (Jsb(6,3,3)) ==")
-		srs, err := experiments.AblationSeedsCtx(ctx, "Jsb(6,3,3)", sc, nil)
+		srs, err := experiments.AblationSeeds(ctx, "Jsb(6,3,3)", sc, nil)
 		if err != nil {
 			return err
 		}
@@ -550,7 +550,7 @@ func run(ctx context.Context, exp string, sc experiments.Scale, qs experiments.Q
 		if len(labels) > 0 {
 			mixes = labels
 		}
-		rows, err := experiments.RobustnessCtx(ctx, sc, mixes, nil, nil)
+		rows, err := experiments.Robustness(ctx, sc, mixes, nil, nil)
 		if err != nil {
 			return err
 		}

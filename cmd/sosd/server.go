@@ -410,8 +410,7 @@ func (s *server) schedule(r *http.Request, mode int, bodies []json.RawMessage, b
 		key := req.Fingerprint()
 		if first, dup := seen[key]; dup {
 			// Two items with one fingerprint would race one cache slot and
-			// waste one evaluation; a client batching duplicates is confused
-			// (the fleet batcher coalesces them before they get here).
+			// waste one evaluation; a client batching duplicates is confused.
 			out[i] = errorAnswer(http.StatusBadRequest, "duplicate of item %d in this batch", first)
 			continue
 		}

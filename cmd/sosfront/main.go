@@ -67,9 +67,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		hedgeRatio    = fs.Float64("hedge-budget-ratio", 0.1, "hedge credit earned per attempt, per backend")
 		hedgeCap      = fs.Float64("hedge-budget-cap", 10, "hedge credit ceiling per backend")
 
-		batchWindow = fs.Duration("batch-window", 0, "cross-request batching window: hold small rank requests this long and send them to one backend as a single /v1/schedule/batch call (0 disables batching)")
-		batchMax    = fs.Int("batch-max", 16, "max requests per batch; a full group flushes before the window elapses (clamped to the backend's 64-item bound)")
-
 		attemptTimeout = fs.Duration("attempt-timeout", 10*time.Second, "per-backend attempt timeout inside a dispatch (0 = dispatch deadline only; bounds slow-loris backends)")
 		failoverBase   = fs.Duration("failover-base", 10*time.Millisecond, "full-jitter backoff base between failover attempts")
 		failoverMax    = fs.Duration("failover-max", 250*time.Millisecond, "full-jitter backoff ceiling between failover attempts")
@@ -97,7 +94,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		soakDuration = fs.Duration("soak-duration", 30*time.Second, "soak client: how long to generate load")
 		soakSeed     = fs.Uint64("soak-seed", 1, "soak client: load-pattern seed")
 		soakRate     = fs.Float64("soak-rate", 40, "soak client: request pacing, requests/second (0 = unpaced)")
-		soakBurst    = fs.Int("soak-burst", 1, "soak client: concurrent distinct requests per tick (>1 exercises cross-request batching)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `sosfront — fleet front tier for sosd
@@ -129,7 +125,7 @@ Flags:
 			fmt.Fprintln(stderr, "-soak requires -oracle (the byte-identity reference)")
 			return exitUsage
 		}
-		return fleetSoak(stdout, logger, *soakURL, *oracleURL, *soakDuration, *soakSeed, *soakRate, *soakBurst)
+		return fleetSoak(stdout, logger, *soakURL, *oracleURL, *soakDuration, *soakSeed, *soakRate)
 	}
 	if *backends == "" {
 		fmt.Fprintln(stderr, "-backends is required (comma-separated sosd base URLs)")
@@ -154,8 +150,6 @@ Flags:
 		AttemptTimeout: *attemptTimeout,
 		FailoverBase:   *failoverBase,
 		FailoverMax:    *failoverMax,
-		BatchWindow:    *batchWindow,
-		BatchMax:       *batchMax,
 		RequireDigest:  *requireDigest,
 
 		Divergence: fleet.DivergenceConfig{

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"symbios/internal/integrity"
@@ -42,23 +41,12 @@ type soakRequest struct {
 // the same request. Any transport error, un-hinted shed, unexpected status,
 // missing/wrong digest or byte mismatch is a violation.
 //
-// burst > 1 fires that many concurrent distinct requests per tick (the
-// request bodies are still drawn sequentially from the seed, so the load
-// pattern stays reproducible). This is how the batch phase of
-// scripts/fleetsoak.sh fills the front's batch accumulator: concurrent
-// distinct bodies arrive within one window and ride a single
-// /v1/schedule/batch call, and the oracle comparison then proves each
-// batched item's bytes identical to its singleton answer.
-//
 // The oracle answers are memoized per body: identical requests must produce
 // identical bytes, so one oracle evaluation settles every recurrence.
-func fleetSoak(stdout io.Writer, logger *log.Logger, frontURL, oracleURL string, dur time.Duration, seed uint64, rate float64, burst int) int {
+func fleetSoak(stdout io.Writer, logger *log.Logger, frontURL, oracleURL string, dur time.Duration, seed uint64, rate float64) int {
 	if rate < 0 {
 		logger.Printf("-soak-rate %v must be non-negative", rate)
 		return exitUsage
-	}
-	if burst < 1 {
-		burst = 1
 	}
 	var pace time.Duration
 	if rate > 0 {
@@ -119,81 +107,58 @@ func fleetSoak(stdout io.Writer, logger *log.Logger, frontURL, oracleURL string,
 		logger.Printf("VIOLATION: "+format, args...)
 	}
 
-	type outcome struct {
-		body []byte
-		resp *http.Response
-		data []byte
-		err  error
-	}
 	for i := 0; time.Now().Before(deadline); i++ {
 		if pace > 0 && i > 0 {
 			time.Sleep(pace)
 		}
 		// A small seed space on purpose: recurring requests exercise the
 		// response caches, the warm-up transfer and singleflight coalescing.
-		// Bodies are drawn sequentially even in burst mode so the pattern is
-		// a pure function of the seed; only the posting is concurrent.
-		outs := make([]outcome, burst)
-		for j := range outs {
-			sr := soakRequest{
-				Mix:        mixLabels[int(r.Uint64()%uint64(len(mixLabels)))],
-				Seed:       r.Uint64() % 64,
-				Samples:    int(2 + r.Uint64()%3),
-				Mode:       "rank",
-				DeadlineMS: 20_000,
-			}
-			outs[j].body, _ = json.Marshal(sr)
+		sr := soakRequest{
+			Mix:        mixLabels[int(r.Uint64()%uint64(len(mixLabels)))],
+			Seed:       r.Uint64() % 64,
+			Samples:    int(2 + r.Uint64()%3),
+			Mode:       "rank",
+			DeadlineMS: 20_000,
 		}
-		var wg sync.WaitGroup
-		for j := range outs {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				o := &outs[j]
-				o.resp, o.data, o.err = post(frontURL, o.body, fmt.Sprintf("fleet-load-%d", (i*burst+j)%4))
-			}(j)
+		body, _ := json.Marshal(sr)
+		resp, data, err := post(frontURL, body, fmt.Sprintf("fleet-load-%d", i%4))
+		sent++
+		if err != nil {
+			violate("transport error: %v", err)
+			continue
 		}
-		wg.Wait()
-		for _, o := range outs {
-			sent++
-			if o.err != nil {
-				violate("transport error: %v", o.err)
+		// Every body must verify against its digest stamp — a relayed
+		// backend envelope and a front-synthesized shed alike. This is
+		// end-to-end proof no hop mangled the bytes, on every status.
+		if derr := integrity.Check(resp.Header.Get(integrity.Header), data); derr != nil {
+			violate("digest check for %s (status %d, served by %q): %v",
+				body, resp.StatusCode, resp.Header.Get("X-Fleet-Backend"), derr)
+			continue
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			ok200++
+			want, oerr := oracleAnswer(body)
+			if oerr != nil {
+				violate("cannot verify %s: %v", body, oerr)
 				continue
 			}
-			resp, data, body := o.resp, o.data, o.body
-			// Every body must verify against its digest stamp — a relayed
-			// backend envelope and a front-synthesized shed alike. This is
-			// end-to-end proof no hop mangled the bytes, on every status.
-			if derr := integrity.Check(resp.Header.Get(integrity.Header), data); derr != nil {
-				violate("digest check for %s (status %d, served by %q): %v",
-					body, resp.StatusCode, resp.Header.Get("X-Fleet-Backend"), derr)
-				continue
+			if !bytes.Equal(data, want) {
+				violate("byte mismatch for %s (served by %s):\noracle: %s\nfleet:  %s",
+					body, resp.Header.Get("X-Fleet-Backend"), want, data)
 			}
-			switch resp.StatusCode {
-			case http.StatusOK:
-				ok200++
-				want, oerr := oracleAnswer(body)
-				if oerr != nil {
-					violate("cannot verify %s: %v", body, oerr)
-					continue
-				}
-				if !bytes.Equal(data, want) {
-					violate("byte mismatch for %s (served by %s):\noracle: %s\nfleet:  %s",
-						body, resp.Header.Get("X-Fleet-Backend"), want, data)
-				}
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
-				if resp.Header.Get("Retry-After") == "" {
-					violate("shed %d without Retry-After", resp.StatusCode)
-				} else if resp.StatusCode == http.StatusTooManyRequests {
-					shed429++
-				} else if resp.StatusCode == http.StatusServiceUnavailable {
-					shed503++
-				} else {
-					shed502++
-				}
-			default:
-				violate("unexpected status %d: %s", resp.StatusCode, data)
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusBadGateway:
+			if resp.Header.Get("Retry-After") == "" {
+				violate("shed %d without Retry-After", resp.StatusCode)
+			} else if resp.StatusCode == http.StatusTooManyRequests {
+				shed429++
+			} else if resp.StatusCode == http.StatusServiceUnavailable {
+				shed503++
+			} else {
+				shed502++
 			}
+		default:
+			violate("unexpected status %d: %s", resp.StatusCode, data)
 		}
 	}
 

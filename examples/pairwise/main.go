@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,7 +27,7 @@ func main() {
 
 	fmt.Printf("measuring %d pairs (plus %d solo calibrations)...\n\n",
 		len(names)*(len(names)-1)/2, len(names))
-	tbl, err := experiments.Pairwise(sc, names)
+	tbl, err := experiments.Pairwise(context.Background(), sc, names)
 	if err != nil {
 		log.Fatal(err)
 	}

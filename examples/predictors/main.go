@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	sc := experiments.QuickScale()
-	rows, ev, err := experiments.Table3(sc)
+	rows, ev, err := experiments.Table3(context.Background(), sc)
 	if err != nil {
 		log.Fatal(err)
 	}

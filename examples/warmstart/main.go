@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 
 	var base float64
 	for i, p := range policies {
-		ev, err := experiments.EvalMixCached(p.label, sc)
+		ev, err := experiments.EvalMixCached(context.Background(), p.label, sc)
 		if err != nil {
 			log.Fatal(err)
 		}

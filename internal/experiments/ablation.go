@@ -30,14 +30,9 @@ type SampleCountRow struct {
 
 // AblationSampleCount evaluates Score-predicted quality for several sample
 // sizes on one mix. The schedule space must be large enough that sample
-// size matters; Jsb(8,4,1) (2520 schedules) is a good subject.
-func AblationSampleCount(label string, sc Scale, counts []int) ([]SampleCountRow, error) {
-	return AblationSampleCountCtx(context.Background(), label, sc, counts)
-}
-
-// AblationSampleCountCtx is AblationSampleCount bounded by a context, with
-// each sample count a resumable checkpoint shard.
-func AblationSampleCountCtx(ctx context.Context, label string, sc Scale, counts []int) ([]SampleCountRow, error) {
+// size matters; Jsb(8,4,1) (2520 schedules) is a good subject. Each sample
+// count is a resumable checkpoint shard.
+func AblationSampleCount(ctx context.Context, label string, sc Scale, counts []int) ([]SampleCountRow, error) {
 	if _, err := workload.MixByLabel(label); err != nil {
 		return nil, err
 	}
@@ -49,7 +44,7 @@ func AblationSampleCountCtx(ctx context.Context, label string, sc Scale, counts 
 	return shardedMap(ctx, "ablation-samples", counts, parallel.Options{}, func(ctx context.Context, _ int, n int) (SampleCountRow, error) {
 		s := sc
 		s.MaxSamples = n
-		ev, err := EvalMixCtx(ctx, label, s)
+		ev, err := EvalMix(ctx, label, s)
 		if err != nil {
 			return SampleCountRow{}, err
 		}
@@ -75,21 +70,15 @@ type SeedRow struct {
 // AblationSeeds re-draws the random schedule sample under different seeds
 // and reports the Score predictor's gain over the random-scheduler
 // expectation each time — the robustness of "10 random schedules is
-// enough".
-func AblationSeeds(label string, sc Scale, seeds []uint64) ([]SeedRow, error) {
-	return AblationSeedsCtx(context.Background(), label, sc, seeds)
-}
-
-// AblationSeedsCtx is AblationSeeds bounded by a context, with each seed a
-// resumable checkpoint shard.
-func AblationSeedsCtx(ctx context.Context, label string, sc Scale, seeds []uint64) ([]SeedRow, error) {
+// enough". Each seed is a resumable checkpoint shard.
+func AblationSeeds(ctx context.Context, label string, sc Scale, seeds []uint64) ([]SeedRow, error) {
 	if seeds == nil {
 		seeds = []uint64{1, 2, 3, 4, 5}
 	}
 	return shardedMap(ctx, "ablation-seeds", seeds, parallel.Options{}, func(ctx context.Context, _ int, seed uint64) (SeedRow, error) {
 		s := sc
 		s.Seed = seed
-		ev, err := EvalMixCtx(ctx, label, s)
+		ev, err := EvalMix(ctx, label, s)
 		if err != nil {
 			return SeedRow{}, err
 		}
@@ -117,13 +106,8 @@ type FetchPolicyRow struct {
 // policies. ICOUNT is expected to deliver higher throughput (it starves
 // stalled threads of fetch bandwidth); the schedule-sensitivity phenomenon
 // must survive under both, showing SOS does not depend on one fetch policy.
-func AblationFetchPolicy(sc Scale) ([]FetchPolicyRow, error) {
-	return AblationFetchPolicyCtx(context.Background(), sc)
-}
-
-// AblationFetchPolicyCtx is AblationFetchPolicy bounded by a context, with
-// each fetch policy a resumable checkpoint shard.
-func AblationFetchPolicyCtx(ctx context.Context, sc Scale) ([]FetchPolicyRow, error) {
+// Each fetch policy is a resumable checkpoint shard.
+func AblationFetchPolicy(ctx context.Context, sc Scale) ([]FetchPolicyRow, error) {
 	mix := workload.MustMix("Jsb(6,3,3)")
 	scheds, err := schedule.Enumerate(mix.Tasks(), mix.SMTLevel, mix.Swap, 100)
 	if err != nil {

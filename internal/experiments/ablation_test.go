@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestAblationFetchPolicy: the schedule-sensitivity phenomenon must
 // survive under both fetch policies, and ICOUNT should not be worse than
@@ -9,7 +12,7 @@ func TestAblationFetchPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation")
 	}
-	rows, err := AblationFetchPolicy(QuickScale())
+	rows, err := AblationFetchPolicy(context.Background(), QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func TestAblationSampleCount(t *testing.T) {
 	}
 	sc := QuickScale()
 	sc.Seed = 42 // private cache namespace; this test clears the cache
-	rows, err := AblationSampleCount("Jsb(6,3,1)", sc, []int{2, 6})
+	rows, err := AblationSampleCount(context.Background(), "Jsb(6,3,1)", sc, []int{2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestColdstartMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation")
 	}
-	rows, err := ColdstartStudy(QuickScale(), []uint64{20_000, 160_000})
+	rows, err := ColdstartStudy(context.Background(), QuickScale(), []uint64{20_000, 160_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,16 +35,11 @@ func cacheKey(label string, sc Scale) string {
 
 // EvalMixCached returns the memoized evaluation of a mix, computing it on
 // first use. A concurrent second caller of the same key blocks until the
-// first finishes and shares its result rather than recomputing.
-func EvalMixCached(label string, sc Scale) (*MixEval, error) {
-	return EvalMixCachedCtx(context.Background(), label, sc)
-}
-
-// EvalMixCachedCtx is EvalMixCached computing under the caller's context. If
-// the computing caller's context aborts, joined waiters receive that abort
-// error too; the failed entry is dropped, so a later caller recomputes under
-// its own (presumably healthier) context.
-func EvalMixCachedCtx(ctx context.Context, label string, sc Scale) (*MixEval, error) {
+// first finishes and shares its result rather than recomputing. If the
+// computing caller's context aborts, joined waiters receive that abort
+// error too; the failed entry is dropped, so a later caller recomputes
+// under its own (presumably healthier) context.
+func EvalMixCached(ctx context.Context, label string, sc Scale) (*MixEval, error) {
 	key := cacheKey(label, sc)
 	evalMu.Lock()
 	if f, ok := evalCache[key]; ok {
@@ -56,7 +51,7 @@ func EvalMixCachedCtx(ctx context.Context, label string, sc Scale) (*MixEval, er
 	evalCache[key] = f
 	evalMu.Unlock()
 
-	f.ev, f.err = EvalMixCtx(ctx, label, sc)
+	f.ev, f.err = EvalMix(ctx, label, sc)
 	close(f.done)
 	if f.err != nil {
 		// Do not cache failures: a later caller may run under conditions

@@ -45,7 +45,7 @@ var (
 func crashBaselineJSON(t *testing.T) []byte {
 	t.Helper()
 	crashBaselineOnce.Do(func() {
-		rows, err := RobustnessCtx(context.Background(), crashScale(), crashLabels, crashLevels, DefaultChurn())
+		rows, err := Robustness(context.Background(), crashScale(), crashLabels, crashLevels, DefaultChurn())
 		if err != nil {
 			crashBaselineErr = err
 			return
@@ -84,7 +84,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 					}
 					cancel()
 				}()
-				_, runErr := RobustnessCtx(ctx, sc, crashLabels, crashLevels, DefaultChurn())
+				_, runErr := Robustness(ctx, sc, crashLabels, crashLevels, DefaultChurn())
 				if runErr != nil && !errors.Is(runErr, context.Canceled) {
 					t.Fatalf("interrupted run failed with %v, want a context.Canceled abort", runErr)
 				}
@@ -101,7 +101,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, err := RobustnessCtx(checkpoint.WithRecorder(context.Background(), rec2), sc, crashLabels, crashLevels, DefaultChurn())
+				rows, err := Robustness(checkpoint.WithRecorder(context.Background(), rec2), sc, crashLabels, crashLevels, DefaultChurn())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +134,7 @@ func TestDeadlineAbortLeavesValidSnapshot(t *testing.T) {
 	rec := checkpoint.NewRecorder(path, meta, 1)
 	dl, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := RobustnessCtx(checkpoint.WithRecorder(dl, rec), sc, crashLabels, crashLevels, DefaultChurn())
+	_, err := Robustness(checkpoint.WithRecorder(dl, rec), sc, crashLabels, crashLevels, DefaultChurn())
 	if !errorsIsDeadline(err) {
 		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
 	}
@@ -154,7 +154,7 @@ func TestDeadlineAbortLeavesValidSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RobustnessCtx(checkpoint.WithRecorder(context.Background(), rec2), sc, crashLabels, crashLevels, DefaultChurn())
+	rows, err := Robustness(checkpoint.WithRecorder(context.Background(), rec2), sc, crashLabels, crashLevels, DefaultChurn())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,9 @@ type ColdstartRow struct {
 // Short timeslices pay cache and predictor coldstart on every context
 // switch; as the resident timeslice grows the costs amortize and weighted
 // speedup approaches its asymptote. (The warmstart policies of Section 8
-// achieve the same amortization by swapping fewer jobs per slice.)
-func ColdstartStudy(sc Scale, slices []uint64) ([]ColdstartRow, error) {
-	return ColdstartStudyCtx(context.Background(), sc, slices)
-}
-
-// ColdstartStudyCtx is ColdstartStudy bounded by a context, with each
-// timeslice length a resumable checkpoint shard.
-func ColdstartStudyCtx(ctx context.Context, sc Scale, slices []uint64) ([]ColdstartRow, error) {
+// achieve the same amortization by swapping fewer jobs per slice.) Each
+// timeslice length is a resumable checkpoint shard.
+func ColdstartStudy(ctx context.Context, sc Scale, slices []uint64) ([]ColdstartRow, error) {
 	if slices == nil {
 		slices = []uint64{25_000, 50_000, 100_000, 200_000, 400_000}
 	}

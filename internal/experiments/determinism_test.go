@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,11 +29,11 @@ func TestPairwiseDeterministicAcrossWorkers(t *testing.T) {
 
 	var serial, fanned *PairTable
 	var err1, err8 error
-	withWorkers(t, 1, func() { serial, err1 = Pairwise(sc, names) })
+	withWorkers(t, 1, func() { serial, err1 = Pairwise(context.Background(), sc, names) })
 	if err1 != nil {
 		t.Fatal(err1)
 	}
-	withWorkers(t, 8, func() { fanned, err8 = Pairwise(sc, names) })
+	withWorkers(t, 8, func() { fanned, err8 = Pairwise(context.Background(), sc, names) })
 	if err8 != nil {
 		t.Fatal(err8)
 	}
@@ -60,14 +61,14 @@ func TestShootoutDeterministicAcrossWorkers(t *testing.T) {
 	var err1, err8 error
 	withWorkers(t, 1, func() {
 		ClearEvalCache()
-		serial, err1 = PredictorShootout(sc, labels)
+		serial, err1 = PredictorShootout(context.Background(), sc, labels)
 	})
 	if err1 != nil {
 		t.Fatal(err1)
 	}
 	withWorkers(t, 8, func() {
 		ClearEvalCache()
-		fanned, err8 = PredictorShootout(sc, labels)
+		fanned, err8 = PredictorShootout(context.Background(), sc, labels)
 	})
 	if err8 != nil {
 		t.Fatal(err8)
@@ -93,7 +94,7 @@ func TestEvalMixCachedSingleflight(t *testing.T) {
 	const callers = 8
 	evs, err := parallel.Map(parallel.Indices(callers), parallel.Options{Workers: callers},
 		func(_ int, _ int) (*MixEval, error) {
-			return EvalMixCached("Jsb(4,2,2)", sc)
+			return EvalMixCached(context.Background(), "Jsb(4,2,2)", sc)
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,7 @@ func TestEvalMixWorkerInvariance(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			var ev *MixEval
 			var err error
-			withWorkers(t, workers, func() { ev, err = EvalMixCtx(context.Background(), label, sc) })
+			withWorkers(t, workers, func() { ev, err = EvalMix(context.Background(), label, sc) })
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", label, workers, err)
 			}
@@ -142,7 +142,7 @@ func TestEvalMixErrorIsWorkerInvariant(t *testing.T) {
 
 	var errs []string
 	for _, workers := range []int{1, 8} {
-		withWorkers(t, workers, func() { _, err = EvalMixSchedulesCtx(context.Background(), mix, scheds, goldenScale()) })
+		withWorkers(t, workers, func() { _, err = EvalMixSchedules(context.Background(), mix, scheds, goldenScale()) })
 		if err == nil {
 			t.Fatalf("workers=%d: invalid schedules accepted", workers)
 		}

@@ -85,7 +85,7 @@ func buildExpGolden(t *testing.T) expGolden {
 	var atOne, atEight []Figure1Row
 	withWorkers(t, 1, func() {
 		ClearEvalCache()
-		rows, err := Figure1(sc, labels)
+		rows, err := Figure1(context.Background(), sc, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func buildExpGolden(t *testing.T) expGolden {
 	})
 	withWorkers(t, 8, func() {
 		ClearEvalCache()
-		rows, err := Figure1(sc, labels)
+		rows, err := Figure1(context.Background(), sc, labels)
 		if err != nil {
 			t.Fatal(err)
 		}

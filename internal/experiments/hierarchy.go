@@ -111,14 +111,8 @@ func jobWS(jobs []*workload.Job, committed []uint64, cycles uint64, soloAgg []fl
 
 // Figure4 evaluates hierarchical symbiosis at SMT levels 2, 3, 4 and 6.
 // Each level's rng stream derives from (seed, level), so the levels are
-// independent work items.
-func Figure4(sc Scale) ([]Figure4Row, error) {
-	return Figure4Ctx(context.Background(), sc)
-}
-
-// Figure4Ctx is Figure4 bounded by a context, with each SMT level a
-// resumable checkpoint shard.
-func Figure4Ctx(ctx context.Context, sc Scale) ([]Figure4Row, error) {
+// independent work items. Each SMT level is a resumable checkpoint shard.
+func Figure4(ctx context.Context, sc Scale) ([]Figure4Row, error) {
 	return shardedMap(ctx, "fig4", []int{2, 3, 4, 6}, parallel.Options{}, func(ctx context.Context, _ int, level int) (Figure4Row, error) {
 		return hierLevel(ctx, level, sc)
 	})

@@ -30,14 +30,9 @@ var twelveJobs = []string{
 // 12-job mix with full swap, extending the paper's observation that "the
 // same effects ... will be evident with wider processors, but may happen at
 // higher levels of multithreading": both the absolute weighted speedup and
-// the schedule sensitivity grow with the SMT level.
-func ThroughputVsLevel(sc Scale, levels []int) ([]LevelRow, error) {
-	return ThroughputVsLevelCtx(context.Background(), sc, levels)
-}
-
-// ThroughputVsLevelCtx is ThroughputVsLevel bounded by a context, with each
-// SMT level a resumable checkpoint shard.
-func ThroughputVsLevelCtx(ctx context.Context, sc Scale, levels []int) ([]LevelRow, error) {
+// the schedule sensitivity grow with the SMT level. Each SMT level is a
+// resumable checkpoint shard.
+func ThroughputVsLevel(ctx context.Context, sc Scale, levels []int) ([]LevelRow, error) {
 	if levels == nil {
 		levels = []int{2, 3, 4, 6}
 	}
@@ -56,7 +51,7 @@ func ThroughputVsLevelCtx(ctx context.Context, sc Scale, levels []int) ([]LevelR
 		}
 		r := rng.New(rng.Hash2(sc.Seed, uint64(level), 0x1e7e1))
 		scheds := schedule.Sample(r, mix.Tasks(), level, level, sc.MaxSamples)
-		ev, err := EvalMixSchedulesCtx(ctx, mix, scheds, sc)
+		ev, err := EvalMixSchedules(ctx, mix, scheds, sc)
 		if err != nil {
 			return LevelRow{}, err
 		}

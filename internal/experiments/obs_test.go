@@ -32,7 +32,7 @@ func TestFigure1ObsDeterminism(t *testing.T) {
 			if traced {
 				ctx = obs.WithTracer(ctx, obs.NewTracer(&buf, obs.NewRegistry()))
 			}
-			rows, err = Figure1Ctx(ctx, sc, labels)
+			rows, err = Figure1(ctx, sc, labels)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -111,14 +111,9 @@ func openLoadCompare(pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
 }
 
 // OpenLoad sweeps offered load across arrival processes and schedulers.
-// A nil factors slice selects the default 0.5x-1.5x capacity sweep.
-func OpenLoad(qs QueueScale, factors []float64) ([]OpenLoadRow, error) {
-	return OpenLoadCtx(context.Background(), qs, factors)
-}
-
-// OpenLoadCtx is OpenLoad bounded by a context, each (dist, factor) point a
-// resumable checkpoint shard.
-func OpenLoadCtx(ctx context.Context, qs QueueScale, factors []float64) ([]OpenLoadRow, error) {
+// A nil factors slice selects the default 0.5x-1.5x capacity sweep. Each
+// (dist, factor) point is a resumable checkpoint shard.
+func OpenLoad(ctx context.Context, qs QueueScale, factors []float64) ([]OpenLoadRow, error) {
 	if factors == nil {
 		factors = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -22,9 +23,9 @@ func TestOpenLoadDeterminismAcrossWorkers(t *testing.T) {
 		t.Helper()
 		prev := parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(prev)
-		rows, err := OpenLoad(qs, factors)
+		rows, err := OpenLoad(context.Background(), qs, factors)
 		if err != nil {
-			t.Fatalf("OpenLoad(workers=%d): %v", workers, err)
+			t.Fatalf("OpenLoad(context.Background(), workers=%d): %v", workers, err)
 		}
 		return rows
 	}

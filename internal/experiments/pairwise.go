@@ -25,14 +25,9 @@ type PairTable struct {
 }
 
 // Pairwise builds the symbiosis matrix for the given benchmarks (defaults
-// to the paper's single-threaded Table 1 jobs).
-func Pairwise(sc Scale, names []string) (*PairTable, error) {
-	return PairwiseCtx(context.Background(), sc, names)
-}
-
-// PairwiseCtx is Pairwise bounded by a context, with each solo calibration
-// and each matrix cell a resumable checkpoint shard.
-func PairwiseCtx(ctx context.Context, sc Scale, names []string) (*PairTable, error) {
+// to the paper's single-threaded Table 1 jobs). Each solo calibration and
+// each matrix cell is a resumable checkpoint shard.
+func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error) {
 	if names == nil {
 		names = []string{"FP", "MG", "WAVE", "SWIM", "GCC", "GO", "IS", "CG", "EP"}
 	}

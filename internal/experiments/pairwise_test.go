@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestPairwiseMatrix(t *testing.T) {
 		MaxSamples:    10,
 		Seed:          2,
 	}
-	tbl, err := Pairwise(sc, []string{"EP", "GO", "MG"})
+	tbl, err := Pairwise(context.Background(), sc, []string{"EP", "GO", "MG"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,7 @@ func coschedules(s schedule.Schedule, a, b int) bool {
 // did not coschedule the threads of ARRAY"), so the sample set is
 // stratified: the random draw is topped up with schedules of whichever
 // class is missing.
-func ParallelStudy(sc Scale, label string) (ParallelRow, error) {
-	return ParallelStudyCtx(context.Background(), sc, label)
-}
-
-// ParallelStudyCtx is ParallelStudy bounded by a context.
-func ParallelStudyCtx(ctx context.Context, sc Scale, label string) (ParallelRow, error) {
+func ParallelStudy(ctx context.Context, sc Scale, label string) (ParallelRow, error) {
 	mix, err := workload.MixByLabel(label)
 	if err != nil {
 		return ParallelRow{}, err
@@ -94,7 +89,7 @@ func ParallelStudyCtx(ctx context.Context, sc Scale, label string) (ParallelRow,
 	scheds := schedule.Sample(r, mix.Tasks(), mix.SMTLevel, mix.Swap, sc.MaxSamples)
 	scheds = ensureBothClasses(r, scheds, mix, sib)
 
-	ev, err := EvalMixSchedulesCtx(ctx, mix, scheds, sc)
+	ev, err := EvalMixSchedules(ctx, mix, scheds, sc)
 	if err != nil {
 		return ParallelRow{}, err
 	}

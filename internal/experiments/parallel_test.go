@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestParallelStudy reproduces the Section 6 contrast at test scale: for
 // tight-sync ARRAY, schedules that coschedule its threads dominate
@@ -11,7 +14,7 @@ func TestParallelStudy(t *testing.T) {
 	}
 	sc := QuickScale()
 
-	tight, err := ParallelStudy(sc, "Jpb(10,2,2)")
+	tight, err := ParallelStudy(context.Background(), sc, "Jpb(10,2,2)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +25,7 @@ func TestParallelStudy(t *testing.T) {
 			tight.CoschedAvgWS, tight.SplitAvgWS)
 	}
 
-	loose, err := ParallelStudy(sc, "J2pb(10,2,2)")
+	loose, err := ParallelStudy(context.Background(), sc, "J2pb(10,2,2)")
 	if err != nil {
 		t.Fatal(err)
 	}

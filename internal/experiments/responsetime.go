@@ -117,28 +117,18 @@ func ResponseCompare(level int, qs QueueScale, lambdaFactor float64) (ResponseRo
 
 // Figure5 compares response time for SMT levels 2, 3, 4 and 6. Each level
 // is a self-contained scripted system (its arrival script derives from the
-// (seed, level) hash), so the levels fan out across workers.
-func Figure5(qs QueueScale) ([]ResponseRow, error) {
-	return Figure5Ctx(context.Background(), qs)
-}
-
-// Figure5Ctx is Figure5 bounded by a context, with each SMT level a
-// resumable checkpoint shard.
-func Figure5Ctx(ctx context.Context, qs QueueScale) ([]ResponseRow, error) {
+// (seed, level) hash), so the levels fan out across workers. Each SMT
+// level is a resumable checkpoint shard.
+func Figure5(ctx context.Context, qs QueueScale) ([]ResponseRow, error) {
 	return shardedMap(ctx, "fig5", []int{2, 3, 4, 6}, parallel.Options{}, func(_ context.Context, _ int, level int) (ResponseRow, error) {
 		return ResponseCompare(level, qs, 1.0)
 	})
 }
 
 // Figure6 sweeps the arrival rate at SMT level 3. Factors above 1 load the
-// system more heavily; below 1, more lightly.
-func Figure6(qs QueueScale, factors []float64) ([]ResponseRow, error) {
-	return Figure6Ctx(context.Background(), qs, factors)
-}
-
-// Figure6Ctx is Figure6 bounded by a context, with each arrival-rate factor
+// system more heavily; below 1, more lightly. Each arrival-rate factor is
 // a resumable checkpoint shard.
-func Figure6Ctx(ctx context.Context, qs QueueScale, factors []float64) ([]ResponseRow, error) {
+func Figure6(ctx context.Context, qs QueueScale, factors []float64) ([]ResponseRow, error) {
 	if factors == nil {
 		factors = []float64{0.6, 0.8, 1.0, 1.2}
 	}

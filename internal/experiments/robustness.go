@@ -81,16 +81,10 @@ func DefaultChurn() []faults.ChurnSpec {
 // Cells are independent simulations seeded from (sc.Seed, cell index) and fan
 // out across workers with bit-identical results at any worker count; a cell
 // failure fires a shared cancel token so in-flight adaptive runs abort
-// instead of finishing work the sweep will discard.
-func Robustness(sc Scale, labels []string, levels []faults.Config, churn []faults.ChurnSpec) ([]RobustnessRow, error) {
-	return RobustnessCtx(context.Background(), sc, labels, levels, churn)
-}
-
-// RobustnessCtx is Robustness bounded by a context, with each cell a
-// resumable checkpoint shard: a context carrying a checkpoint.Recorder
-// replays completed cells and recomputes only the interrupted ones,
-// byte-identically.
-func RobustnessCtx(ctx context.Context, sc Scale, labels []string, levels []faults.Config, churn []faults.ChurnSpec) ([]RobustnessRow, error) {
+// instead of finishing work the sweep will discard. Each cell is a resumable
+// checkpoint shard: a context carrying a checkpoint.Recorder replays
+// completed cells and recomputes only the interrupted ones, byte-identically.
+func Robustness(ctx context.Context, sc Scale, labels []string, levels []faults.Config, churn []faults.ChurnSpec) ([]RobustnessRow, error) {
 	if labels == nil {
 		labels = DefaultRobustnessMixes()
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestAdaptiveBeatsNaiveUnderModerateFaults(t *testing.T) {
 		{NoiseSigma: 0.10},
 		{NoiseSigma: 0.20},
 	}
-	rows, err := Robustness(quickRobustScale(), nil, levels, DefaultChurn())
+	rows, err := Robustness(context.Background(), quickRobustScale(), nil, levels, DefaultChurn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestAdaptiveBeatsNaiveUnderModerateFaults(t *testing.T) {
 // through silently.
 func TestRobustnessReportsDegradedActivity(t *testing.T) {
 	harsh := []faults.Config{{NoiseSigma: 0.20, DropRate: 0.10, StickyRate: 0.02, FailRate: 0.10}}
-	rows, err := Robustness(quickRobustScale(), []string{"Jsb(4,2,2)"}, harsh, DefaultChurn())
+	rows, err := Robustness(context.Background(), quickRobustScale(), []string{"Jsb(4,2,2)"}, harsh, DefaultChurn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 
 	var serial, fanned []RobustnessRow
 	var err1, err8 error
-	withWorkers(t, 1, func() { serial, err1 = Robustness(sc, labels, levels, DefaultChurn()) })
+	withWorkers(t, 1, func() { serial, err1 = Robustness(context.Background(), sc, labels, levels, DefaultChurn()) })
 	if err1 != nil {
 		t.Fatal(err1)
 	}
-	withWorkers(t, 8, func() { fanned, err8 = Robustness(sc, labels, levels, DefaultChurn()) })
+	withWorkers(t, 8, func() { fanned, err8 = Robustness(context.Background(), sc, labels, levels, DefaultChurn()) })
 	if err8 != nil {
 		t.Fatal(err8)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/workload"
@@ -68,11 +69,11 @@ func TestEvalCache(t *testing.T) {
 	}
 	sc := QuickScale()
 	sc.Seed = 123 // private seed: do not pollute other tests' cache entries
-	a, err := EvalMixCached("Jsb(4,2,2)", sc)
+	a, err := EvalMixCached(context.Background(), "Jsb(4,2,2)", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvalMixCached("Jsb(4,2,2)", sc)
+	b, err := EvalMixCached(context.Background(), "Jsb(4,2,2)", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestEvalCache(t *testing.T) {
 		t.Error("cache returned a different object")
 	}
 	ClearEvalCache()
-	c, err := EvalMixCached("Jsb(4,2,2)", sc)
+	c, err := EvalMixCached(context.Background(), "Jsb(4,2,2)", sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,20 +24,14 @@ type ShootoutRow struct {
 // experimental variants — head-to-head over the given mixes (defaults to a
 // representative trio). It reproduces the paper's exploration process: the
 // latency-weighted conflict predictor the authors tried and rejected can be
-// compared directly against Score and Composite.
-func PredictorShootout(sc Scale, labels []string) ([]ShootoutRow, error) {
-	return PredictorShootoutCtx(context.Background(), sc, labels)
-}
-
-// PredictorShootoutCtx is PredictorShootout bounded by a context. The mix
-// evaluations carry live samples, so the study is interruptible but not
-// shard-checkpointed.
-func PredictorShootoutCtx(ctx context.Context, sc Scale, labels []string) ([]ShootoutRow, error) {
+// compared directly against Score and Composite. The mix evaluations carry
+// live samples, so the study is interruptible but not shard-checkpointed.
+func PredictorShootout(ctx context.Context, sc Scale, labels []string) ([]ShootoutRow, error) {
 	if labels == nil {
 		labels = []string{"Jsb(6,3,3)", "Jsb(8,4,4)", "Jsb(5,2,2)"}
 	}
 	evs, err := parallel.Map(labels, parallel.Options{Context: ctx}, func(_ int, l string) (*MixEval, error) {
-		return EvalMixCachedCtx(ctx, l, sc)
+		return EvalMixCached(ctx, l, sc)
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"symbios/internal/core"
@@ -13,7 +14,7 @@ func TestTable3AndFigure2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation")
 	}
-	rows, ev, err := Table3(QuickScale())
+	rows, ev, err := Table3(context.Background(), QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,9 @@ func buildJobs(m workload.Mix, seed uint64) ([]*workload.Job, []uint64, error) {
 // sample up to MaxSamples distinct schedules on one continuously running
 // machine (the overhead-free sample phase), then run every sampled schedule
 // for a symbios phase on identically initialized machines and record its
-// weighted speedup.
-func EvalMix(label string, sc Scale) (*MixEval, error) {
-	return EvalMixCtx(context.Background(), label, sc)
-}
-
-// EvalMixCtx is EvalMix bounded by a context: cancellation or deadline
-// aborts between (and, at timeslice granularity, inside) schedule runs.
-func EvalMixCtx(ctx context.Context, label string, sc Scale) (*MixEval, error) {
+// weighted speedup. Cancellation or deadline of ctx aborts between (and, at
+// timeslice granularity, inside) schedule runs.
+func EvalMix(ctx context.Context, label string, sc Scale) (*MixEval, error) {
 	mix, err := workload.MixByLabel(label)
 	if err != nil {
 		return nil, err
@@ -61,23 +56,18 @@ func EvalMixCtx(ctx context.Context, label string, sc Scale) (*MixEval, error) {
 	x := mix.Tasks()
 	r := rng.New(rng.Hash2(sc.Seed, 0x5a321e, 0))
 	scheds := schedule.Sample(r, x, mix.SMTLevel, mix.Swap, sc.MaxSamples)
-	return EvalMixSchedulesCtx(ctx, mix, scheds, sc)
+	return EvalMixSchedules(ctx, mix, scheds, sc)
 }
 
 // EvalMixSchedules is EvalMix over an explicit candidate schedule set (used
 // by studies that need a stratified rather than purely random sample).
-func EvalMixSchedules(mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*MixEval, error) {
-	return EvalMixSchedulesCtx(context.Background(), mix, scheds, sc)
-}
-
-// EvalMixSchedulesCtx is EvalMixSchedules bounded by a context. Every
-// simulation of the evaluation — one solo calibration per job, the
+// Every simulation of the evaluation — one solo calibration per job, the
 // warm-up→sample chain, one symbios run per schedule — is independent of
 // the others (solo rates are only the weighted-speedup denominator), so
 // they run as one fan-out over mixTasks; each task builds its own jobs and
 // fills only its own result slot, and the weighted speedups are computed
 // after the join.
-func EvalMixSchedulesCtx(ctx context.Context, mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*MixEval, error) {
+func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*MixEval, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("experiments: %s: no schedules to evaluate", mix.Label)
 	}
@@ -251,19 +241,14 @@ type Figure1Row struct {
 }
 
 // Figure1 runs the worst-versus-best weighted speedup comparison over the
-// 13 jobmix / multithreading level / replacement policy combinations.
-func Figure1(sc Scale, labels []string) ([]Figure1Row, error) {
-	return Figure1Ctx(context.Background(), sc, labels)
-}
-
-// Figure1Ctx is Figure1 bounded by a context, with each mix a resumable
-// checkpoint shard.
-func Figure1Ctx(ctx context.Context, sc Scale, labels []string) ([]Figure1Row, error) {
+// 13 jobmix / multithreading level / replacement policy combinations. Each
+// mix is a resumable checkpoint shard.
+func Figure1(ctx context.Context, sc Scale, labels []string) ([]Figure1Row, error) {
 	if labels == nil {
 		labels = workload.FigureMixes
 	}
 	return shardedMap(ctx, "fig1", labels, parallel.Options{}, func(ctx context.Context, _ int, l string) (Figure1Row, error) {
-		ev, err := EvalMixCachedCtx(ctx, l, sc)
+		ev, err := EvalMixCached(ctx, l, sc)
 		if err != nil {
 			return Figure1Row{}, err
 		}
@@ -296,15 +281,10 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the detailed Jsb(6,3,3) study: every one of the 10
-// possible schedules, fully enumerated.
-func Table3(sc Scale) ([]Table3Row, *MixEval, error) {
-	return Table3Ctx(context.Background(), sc)
-}
-
-// Table3Ctx is Table3 bounded by a context. The MixEval holds live machine
+// possible schedules, fully enumerated. The MixEval holds live machine
 // samples, so the study is not shard-checkpointed — only interruptible.
-func Table3Ctx(ctx context.Context, sc Scale) ([]Table3Row, *MixEval, error) {
-	ev, err := EvalMixCachedCtx(ctx, "Jsb(6,3,3)", sc)
+func Table3(ctx context.Context, sc Scale) ([]Table3Row, *MixEval, error) {
+	ev, err := EvalMixCached(ctx, "Jsb(6,3,3)", sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -348,13 +328,8 @@ func Figure2Bars(ev *MixEval) []Figure2Bar {
 }
 
 // Figure2 evaluates Jsb(6,3,3) and returns its predictor bars.
-func Figure2(sc Scale) ([]Figure2Bar, error) {
-	return Figure2Ctx(context.Background(), sc)
-}
-
-// Figure2Ctx is Figure2 bounded by a context.
-func Figure2Ctx(ctx context.Context, sc Scale) ([]Figure2Bar, error) {
-	ev, err := EvalMixCachedCtx(ctx, "Jsb(6,3,3)", sc)
+func Figure2(ctx context.Context, sc Scale) ([]Figure2Bar, error) {
+	ev, err := EvalMixCached(ctx, "Jsb(6,3,3)", sc)
 	if err != nil {
 		return nil, err
 	}
@@ -368,19 +343,14 @@ type Figure3Row struct {
 	Bars []Figure2Bar
 }
 
-// Figure3 runs the predictor comparison over the 13 combinations.
-func Figure3(sc Scale, labels []string) ([]Figure3Row, error) {
-	return Figure3Ctx(context.Background(), sc, labels)
-}
-
-// Figure3Ctx is Figure3 bounded by a context, with each mix a resumable
-// checkpoint shard.
-func Figure3Ctx(ctx context.Context, sc Scale, labels []string) ([]Figure3Row, error) {
+// Figure3 runs the predictor comparison over the 13 combinations. Each mix
+// is a resumable checkpoint shard.
+func Figure3(ctx context.Context, sc Scale, labels []string) ([]Figure3Row, error) {
 	if labels == nil {
 		labels = workload.FigureMixes
 	}
 	return shardedMap(ctx, "fig3", labels, parallel.Options{}, func(ctx context.Context, _ int, l string) (Figure3Row, error) {
-		ev, err := EvalMixCachedCtx(ctx, l, sc)
+		ev, err := EvalMixCached(ctx, l, sc)
 		if err != nil {
 			return Figure3Row{}, err
 		}

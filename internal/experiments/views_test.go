@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestSiblingTasks(t *testing.T) {
 
 // TestThroughputVsLevelValidation rejects levels that break fairness.
 func TestThroughputVsLevelValidation(t *testing.T) {
-	if _, err := ThroughputVsLevel(QuickScale(), []int{5}); err == nil {
+	if _, err := ThroughputVsLevel(context.Background(), QuickScale(), []int{5}); err == nil {
 		t.Error("level 5 does not divide 12 jobs but was accepted")
 	}
 }

@@ -34,17 +34,12 @@ var warmstartTriples = [][3]string{
 // WarmstartStudy evaluates each triple and reports the warmstart gains:
 // swapping one job at a time lengthens each job's resident timeslice and
 // reduces per-switch pressure on the memory subsystem; the little-timeslice
-// variant isolates the second effect.
-func WarmstartStudy(sc Scale) ([]WarmstartRow, error) {
-	return WarmstartStudyCtx(context.Background(), sc)
-}
-
-// WarmstartStudyCtx is WarmstartStudy bounded by a context, with each triple
-// a resumable checkpoint shard.
-func WarmstartStudyCtx(ctx context.Context, sc Scale) ([]WarmstartRow, error) {
+// variant isolates the second effect. Each triple is a resumable checkpoint
+// shard.
+func WarmstartStudy(ctx context.Context, sc Scale) ([]WarmstartRow, error) {
 	return shardedMap(ctx, "warmstart", warmstartTriples[:], parallel.Options{}, func(ctx context.Context, _ int, tr [3]string) (WarmstartRow, error) {
 		evs, err := parallel.Map(tr[:], parallel.Options{Context: ctx}, func(_ int, label string) (*MixEval, error) {
-			return EvalMixCachedCtx(ctx, label, sc)
+			return EvalMixCached(ctx, label, sc)
 		})
 		if err != nil {
 			return WarmstartRow{}, err

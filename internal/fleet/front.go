@@ -93,15 +93,6 @@ type Config struct {
 	FailoverBase time.Duration
 	FailoverMax  time.Duration
 
-	// BatchWindow, when positive, turns on cross-request batching: small
-	// rank-mode requests for the same replica set arriving within the window
-	// are sent to one backend as a single /v1/schedule/batch envelope (after
-	// singleflight has collapsed identical bodies). Zero disables batching.
-	BatchWindow time.Duration
-	// BatchMax caps one batch; reaching it flushes the group before the
-	// window elapses. < 1 selects 16; clamped to the backend's 64-item bound.
-	BatchMax int
-
 	// RequireDigest treats a backend reply without an X-Content-Digest
 	// header as a failure. Off by default so fronts can sit over backends
 	// that predate the envelope; a digest that is present but wrong is
@@ -146,11 +137,6 @@ type backend struct {
 
 	requests atomic.Uint64
 	failures atomic.Uint64
-
-	// batchIncapable latches when the backend answers /v1/schedule/batch
-	// with 404/405/501 — a pre-batch build. Batches skip it from then on;
-	// ordinary singleton traffic is unaffected.
-	batchIncapable atomic.Bool
 
 	// mode is the backend's last advertised brownout mode (the
 	// X-Brownout-Mode response header; 0 = full service). Placement
@@ -201,17 +187,9 @@ type Front struct {
 	hardStop context.CancelFunc
 	draining atomic.Bool
 
-	// batcher groups small rank-mode requests into cross-request batch
-	// calls; nil when Config.BatchWindow is zero.
-	batcher *batcher
-
 	coalesced atomic.Uint64
 	hedges    atomic.Uint64
 	hedgeWins atomic.Uint64
-
-	batchFlushes   atomic.Uint64
-	batchItems     atomic.Uint64
-	batchFallbacks atomic.Uint64
 
 	// Integrity / divergence counters. wg tracks every background goroutine
 	// the divergence machinery spawns (hedge-loser drains, audits), so Close
@@ -223,13 +201,10 @@ type Front struct {
 	auditMismatches  atomic.Uint64
 	divergencesTotal atomic.Uint64
 
-	obsCoalesced      *obs.Counter
-	obsHedges         *obs.Counter
-	obsAudits         *obs.Counter
-	obsAuditMiss      *obs.Counter
-	obsBatchFlushes   *obs.Counter
-	obsBatchItems     *obs.Counter
-	obsBatchFallbacks *obs.Counter
+	obsCoalesced *obs.Counter
+	obsHedges    *obs.Counter
+	obsAudits    *obs.Counter
+	obsAuditMiss *obs.Counter
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -322,9 +297,6 @@ func New(cfg Config) (*Front, error) {
 		}
 	}
 	f.checker = newHealthChecker(hcfg, f.backends, cfg.Client)
-	if cfg.BatchWindow > 0 {
-		f.batcher = newBatcher(f, cfg.BatchWindow, cfg.BatchMax)
-	}
 	f.registerObs()
 	return f, nil
 }
@@ -361,12 +333,6 @@ func (f *Front) registerObs() {
 		"Background divergence audits performed (second replica re-asked).")
 	f.obsAuditMiss = f.reg.Counter("fleet_audit_mismatches_total",
 		"Background audits whose second replica disagreed with the served answer.")
-	f.obsBatchFlushes = f.reg.Counter("fleet_batch_flushes_total",
-		"Cross-request batch calls flushed to backends.")
-	f.obsBatchItems = f.reg.Counter("fleet_batch_items_total",
-		"Requests carried inside cross-request batch calls.")
-	f.obsBatchFallbacks = f.reg.Counter("fleet_batch_fallback_items_total",
-		"Batched requests re-dispatched as singletons (incapable backend, batch failure, or a rejected item).")
 	f.reg.GaugeFunc("fleet_healthy_backends", "Backends currently considered healthy.",
 		func() float64 {
 			n := 0
@@ -402,16 +368,7 @@ func (f *Front) Close() {
 		f.startOnce.Do(func() { close(f.checker.done) }) // never started: mark drained
 		close(f.checker.stop)
 		<-f.checker.done
-		if f.batcher != nil {
-			// Fail queued items and stop window timers first; the hardStop
-			// below aborts flushes already on the wire, whose items then fail
-			// fast on the fallback path.
-			f.batcher.shutdown()
-		}
 		f.hardStop()
-		if f.batcher != nil {
-			f.batcher.wg.Wait()
-		}
 		f.wg.Wait()
 	})
 }
@@ -437,14 +394,24 @@ type shardFields struct {
 	DeadlineMS int64  `json:"deadline_ms"`
 }
 
-// ShardKey derives the ring key for a request body: "mix|seed" when the
-// body parses, else a hash of the raw bytes.
-func ShardKey(body []byte) string {
+// shardOf decodes body once into the ring key — "mix|seed" when the body
+// parses, else a hash of the raw bytes — and the deadline the client asked
+// for (unclamped; zero when absent). A body that decodes only in part keys
+// by its raw bytes but keeps whatever deadline_ms did decode.
+func shardOf(body []byte) (key string, deadline time.Duration) {
 	var sf shardFields
 	if err := json.Unmarshal(body, &sf); err != nil || sf.Mix == "" {
-		return fmt.Sprintf("raw:%016x", hashString(string(body)))
+		key = fmt.Sprintf("raw:%016x", hashString(string(body)))
+	} else {
+		key = fmt.Sprintf("%s|%d", sf.Mix, sf.Seed)
 	}
-	return fmt.Sprintf("%s|%d", sf.Mix, sf.Seed)
+	return key, time.Duration(sf.DeadlineMS) * time.Millisecond
+}
+
+// ShardKey derives the ring key for a request body.
+func ShardKey(body []byte) string {
+	key, _ := shardOf(body)
+	return key
 }
 
 // attemptClass partitions attempt outcomes for the dispatch loop.
@@ -508,38 +475,20 @@ func (f *Front) candidates(shardKey string) []*backend {
 // front's base context bounded by the request's clamped deadline), so an
 // impatient leader cannot cancel the answer out from under its followers.
 func (f *Front) Dispatch(ctx context.Context, body []byte) (*Result, error) {
-	key := ShardKey(body)
+	key, deadline := shardOf(body) // lenient: zero values route and clamp fine
 	res, shared, err := f.flights.Do(ctx, string(body), func() (*Result, error) {
-		if f.batcher != nil {
-			// The batcher sits behind singleflight on purpose: identical
-			// bodies have already collapsed to one flight leader, so a batch
-			// only ever carries distinct requests.
-			if res, berr, ok := f.batcher.enqueue(key, body); ok {
-				return res, berr
-			}
-		}
-		return f.dispatchBody(key, body)
+		dctx, cancel := resilience.WithBudget(f.base, deadline, f.cfg.DeadlineDef, f.cfg.DeadlineMax)
+		// cancel ownership passes to dispatch: it either releases the budget
+		// context itself or hands it to the hedge-loser drain goroutine,
+		// which must keep straggler attempts alive long enough to digest-
+		// compare their bodies against the winner's.
+		return f.dispatch(dctx, cancel, key, body)
 	})
 	if shared {
 		f.coalesced.Add(1)
 		f.obsCoalesced.Inc()
 	}
 	return res, err
-}
-
-// dispatchBody runs the singleton failover/hedge dispatch for one body on a
-// fresh budget context: the flight leader's direct path, and the batcher's
-// per-item fallback.
-func (f *Front) dispatchBody(key string, body []byte) (*Result, error) {
-	var sf shardFields
-	json.Unmarshal(body, &sf) // lenient: zero values route and clamp fine
-	dctx, cancel := resilience.WithBudget(f.base,
-		time.Duration(sf.DeadlineMS)*time.Millisecond, f.cfg.DeadlineDef, f.cfg.DeadlineMax)
-	// cancel ownership passes to dispatch: it either releases the budget
-	// context itself or hands it to the hedge-loser drain goroutine,
-	// which must keep straggler attempts alive long enough to digest-
-	// compare their bodies against the winner's.
-	return f.dispatch(dctx, cancel, key, body)
 }
 
 // dispatch runs the failover/hedge state machine against the key's replica
@@ -706,6 +655,69 @@ func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKe
 	return nil, fmt.Errorf("fleet: all %d replicas failed: %v", len(cands), lastErr)
 }
 
+// roundTrip is the one exchange with a backend on behalf of client traffic,
+// and the one place that decides what a verified backend body is: the call
+// is bounded by AttemptTimeout, the body is read one byte past the cap (a
+// larger one is an error, never a truncated relay), and it must pass the
+// integrity envelope. A non-nil Result is a whole, verified body of whatever
+// status; callers decide what the status means.
+func (f *Front) roundTrip(ctx context.Context, b *backend, method, path string, body []byte) (*Result, error) {
+	// The per-attempt timeout bounds connect through last body byte, so a
+	// slow-loris backend costs one AttemptTimeout before failover, not the
+	// whole request deadline. ctx (the parent) stays the authority on
+	// whether the *request* is over; the timeout only bounds *this try*.
+	if f.cfg.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.cfg.AttemptTimeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set("X-Client-ID", "sosfront")
+	resp, err := f.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	// Read one byte past the cap: exactly maxResponseBytes+1 bytes read
+	// means the backend's body was larger, which is a hard failure — a
+	// silently truncated relay of a deterministic answer would be
+	// indistinguishable from wire corruption.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
+	}
+	if len(data) > maxResponseBytes {
+		return nil, fmt.Errorf("response exceeds %d bytes", maxResponseBytes)
+	}
+	// Integrity envelope: a present-but-wrong digest is always a failure (a
+	// corrupt 200 must never reach a client); a missing digest is tolerated
+	// unless RequireDigest, so fronts can sit over pre-envelope backends.
+	if cerr := integrity.Check(resp.Header.Get(integrity.Header), data); cerr != nil {
+		if !errors.Is(cerr, integrity.ErrMissing) || f.cfg.RequireDigest {
+			f.integrityFails.Add(1)
+			b.obsIntegrity.Inc()
+			return nil, cerr
+		}
+	}
+	if v := resp.Header.Get("X-Brownout-Mode"); v != "" {
+		if m, perr := strconv.Atoi(v); perr == nil && m >= 0 {
+			b.mode.Store(int64(m))
+		}
+	}
+	return &Result{
+		Status:  resp.StatusCode,
+		Header:  relayHeaders(resp.Header),
+		Body:    data,
+		Backend: b.base,
+	}, nil
+}
+
 // attempt sends body to one backend and classifies the outcome, settling
 // the backend's breaker permit itself so abandoned attempts stay accounted.
 func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool) attemptOut {
@@ -724,21 +736,12 @@ func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool
 	b.obsRequests.Inc()
 
 	t0 := time.Now()
-	// The per-attempt timeout bounds connect through last body byte, so a
-	// slow-loris backend costs one AttemptTimeout before failover, not the
-	// whole request deadline. ctx (the parent) stays the authority on
-	// whether the *request* is over; tctx only bounds *this try*.
-	tctx := ctx
-	tcancel := context.CancelFunc(func() {})
-	if f.cfg.AttemptTimeout > 0 {
-		tctx, tcancel = context.WithTimeout(ctx, f.cfg.AttemptTimeout)
-	}
-	defer tcancel()
-	// fail classifies a transport-level breakdown: a dead parent context is
-	// no verdict on the backend (hedge lost, client gone, deadline), but an
-	// attempt timeout with a live parent is the backend being slow — that is
-	// exactly what the breaker should hear about.
-	fail := func(err error) attemptOut {
+	res, err := f.roundTrip(ctx, b, http.MethodPost, "/v1/schedule", body)
+	if err != nil {
+		// A dead parent context is no verdict on the backend (hedge lost,
+		// client gone, deadline), but an attempt timeout with a live parent
+		// is the backend being slow — that is exactly what the breaker
+		// should hear about.
 		if ctx.Err() != nil {
 			report(resilience.Skipped)
 		} else {
@@ -748,69 +751,25 @@ func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool
 		}
 		return attemptOut{b: b, class: classFail, err: fmt.Errorf("backend %s: %w", b.base, err), hedge: hedge}
 	}
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, b.base+"/v1/schedule", bytes.NewReader(body))
-	if err != nil {
-		report(resilience.Skipped)
-		return attemptOut{b: b, class: classFail, err: err, hedge: hedge}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client-ID", "sosfront")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	// Read one byte past the cap: exactly maxResponseBytes+1 bytes read
-	// means the backend's body was larger, which is a hard failure — a
-	// silently truncated relay of a deterministic answer would be
-	// indistinguishable from wire corruption.
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-	if rerr != nil {
-		return fail(fmt.Errorf("reading response: %w", rerr))
-	}
-	if len(data) > maxResponseBytes {
-		return fail(fmt.Errorf("response exceeds %d bytes", maxResponseBytes))
-	}
-	// Integrity envelope: a present-but-wrong digest is always a failure (a
-	// corrupt 200 must never reach a client); a missing digest is tolerated
-	// unless RequireDigest, so fronts can sit over pre-envelope backends.
-	if cerr := integrity.Check(resp.Header.Get(integrity.Header), data); cerr != nil {
-		if !errors.Is(cerr, integrity.ErrMissing) || f.cfg.RequireDigest {
-			f.integrityFails.Add(1)
-			b.obsIntegrity.Inc()
-			return fail(cerr)
-		}
-	}
 	dur := time.Since(t0)
-	if v := resp.Header.Get("X-Brownout-Mode"); v != "" {
-		if m, perr := strconv.Atoi(v); perr == nil && m >= 0 {
-			b.mode.Store(int64(m))
-		}
-	}
-	res := &Result{
-		Status:  resp.StatusCode,
-		Header:  relayHeaders(resp.Header),
-		Body:    data,
-		Backend: b.base,
-	}
 	switch {
-	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+	case res.Status == http.StatusTooManyRequests || res.Status == http.StatusServiceUnavailable:
 		// Clean shedding: the backend is up and telling us to go elsewhere.
 		report(resilience.Skipped)
 		if res.Header.Get("Retry-After") == "" {
 			res.Header.Set("Retry-After", "1")
 		}
 		return attemptOut{b: b, class: classShed, res: res, hedge: hedge}
-	case resp.StatusCode >= 500:
+	case res.Status >= 500:
 		report(resilience.Failure)
 		b.failures.Add(1)
 		b.obsFailures.Inc()
 		return attemptOut{b: b, class: classFail, res: res, hedge: hedge,
-			err: fmt.Errorf("backend %s: %s", b.base, resp.Status)}
+			err: fmt.Errorf("backend %s: %d %s", b.base, res.Status, http.StatusText(res.Status))}
 	default:
 		// 2xx and client-errors alike are deterministic answers.
 		report(resilience.Success)
-		if resp.StatusCode < 300 {
+		if res.Status < 300 {
 			f.lat.Observe(dur)
 		}
 		return attemptOut{b: b, class: classGood, res: res, hedge: hedge}
@@ -874,9 +833,6 @@ type Stats struct {
 	Coalesced        uint64         `json:"coalesced"`
 	Hedges           uint64         `json:"hedges"`
 	HedgeWins        uint64         `json:"hedge_wins"`
-	BatchFlushes     uint64         `json:"batch_flushes"`
-	BatchItems       uint64         `json:"batch_items"`
-	BatchFallbacks   uint64         `json:"batch_fallback_items"`
 	IntegrityFails   uint64         `json:"integrity_failures"`
 	Audits           uint64         `json:"audits"`
 	AuditMismatches  uint64         `json:"audit_mismatches"`
@@ -890,9 +846,6 @@ func (f *Front) Stats() Stats {
 		Coalesced:        f.coalesced.Load(),
 		Hedges:           f.hedges.Load(),
 		HedgeWins:        f.hedgeWins.Load(),
-		BatchFlushes:     f.batchFlushes.Load(),
-		BatchItems:       f.batchItems.Load(),
-		BatchFallbacks:   f.batchFallbacks.Load(),
 		IntegrityFails:   f.integrityFails.Load(),
 		Audits:           f.audits.Load(),
 		AuditMismatches:  f.auditMismatches.Load(),

@@ -106,6 +106,43 @@ func bodyWithPrimary(t *testing.T, f *Front, primary string) []byte {
 	return nil
 }
 
+// TestShardOfLenientDecode pins what the single body decode yields for
+// routing and for the dispatch budget, so its leniency cannot shift: any
+// decode error or a missing mix keys by the raw bytes, while the deadline is
+// whatever deadline_ms decoded to — independently of the key.
+func TestShardOfLenientDecode(t *testing.T) {
+	raw := func(body string) string { return fmt.Sprintf("raw:%016x", hashString(body)) }
+	for _, tc := range []struct {
+		name, body string
+		key        string
+		deadline   time.Duration
+	}{
+		{"well-formed", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":1500}`, "Jsb(6,3,3)|7", 1500 * time.Millisecond},
+		{"no deadline", `{"mix":"Jsb(6,3,3)","seed":7}`, "Jsb(6,3,3)|7", 0},
+		{"unknown fields ignored", `{"mix":"Jpb(10,2,2)","seed":1,"samples":4,"mode":"rank"}`, "Jpb(10,2,2)|1", 0},
+		{"mistyped deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":"x"}`, "", 0},
+		{"mistyped mix keeps deadline", `{"mix":5,"seed":7,"deadline_ms":250}`, "", 250 * time.Millisecond},
+		{"mistyped seed keeps deadline", `{"mix":"Jsb(6,3,3)","seed":-1,"deadline_ms":250}`, "", 250 * time.Millisecond},
+		{"mix-less", `{"seed":7,"deadline_ms":900}`, "", 900 * time.Millisecond},
+		{"negative deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":-5}`, "Jsb(6,3,3)|7", -5 * time.Millisecond},
+		{"truncated", `{"mix":"Jsb(6,3,3)","deadline_ms":250`, "", 0},
+		{"garbage", `not json`, "", 0},
+		{"empty", ``, "", 0},
+	} {
+		want := tc.key
+		if want == "" {
+			want = raw(tc.body)
+		}
+		key, deadline := shardOf([]byte(tc.body))
+		if key != want || deadline != tc.deadline {
+			t.Errorf("%s: shardOf = (%q, %s), want (%q, %s)", tc.name, key, deadline, want, tc.deadline)
+		}
+		if got := ShardKey([]byte(tc.body)); got != want {
+			t.Errorf("%s: ShardKey = %q, want %q", tc.name, got, want)
+		}
+	}
+}
+
 // TestFrontDispatchSuccess checks the plain path: the primary answers and
 // its body plus relay-worthy headers come back unchanged.
 func TestFrontDispatchSuccess(t *testing.T) {

@@ -80,44 +80,25 @@ func (f *Front) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMixes relays the static mix list from the first answering backend,
-// held to the same relay rules as the schedule path: the body is read one
-// byte past the cap so an over-limit answer fails instead of being silently
-// truncated, and it must pass the integrity check (a wrong digest is always
-// a failed candidate; a missing one only under RequireDigest). A backend
-// whose answer fails either check is skipped and the next one tried.
+// handleMixes relays the static mix list from the first backend whose
+// answer roundTrip accepts — the same bound, size cap and digest rule a
+// schedule attempt is held to. Any other candidate is skipped and the next
+// one tried.
 func (f *Front) handleMixes(w http.ResponseWriter, r *http.Request) {
 	for _, b := range f.candidates("mixes") {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.base+"/v1/mixes", nil)
+		res, err := f.roundTrip(r.Context(), b, http.MethodGet, "/v1/mixes", nil)
 		if err != nil {
+			f.logger.Printf("backend %s: /v1/mixes: %v; trying next", b.base, err)
 			continue
 		}
-		resp, err := f.client.Do(req)
-		if err != nil {
+		if res.Status != http.StatusOK {
 			continue
-		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		if len(data) > maxResponseBytes {
-			f.logger.Printf("backend %s: /v1/mixes response exceeds %d bytes; trying next", b.base, maxResponseBytes)
-			continue
-		}
-		if cerr := integrity.Check(resp.Header.Get(integrity.Header), data); cerr != nil {
-			if !errors.Is(cerr, integrity.ErrMissing) || f.cfg.RequireDigest {
-				f.integrityFails.Add(1)
-				b.obsIntegrity.Inc()
-				f.logger.Printf("backend %s: /v1/mixes: %v; trying next", b.base, cerr)
-				continue
-			}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if v := resp.Header.Get(integrity.Header); v != "" {
+		if v := res.Header.Get(integrity.Header); v != "" {
 			w.Header().Set(integrity.Header, v)
 		}
-		w.Write(data)
+		w.Write(res.Body)
 		return
 	}
 	httpError(w, http.StatusBadGateway, "no backend answered /v1/mixes")

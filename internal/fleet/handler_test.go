@@ -120,6 +120,44 @@ func TestFrontMixesMissingDigest(t *testing.T) {
 	}
 }
 
+// TestFrontMixesStalledBackendFailsOver checks the mixes relay is bounded per
+// attempt like a schedule attempt: a backend that accepts and stalls costs
+// one AttemptTimeout before the next candidate answers, not the HTTP
+// client's whole timeout.
+func TestFrontMixesStalledBackendFailsOver(t *testing.T) {
+	leakcheck.Check(t)
+	body := []byte(`{"mixes":[]}` + "\n")
+	a := mixesBackend(t, body, integrity.Digest(body))
+	b := mixesBackend(t, body, integrity.Digest(body))
+	f := newTestFront(t, []*fakeBackend{a, b}, func(c *Config) {
+		c.AttemptTimeout = 100 * time.Millisecond
+	})
+	first := a
+	if f.candidates("mixes")[0].base == b.ts.URL {
+		first = b
+	}
+	first.set(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(30 * time.Second):
+		}
+	})
+
+	start := time.Now()
+	resp := getMixes(t, f)
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(data, body) {
+		t.Fatalf("/v1/mixes behind a stalled first candidate = %d %q, want 200 %q", resp.StatusCode, data, body)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("failover took %s; attempt timeout did not bite", d)
+	}
+	if first.hits.Load() != 1 {
+		t.Fatalf("stalled candidate saw %d requests, want 1", first.hits.Load())
+	}
+}
+
 // TestFrontSynthesizedBodiesCarryDigest checks every body the front writes
 // itself — operational endpoints, error bodies, the drain refusal, and the
 // breaker-open shed — is digest-stamped and verifies, so a strict client can

@@ -6,21 +6,14 @@
 # restarts, warms its response cache from a ring sibling before reporting
 # ready, and serves its first post-warm request as a cache hit.
 #
-# A second phase drives bursty load through a batching front
-# (-batch-window/-batch-max) against the same oracle: every batched item must
-# come back byte-identical to its singleton answer (zero divergence), and the
-# fleet_batch_* / sosd_batch_* counters must show the batch path actually
-# carried the traffic.
-#
 # Usage:
-#   scripts/fleetsoak.sh                 # 30-second soak + 10s batch phase
+#   scripts/fleetsoak.sh                 # 30-second soak
 #   SOAK_SECONDS=10 scripts/fleetsoak.sh # shorter, for local smoke
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 SOAK_SECONDS="${SOAK_SECONDS:-30}"
-BATCH_SECONDS="${BATCH_SECONDS:-10}"
 KILL_AT=$((SOAK_SECONDS / 3))
 
 TMP="$(mktemp -d)"
@@ -172,46 +165,7 @@ grep -q "fleet soak passed" "$TMP/soak.out"
 cat "$TMP/soak.out"
 tail -1 "$TMP/soak.log" >&2 || true
 
-# metric URL NAME: sum the values of a metric family (all label series) from
-# a /metrics exposition.
-metric() {
-    curl -sf "$1/metrics" | awk -v name="$2" \
-        '$1 == name || index($1, name"{") == 1 { s += $NF } END { print s+0 }'
-}
-
-echo "== batch phase: ${BATCH_SECONDS}s of bursty load through a batching front =="
-FRONT2="$(start_daemon front2 "$TMP/front2.log" "$TMP/sosfront" \
-    -addr 127.0.0.1:0 -backends "http://$B1,http://$B2,http://$B3" \
-    -replicas 2 -batch-window 25ms -batch-max 8 -drain 15s)"
-if ! "$TMP/sosfront" -soak "http://$FRONT2" -oracle "http://$ORACLE" \
-    -soak-duration "${BATCH_SECONDS}s" -soak-rate 20 -soak-burst 6 \
-    >"$TMP/batchsoak.out" 2>"$TMP/batchsoak.log"; then
-    echo "FAIL: batch-phase soak found violations (batched bytes must equal singleton bytes):" >&2
-    tail -20 "$TMP/batchsoak.log" >&2
-    exit 1
-fi
-grep -q "fleet soak passed" "$TMP/batchsoak.out"
-tail -1 "$TMP/batchsoak.log" >&2 || true
-
-FLUSHES="$(metric "http://$FRONT2" fleet_batch_flushes_total)"
-ITEMS="$(metric "http://$FRONT2" fleet_batch_items_total)"
-if [ "${FLUSHES%.*}" -lt 1 ] || [ "${ITEMS%.*}" -lt 1 ]; then
-    echo "FAIL: front batching never engaged (flushes=$FLUSHES items=$ITEMS)" >&2
-    exit 1
-fi
-SRV_BATCHED=0
-for b in "$B1" "$B2" "$B3"; do
-    v="$(metric "http://$b" sosd_batch_requests_total)"
-    SRV_BATCHED=$((SRV_BATCHED + ${v%.*}))
-done
-if [ "$SRV_BATCHED" -lt 1 ]; then
-    echo "FAIL: no backend ever served a batch call (sosd_batch_requests_total=0 everywhere)" >&2
-    exit 1
-fi
-echo "ok: batch phase carried $ITEMS items over $FLUSHES flushes ($SRV_BATCHED batch calls served), zero divergence"
-
 echo "== drain the fleet =="
-stop_daemon front2 "$TMP/front2.log"
 stop_daemon front "$TMP/front.log"
 stop_daemon b3 "$TMP/b3-restart.log"
 stop_daemon b2 "$TMP/b2.log"
