@@ -59,10 +59,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		deadlineDef = fs.Duration("deadline-default", 5*time.Second, "per-request dispatch deadline when the client sets none")
 		deadlineMax = fs.Duration("deadline-max", 30*time.Second, "per-request dispatch deadline ceiling")
 
-		hedgeQuantile = fs.Float64("hedge-quantile", 0.95, "latency quantile that arms the hedge timer")
+		hedgeQuantile = fs.Float64("hedge-quantile", 0.95, "latency quantile, tracked per request class (cached, rank, adaptive), that arms the hedge timer")
 		hedgeMin      = fs.Duration("hedge-min", 20*time.Millisecond, "hedge delay floor")
 		hedgeMax      = fs.Duration("hedge-max", 2*time.Second, "hedge delay ceiling (also the unwarmed delay)")
-		hedgeWarmup   = fs.Int("hedge-warmup", 20, "latency samples required before the tracked quantile is trusted")
+		hedgeWarmup   = fs.Int("hedge-warmup", 20, "latency samples a request class needs before its tracked quantile is trusted")
 		noHedge       = fs.Bool("no-hedge", false, "disable latency-hedged duplicate requests")
 		hedgeRatio    = fs.Float64("hedge-budget-ratio", 0.1, "hedge credit earned per attempt, per backend")
 		hedgeCap      = fs.Float64("hedge-budget-cap", 10, "hedge credit ceiling per backend")

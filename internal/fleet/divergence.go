@@ -16,12 +16,12 @@ import (
 // wrong* — stamping a valid digest over a divergent answer (bad warm cache,
 // corrupted snapshot, skew after a partial deploy).
 //
-// Evidence arrives on two paths, both free or cheap:
+// Evidence arrives on two paths:
 //
-//   - Hedge losers (CompareHedges): when a hedged duplicate completes after
-//     the winner anyway, its body was already paid for — comparing digests
-//     is free. The dispatch loop hands the straggler to drainCompare
-//     instead of cancelling it.
+//   - Hedge losers (CompareHedges): the dispatch loop hands a hedge's
+//     straggler to drainCompare instead of cancelling it, and compares its
+//     digest against the winner's. The compare is one hash; the drained
+//     loser is a whole second run of the request (DESIGN §13 prices it).
 //   - Background audits (AuditRate): a deterministic low-rate draw re-asks
 //     a second replica after a request was answered and compares.
 //
@@ -43,10 +43,10 @@ import (
 
 // DivergenceConfig tunes replica divergence detection and quarantine.
 type DivergenceConfig struct {
-	// CompareHedges lets a hedge loser that completes anyway be digest-
+	// CompareHedges lets a hedge loser run to completion and be digest-
 	// compared against the winner instead of being cancelled on the spot.
-	// Off by default: it trades a little extra backend work (the loser runs
-	// to completion) for a free divergence probe.
+	// Off by default: it trades a second complete run of every hedged
+	// request — a full evaluation, for a miss — for a divergence probe.
 	CompareHedges bool
 	// AuditRate is the per-answered-request probability of a background
 	// audit (0 disables auditing and, with it, quarantine readmission).
@@ -82,7 +82,7 @@ func evidence(out attemptOut) bool {
 // request triggers a background audit, and spawns it if so. Quarantined
 // backends are probed for readmission on the same draws, so the audit rate
 // also paces recovery.
-func (f *Front) maybeAudit(body []byte, winner *Result) {
+func (f *Front) maybeAudit(req *request, winner *Result) {
 	dc := f.cfg.Divergence
 	if dc.AuditRate <= 0 || winner == nil {
 		return
@@ -94,14 +94,14 @@ func (f *Front) maybeAudit(body []byte, winner *Result) {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		f.audit(body, winner)
+		f.audit(req, winner)
 	}()
 }
 
 // audit re-asks a second replica for the shard and digest-compares its
 // answer against what was served, then runs readmit probes against every
 // quarantined backend using the served answer as the authority.
-func (f *Front) audit(body []byte, winner *Result) {
+func (f *Front) audit(req *request, winner *Result) {
 	if !fullService(winner) {
 		return // a degraded answer is no authority to compare against
 	}
@@ -113,14 +113,14 @@ func (f *Front) audit(body []byte, winner *Result) {
 	if second != nil {
 		f.audits.Add(1)
 		f.obsAudits.Inc()
-		out := f.attempt(ctx, second, body, true)
+		out := f.attempt(ctx, second, req, true)
 		if evidence(out) && integrity.Digest(out.res.Body) != wantDigest {
 			f.auditMismatches.Add(1)
 			f.obsAuditMiss.Inc()
-			f.arbitrate(ctx, body, winner, out.res)
+			f.arbitrate(ctx, req, winner, out.res)
 		}
 	}
-	f.readmitProbes(ctx, body, wantDigest)
+	f.readmitProbes(ctx, req, wantDigest)
 }
 
 // arbiter returns a backend able to give a second opinion: the first
@@ -158,11 +158,11 @@ func (f *Front) arbiter(exclude ...string) *backend {
 // let a flaky wire quarantine correct replicas. A real divergence is
 // deterministic, so the mismatch resurfaces on a later audit and conviction
 // is only delayed, never lost.
-func (f *Front) arbitrate(ctx context.Context, body []byte, a, b *Result) {
+func (f *Front) arbitrate(ctx context.Context, req *request, a, b *Result) {
 	da, db := integrity.Digest(a.Body), integrity.Digest(b.Body)
 	third := f.arbiter(a.Backend, b.Backend)
 	if third != nil {
-		out := f.attempt(ctx, third, body, true)
+		out := f.attempt(ctx, third, req, true)
 		if !evidence(out) {
 			return // inconclusive tiebreak: no evidence either way
 		}
@@ -212,12 +212,12 @@ func (f *Front) observeDivergence(b *backend) {
 // authoritative digest; ReadmitAfter consecutive clean answers lift the
 // quarantine, any divergent answer resets the count (and recharges an
 // observation).
-func (f *Front) readmitProbes(ctx context.Context, body []byte, wantDigest string) {
+func (f *Front) readmitProbes(ctx context.Context, req *request, wantDigest string) {
 	for _, b := range f.backends {
 		if !b.isQuarantined() {
 			continue
 		}
-		out := f.attempt(ctx, b, body, true)
+		out := f.attempt(ctx, b, req, true)
 		if !evidence(out) {
 			continue // inconclusive: quarantine stands, count unchanged
 		}
@@ -249,7 +249,7 @@ func (f *Front) readmitProbes(ctx context.Context, body []byte, wantDigest strin
 // winner's, and only then releases the attempt and budget contexts it was
 // handed. Attempts always deliver exactly one result each (bounded by the
 // budget context's deadline), so the drain always terminates.
-func (f *Front) drainCompare(cancel, acancel context.CancelFunc, results <-chan attemptOut, remaining int, body []byte, winner *Result) {
+func (f *Front) drainCompare(cancel, acancel context.CancelFunc, results <-chan attemptOut, remaining int, req *request, winner *Result) {
 	defer f.wg.Done()
 	defer func() {
 		acancel()
@@ -266,7 +266,7 @@ func (f *Front) drainCompare(cancel, acancel context.CancelFunc, results <-chan 
 			continue
 		}
 		ctx, acancel2 := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
-		f.arbitrate(ctx, body, winner, out.res)
+		f.arbitrate(ctx, req, winner, out.res)
 		acancel2()
 	}
 }

@@ -1,8 +1,9 @@
 // Package fleet is the sosd front tier: it shards /v1/schedule requests
 // across N sosd backends with a consistent-hash ring, fails over between
-// ring replicas when a backend is sick, hedges slow requests with a
-// duplicate to the next replica, and coalesces identical in-flight requests
-// into one backend call.
+// ring replicas when a backend is sick, hedges requests that outlast their
+// class's recent latency (cached, rank or adaptive) with a duplicate to the
+// next replica, and coalesces identical in-flight requests into one backend
+// call.
 //
 // The design leans on one property the backends guarantee: responses are a
 // pure function of the request bytes, so any replica's answer is

@@ -57,9 +57,11 @@ type Config struct {
 	DeadlineMax time.Duration
 
 	// HedgeQuantile, HedgeMin, HedgeMax and HedgeWarmup tune latency
-	// hedging: after the tracked quantile of recent latencies (clamped to
-	// [HedgeMin, HedgeMax]) a duplicate request is sent to the next
-	// replica and the first response wins. HedgeDisable turns hedging off.
+	// hedging: after the tracked quantile of the request class's recent
+	// latencies (clamped to [HedgeMin, HedgeMax]; one window each for
+	// cached, rank and adaptive answers) a duplicate request is sent to the
+	// next replica and the first response wins. HedgeDisable turns hedging
+	// off.
 	HedgeQuantile float64
 	HedgeMin      time.Duration
 	HedgeMax      time.Duration
@@ -175,7 +177,7 @@ type Front struct {
 	backends []*backend
 	byBase   map[string]*backend
 	flights  *flightGroup
-	lat      *latencyTracker
+	hedge    *hedgeDelays
 	client   *http.Client
 	checker  *healthChecker
 	logger   *log.Logger
@@ -263,7 +265,7 @@ func New(cfg Config) (*Front, error) {
 		ring:     ring,
 		byBase:   make(map[string]*backend, len(cfg.Backends)),
 		flights:  newFlightGroup(),
-		lat:      newLatencyTracker(256, cfg.HedgeQuantile, cfg.HedgeMin, cfg.HedgeMax, cfg.HedgeWarmup),
+		hedge:    newHedgeDelays(cfg.HedgeQuantile, cfg.HedgeMin, cfg.HedgeMax, cfg.HedgeWarmup),
 		client:   cfg.Client,
 		logger:   cfg.Logger,
 		reg:      cfg.Registry,
@@ -333,6 +335,11 @@ func (f *Front) registerObs() {
 		"Background divergence audits performed (second replica re-asked).")
 	f.obsAuditMiss = f.reg.Counter("fleet_audit_mismatches_total",
 		"Background audits whose second replica disagreed with the served answer.")
+	for c, lt := range f.hedge.byClass {
+		f.reg.GaugeFunc("fleet_hedge_delay_seconds",
+			"Delay after which a request of this class is hedged (the class's tracked latency quantile, clamped).",
+			func() float64 { return lt.Delay().Seconds() }, obs.L("class", reqClassNames[c]))
+	}
 	f.reg.GaugeFunc("fleet_healthy_backends", "Backends currently considered healthy.",
 		func() float64 {
 			n := 0
@@ -385,33 +392,55 @@ type Result struct {
 }
 
 // shardFields is the lenient decode of the two fields the ring shards by,
-// plus the client's deadline for the dispatch budget. Full validation is
-// the backend's job — a garbage body still routes deterministically (by its
-// raw bytes) so the backend's 400 comes back cached-consistent.
+// the client's deadline for the dispatch budget, and the mode that classes
+// the request for hedging. Full validation is the backend's job — a garbage
+// body still routes deterministically (by its raw bytes) so the backend's 400
+// comes back cached-consistent. Mode is kept raw so that a mistyped one
+// cannot fail the decode and move the request's ring key.
 type shardFields struct {
-	Mix        string `json:"mix"`
-	Seed       uint64 `json:"seed"`
-	DeadlineMS int64  `json:"deadline_ms"`
+	Mix        string          `json:"mix"`
+	Seed       uint64          `json:"seed"`
+	DeadlineMS int64           `json:"deadline_ms"`
+	Mode       json.RawMessage `json:"mode"`
 }
 
-// shardOf decodes body once into the ring key — "mix|seed" when the body
-// parses, else a hash of the raw bytes — and the deadline the client asked
-// for (unclamped; zero when absent). A body that decodes only in part keys
-// by its raw bytes but keeps whatever deadline_ms did decode.
-func shardOf(body []byte) (key string, deadline time.Duration) {
+// request is Dispatch's one reading of a body, handed to every attempt made
+// on its behalf (primary, hedge, audit, arbitration, readmit probe).
+type request struct {
+	body []byte
+	// key is the ring key: "mix|seed" when the body parses, else a hash of
+	// the raw bytes.
+	key string
+	// hash identifies these exact bytes in the hedge predictor's seen set.
+	hash uint64
+	// mode is reqAdaptive for "mode":"adaptive" and reqRank for anything
+	// else, absent and mistyped included (the backend defaults to rank and
+	// answers the rest with a 400 no window is fed by).
+	mode reqClass
+	// deadline is what the client asked for, unclamped; zero when absent. A
+	// body that decodes only in part keeps whatever deadline_ms did decode.
+	deadline time.Duration
+}
+
+// shardOf decodes body once into everything the dispatcher reads from it.
+func shardOf(body []byte) *request {
+	req := &request{body: body, hash: hashOf(body), mode: reqRank}
 	var sf shardFields
 	if err := json.Unmarshal(body, &sf); err != nil || sf.Mix == "" {
-		key = fmt.Sprintf("raw:%016x", hashString(string(body)))
+		req.key = fmt.Sprintf("raw:%016x", req.hash)
 	} else {
-		key = fmt.Sprintf("%s|%d", sf.Mix, sf.Seed)
+		req.key = fmt.Sprintf("%s|%d", sf.Mix, sf.Seed)
 	}
-	return key, time.Duration(sf.DeadlineMS) * time.Millisecond
+	if string(sf.Mode) == `"adaptive"` {
+		req.mode = reqAdaptive
+	}
+	req.deadline = time.Duration(sf.DeadlineMS) * time.Millisecond
+	return req
 }
 
 // ShardKey derives the ring key for a request body.
 func ShardKey(body []byte) string {
-	key, _ := shardOf(body)
-	return key
+	return shardOf(body).key
 }
 
 // attemptClass partitions attempt outcomes for the dispatch loop.
@@ -475,14 +504,14 @@ func (f *Front) candidates(shardKey string) []*backend {
 // front's base context bounded by the request's clamped deadline), so an
 // impatient leader cannot cancel the answer out from under its followers.
 func (f *Front) Dispatch(ctx context.Context, body []byte) (*Result, error) {
-	key, deadline := shardOf(body) // lenient: zero values route and clamp fine
+	req := shardOf(body) // lenient: zero values route and clamp fine
 	res, shared, err := f.flights.Do(ctx, string(body), func() (*Result, error) {
-		dctx, cancel := resilience.WithBudget(f.base, deadline, f.cfg.DeadlineDef, f.cfg.DeadlineMax)
+		dctx, cancel := resilience.WithBudget(f.base, req.deadline, f.cfg.DeadlineDef, f.cfg.DeadlineMax)
 		// cancel ownership passes to dispatch: it either releases the budget
 		// context itself or hands it to the hedge-loser drain goroutine,
 		// which must keep straggler attempts alive long enough to digest-
 		// compare their bodies against the winner's.
-		return f.dispatch(dctx, cancel, key, body)
+		return f.dispatch(dctx, cancel, req)
 	})
 	if shared {
 		f.coalesced.Add(1)
@@ -498,8 +527,8 @@ func (f *Front) Dispatch(ctx context.Context, body []byte) (*Result, error) {
 // dispatch owns cancel (the budget context's release): every return path
 // either calls it or hands it — together with the still-inflight attempt
 // results — to a drainCompare goroutine for hedge-loser divergence checks.
-func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKey string, body []byte) (*Result, error) {
-	cands := f.candidates(shardKey)
+func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, req *request) (*Result, error) {
+	cands := f.candidates(req.key)
 	results := make(chan attemptOut, len(cands))
 	actx, acancel := context.WithCancel(ctx)
 	handoff := false
@@ -531,14 +560,14 @@ func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKe
 		}
 		next++
 		inflight++
-		go func() { results <- f.attempt(actx, b, body, hedge) }()
+		go func() { results <- f.attempt(actx, b, req, hedge) }()
 		return true
 	}
 	launchNext(false)
 
 	var hedgeC <-chan time.Time
 	if !f.cfg.HedgeDisable && len(cands) > 1 {
-		t := time.NewTimer(f.lat.Delay())
+		t := time.NewTimer(f.hedge.delay(req))
 		defer func() {
 			if !t.Stop() {
 				select {
@@ -570,7 +599,7 @@ func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKe
 			failedQ = nil // no one left to try; nothing to pace
 			return
 		}
-		jitter := rng.Float01(rng.Hash2(hashString(shardKey), uint64(failovers), saltFailover))
+		jitter := rng.Float01(rng.Hash2(hashString(req.key), uint64(failovers), saltFailover))
 		d := resilience.BackoffDelay(resilience.RetryConfig{
 			BaseDelay: f.cfg.FailoverBase,
 			MaxDelay:  f.cfg.FailoverMax,
@@ -600,17 +629,17 @@ func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKe
 					out.b.obsHedgeWins.Inc()
 				}
 				if f.cfg.Divergence.CompareHedges && inflight > 0 {
-					// Hand the straggler(s) to the drain goroutine: their
-					// bodies are a free divergence probe, so let them finish
-					// and digest-compare against the winner before releasing
-					// the budget context.
+					// Hand the straggler(s) to the drain goroutine: let them
+					// finish and digest-compare against the winner (a
+					// divergence probe, at the price of the loser's whole
+					// run) before releasing the budget context.
 					handoff = true
 					f.wg.Add(1)
-					go f.drainCompare(cancel, acancel, results, inflight, body, out.res)
+					go f.drainCompare(cancel, acancel, results, inflight, req, out.res)
 				} else {
 					acancel() // first deterministic answer wins; cancel the loser
 				}
-				f.maybeAudit(body, out.res)
+				f.maybeAudit(req, out.res)
 				return out.res, nil
 			case classShed:
 				if out.res != nil {
@@ -645,7 +674,7 @@ func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, shardKe
 		return shedRes, nil
 	}
 	if lastErr == nil {
-		return nil, fmt.Errorf("fleet: no replica available for %s", shardKey)
+		return nil, fmt.Errorf("fleet: no replica available for %s", req.key)
 	}
 	// %v on purpose: lastErr often wraps an attempt-level timeout, and
 	// letting that chain escape would make errors.Is(err, DeadlineExceeded)
@@ -718,9 +747,11 @@ func (f *Front) roundTrip(ctx context.Context, b *backend, method, path string, 
 	}, nil
 }
 
-// attempt sends body to one backend and classifies the outcome, settling
-// the backend's breaker permit itself so abandoned attempts stay accounted.
-func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool) attemptOut {
+// attempt sends req's body to one backend and classifies the outcome,
+// settling the backend's breaker permit itself so abandoned attempts stay
+// accounted. Every verified 2xx — a client's, a hedge's, an audit's, a
+// probe's — feeds the hedge-delay window of the class its answer proved.
+func (f *Front) attempt(ctx context.Context, b *backend, req *request, hedge bool) attemptOut {
 	report, err := b.breaker.Allow()
 	if err != nil {
 		return attemptOut{b: b, class: classShed, err: err, hedge: hedge,
@@ -736,7 +767,7 @@ func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool
 	b.obsRequests.Inc()
 
 	t0 := time.Now()
-	res, err := f.roundTrip(ctx, b, http.MethodPost, "/v1/schedule", body)
+	res, err := f.roundTrip(ctx, b, http.MethodPost, "/v1/schedule", req.body)
 	if err != nil {
 		// A dead parent context is no verdict on the backend (hedge lost,
 		// client gone, deadline), but an attempt timeout with a live parent
@@ -770,7 +801,7 @@ func (f *Front) attempt(ctx context.Context, b *backend, body []byte, hedge bool
 		// 2xx and client-errors alike are deterministic answers.
 		report(resilience.Success)
 		if res.Status < 300 {
-			f.lat.Observe(dur)
+			f.hedge.observe(req, res.Header, dur)
 		}
 		return attemptOut{b: b, class: classGood, res: res, hedge: hedge}
 	}
@@ -838,6 +869,9 @@ type Stats struct {
 	AuditMismatches  uint64         `json:"audit_mismatches"`
 	DivergencesTotal uint64         `json:"divergences"`
 	Draining         bool           `json:"draining"`
+	// HedgeDelayMS is the delay currently armed for each request class
+	// ("cached", "rank", "adaptive").
+	HedgeDelayMS map[string]float64 `json:"hedge_delay_ms"`
 }
 
 // Stats snapshots the fleet state.
@@ -851,6 +885,10 @@ func (f *Front) Stats() Stats {
 		AuditMismatches:  f.auditMismatches.Load(),
 		DivergencesTotal: f.divergencesTotal.Load(),
 		Draining:         f.draining.Load(),
+		HedgeDelayMS:     make(map[string]float64, numReqClasses),
+	}
+	for c, lt := range f.hedge.byClass {
+		st.HedgeDelayMS[reqClassNames[c]] = float64(lt.Delay()) / float64(time.Millisecond)
 	}
 	for _, b := range f.backends {
 		b.mu.Lock()

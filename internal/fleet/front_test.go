@@ -40,7 +40,7 @@ func okHandler(body string) http.HandlerFunc {
 }
 
 // newFakeBackend starts a backend answering with h.
-func newFakeBackend(t *testing.T, h http.HandlerFunc) *fakeBackend {
+func newFakeBackend(t testing.TB, h http.HandlerFunc) *fakeBackend {
 	t.Helper()
 	fb := &fakeBackend{}
 	fb.handler.Store(h)
@@ -56,7 +56,7 @@ func (fb *fakeBackend) set(h http.HandlerFunc) { fb.handler.Store(h) }
 
 // newTestFront builds a Front over the fakes. The health checker is not
 // started (backends begin healthy and stay that way) unless a test starts it.
-func newTestFront(t *testing.T, fakes []*fakeBackend, mut func(*Config)) *Front {
+func newTestFront(t testing.TB, fakes []*fakeBackend, mut func(*Config)) *Front {
 	t.Helper()
 	bases := make([]string, len(fakes))
 	for i, fb := range fakes {
@@ -107,35 +107,47 @@ func bodyWithPrimary(t *testing.T, f *Front, primary string) []byte {
 }
 
 // TestShardOfLenientDecode pins what the single body decode yields for
-// routing and for the dispatch budget, so its leniency cannot shift: any
-// decode error or a missing mix keys by the raw bytes, while the deadline is
-// whatever deadline_ms decoded to — independently of the key.
+// routing, for the dispatch budget and for hedge classing, so its leniency
+// cannot shift: any decode error or a missing mix keys by the raw bytes, while
+// the deadline is whatever deadline_ms decoded to — independently of the key —
+// and only a literal "mode":"adaptive" classes as adaptive: an absent, unknown
+// or mistyped mode is rank and moves neither the key nor the deadline.
 func TestShardOfLenientDecode(t *testing.T) {
 	raw := func(body string) string { return fmt.Sprintf("raw:%016x", hashString(body)) }
 	for _, tc := range []struct {
 		name, body string
 		key        string
 		deadline   time.Duration
+		mode       reqClass
 	}{
-		{"well-formed", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":1500}`, "Jsb(6,3,3)|7", 1500 * time.Millisecond},
-		{"no deadline", `{"mix":"Jsb(6,3,3)","seed":7}`, "Jsb(6,3,3)|7", 0},
-		{"unknown fields ignored", `{"mix":"Jpb(10,2,2)","seed":1,"samples":4,"mode":"rank"}`, "Jpb(10,2,2)|1", 0},
-		{"mistyped deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":"x"}`, "", 0},
-		{"mistyped mix keeps deadline", `{"mix":5,"seed":7,"deadline_ms":250}`, "", 250 * time.Millisecond},
-		{"mistyped seed keeps deadline", `{"mix":"Jsb(6,3,3)","seed":-1,"deadline_ms":250}`, "", 250 * time.Millisecond},
-		{"mix-less", `{"seed":7,"deadline_ms":900}`, "", 900 * time.Millisecond},
-		{"negative deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":-5}`, "Jsb(6,3,3)|7", -5 * time.Millisecond},
-		{"truncated", `{"mix":"Jsb(6,3,3)","deadline_ms":250`, "", 0},
-		{"garbage", `not json`, "", 0},
-		{"empty", ``, "", 0},
+		{"well-formed", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":1500}`, "Jsb(6,3,3)|7", 1500 * time.Millisecond, reqRank},
+		{"no deadline", `{"mix":"Jsb(6,3,3)","seed":7}`, "Jsb(6,3,3)|7", 0, reqRank},
+		{"unknown fields ignored", `{"mix":"Jpb(10,2,2)","seed":1,"samples":4,"mode":"rank"}`, "Jpb(10,2,2)|1", 0, reqRank},
+		{"adaptive", `{"mix":"Jsb(6,3,3)","seed":7,"mode":"adaptive","deadline_ms":1500}`, "Jsb(6,3,3)|7", 1500 * time.Millisecond, reqAdaptive},
+		{"unknown mode", `{"mix":"Jsb(6,3,3)","seed":7,"mode":"fastest"}`, "Jsb(6,3,3)|7", 0, reqRank},
+		{"mistyped mode still routes", `{"mix":"Jsb(6,3,3)","seed":7,"mode":5,"deadline_ms":250}`, "Jsb(6,3,3)|7", 250 * time.Millisecond, reqRank},
+		{"null mode", `{"mix":"Jsb(6,3,3)","seed":7,"mode":null}`, "Jsb(6,3,3)|7", 0, reqRank},
+		{"adaptive without a mix", `{"seed":7,"mode":"adaptive"}`, "", 0, reqAdaptive},
+		{"mistyped deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":"x"}`, "", 0, reqRank},
+		{"mistyped mix keeps deadline", `{"mix":5,"seed":7,"deadline_ms":250}`, "", 250 * time.Millisecond, reqRank},
+		{"mistyped seed keeps deadline", `{"mix":"Jsb(6,3,3)","seed":-1,"deadline_ms":250}`, "", 250 * time.Millisecond, reqRank},
+		{"mix-less", `{"seed":7,"deadline_ms":900}`, "", 900 * time.Millisecond, reqRank},
+		{"negative deadline", `{"mix":"Jsb(6,3,3)","seed":7,"deadline_ms":-5}`, "Jsb(6,3,3)|7", -5 * time.Millisecond, reqRank},
+		{"truncated", `{"mix":"Jsb(6,3,3)","deadline_ms":250`, "", 0, reqRank},
+		{"garbage", `not json`, "", 0, reqRank},
+		{"empty", ``, "", 0, reqRank},
 	} {
 		want := tc.key
 		if want == "" {
 			want = raw(tc.body)
 		}
-		key, deadline := shardOf([]byte(tc.body))
-		if key != want || deadline != tc.deadline {
-			t.Errorf("%s: shardOf = (%q, %s), want (%q, %s)", tc.name, key, deadline, want, tc.deadline)
+		req := shardOf([]byte(tc.body))
+		if req.key != want || req.deadline != tc.deadline || req.mode != tc.mode {
+			t.Errorf("%s: shardOf = (%q, %s, %s), want (%q, %s, %s)", tc.name,
+				req.key, req.deadline, reqClassNames[req.mode], want, tc.deadline, reqClassNames[tc.mode])
+		}
+		if req.hash != hashString(tc.body) || string(req.body) != tc.body {
+			t.Errorf("%s: shardOf hash/body = (%016x, %q), want the raw bytes and their hash", tc.name, req.hash, req.body)
 		}
 		if got := ShardKey([]byte(tc.body)); got != want {
 			t.Errorf("%s: ShardKey = %q, want %q", tc.name, got, want)

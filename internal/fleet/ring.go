@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"symbios/internal/rng"
@@ -35,10 +34,16 @@ type ringPoint struct {
 // avalanche. No cryptographic strength needed, only a stable, well-mixed
 // mapping every front-tier process computes identically (so a fleet of
 // fronts shards the same way).
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return rng.Hash(h.Sum64(), 0)
+func hashString(s string) uint64 { return hashOf(s) }
+
+// hashOf is hashString over a string or the raw bytes of a request body,
+// without allocating: Dispatch hashes every body it routes.
+func hashOf[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return rng.Hash(h, 0)
 }
 
 // NewRing builds a ring over backends with vnodes points each. Backends

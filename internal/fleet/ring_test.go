@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
+
+	"symbios/internal/rng"
 )
 
 func testKeys(n int) []string {
@@ -117,5 +120,27 @@ func TestRingRebalanceProperty(t *testing.T) {
 	if frac < want/2 || frac > want*2 {
 		t.Fatalf("removing 1 of %d backends moved %.1f%% of keys, want about %.1f%%",
 			len(full), 100*frac, 100*want)
+	}
+}
+
+// TestHashOfIsMixedFNV1a pins the hand-rolled, allocation-free hash to the
+// definition placement has always used — hash/fnv's FNV-1a 64 through the
+// splitmix64 mixer — for strings and raw bytes alike: a different value would
+// silently move every key on the ring.
+func TestHashOfIsMixedFNV1a(t *testing.T) {
+	for _, s := range append(testKeys(50), "", "a", "http://127.0.0.1:8723#63", `{"mix":"Jsb(6,3,3)","seed":7}`) {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		want := rng.Hash(h.Sum64(), 0)
+		if got := hashString(s); got != want {
+			t.Fatalf("hashString(%q) = %016x, want %016x", s, got, want)
+		}
+		if got := hashOf([]byte(s)); got != want {
+			t.Fatalf("hashOf([]byte(%q)) = %016x, want %016x", s, got, want)
+		}
+	}
+	body := []byte(`{"mix":"Jsb(6,3,3)","seed":7}`)
+	if n := testing.AllocsPerRun(100, func() { hashOf(body) }); n != 0 {
+		t.Fatalf("hashOf allocates %v times per call, want 0", n)
 	}
 }

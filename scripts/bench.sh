@@ -8,10 +8,11 @@
 # Usage:
 #   scripts/bench.sh [bench-regex] [benchtime] [count]
 #
-# Defaults: the fast structural benchmarks, the simulator hot loop and the
-# per-stage microbenchmarks, 5 repetitions at a pinned -benchtime so
-# run-to-run noise is visible in the snapshot instead of silently folded
-# into a single sample. Pass '.' to run everything (slow: the full figure
+# Defaults: the fast structural benchmarks, the simulator hot loop, the
+# per-stage microbenchmarks and the front tier's (one cached dispatch
+# through internal/fleet, the hedge-delay tracker's read and write), 5
+# repetitions at a pinned -benchtime so run-to-run noise is visible in the
+# snapshot instead of silently folded into a single sample. Pass '.' to run everything (slow: the full figure
 # suite simulates hundreds of millions of cycles).
 #
 # The cold Figure-1 sweep is timed separately in a fresh process with
@@ -27,7 +28,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire}"
+PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkFrontDispatchCached|BenchmarkTracker}"
 BENCHTIME="${2:-1s}"
 COUNT="${3:-5}"
 FIG1="${BENCH_FIG1:-1}"
