@@ -61,14 +61,36 @@ func goldenConfigs() map[string]arch.Config {
 	rr := arch.Default21264(2)
 	rr.FetchPolicy = arch.FetchRoundRobin
 
+	// Issue width below the unit total, so the issue budget runs out
+	// mid-scan (every other cell has IssueWidth 8 >= its units).
+	narrow := arch.Default21264(2)
+	narrow.IssueWidth = 3
+	narrow.IntALUs, narrow.FPUnits, narrow.LSUnits = 4, 2, 2
+
+	// One load/store unit under memory-heavy profiles (goldenProfiles): the
+	// LS class is spent for most scans while the integer class keeps issuing.
+	lsBound := arch.Default21264(3)
+	lsBound.LSUnits = 1
+
 	return map[string]arch.Config{
-		"smt1-default":    arch.Default21264(1),
-		"smt2-default":    arch.Default21264(2),
-		"smt4-default":    arch.Default21264(4),
-		"smt2-smallcache": smallCache,
-		"smt3-pressure":   tiny,
-		"smt2-roundrobin": rr,
+		"smt1-default":     arch.Default21264(1),
+		"smt2-default":     arch.Default21264(2),
+		"smt4-default":     arch.Default21264(4),
+		"smt2-smallcache":  smallCache,
+		"smt3-pressure":    tiny,
+		"smt2-roundrobin":  rr,
+		"smt2-narrowissue": narrow,
+		"smt3-lsbound":     lsBound,
 	}
+}
+
+// goldenProfiles names the stream profile attached to each context of a
+// cell, cycled over the contexts.
+func goldenProfiles(name string) []string {
+	if name == "smt3-lsbound" {
+		return []string{"IS", "MG", "WAVE"}
+	}
+	return []string{"IS", "GCC", "FP", "GO"}
 }
 
 // runGoldenCase executes the scripted workload for one config and returns
@@ -81,7 +103,7 @@ func runGoldenCase(t *testing.T, name string, cfg arch.Config) goldenCase {
 	c := mustCore(t, cfg)
 	gc := goldenCase{Name: name, Resume: map[string]uint64{}, Committed: map[string]uint64{}}
 
-	profiles := []string{"IS", "GCC", "FP", "GO"}
+	profiles := goldenProfiles(name)
 	for i := 0; i < cfg.Contexts; i++ {
 		c.Attach(i, mkSource(t, profiles[i%len(profiles)], uint64(13+i), i), 0, nil, 0)
 	}
