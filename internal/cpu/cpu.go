@@ -92,6 +92,10 @@ type qent struct {
 
 const wheelSize = 1024 // > worst-case instruction latency
 
+// maxContexts bounds arch.Config.Contexts: fetch ranks the live contexts in
+// a fixed array of this size.
+const maxContexts = 16
+
 // wheel entries pack (generation, global window index) into one word.
 func wheelRef(gen uint32, gi int32) uint64 { return uint64(gen)<<32 | uint64(uint32(gi)) }
 
@@ -210,6 +214,9 @@ func New(cfg arch.Config) (*Core, error) {
 	}
 	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: WindowSize %d must be a power of two", cfg.WindowSize)
+	}
+	if cfg.Contexts > maxContexts {
+		return nil, fmt.Errorf("cpu: %d contexts exceed the supported maximum %d", cfg.Contexts, maxContexts)
 	}
 	n := cfg.Contexts
 	size := n * cfg.WindowSize
@@ -840,7 +847,7 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, isFP bool) (i
 // thread fetch state changed without a fetch (icache line fill started,
 // barrier entered or passed) — either makes the cycle non-quiescent.
 func (c *Core) fetch() (int, bool) {
-	var order [16]int
+	var order [maxContexts]int
 	n := 0
 	for ctx, live := range c.tLive {
 		if live {
@@ -852,7 +859,7 @@ func (c *Core) fetch() (int, bool) {
 		// Rotate priority by cycle, ignoring pipeline occupancy.
 		if n > 1 {
 			k := int(c.cycle) % n
-			var rot [16]int
+			var rot [maxContexts]int
 			for i := 0; i < n; i++ {
 				rot[i] = order[(i+k)%n]
 			}

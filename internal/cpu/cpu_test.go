@@ -378,6 +378,31 @@ func TestConfigRejected(t *testing.T) {
 	}
 }
 
+// TestContextLimit: fetch ranks contexts in a maxContexts-sized array, so
+// New must refuse a configuration beyond it instead of panicking in the
+// first cycle.
+func TestContextLimit(t *testing.T) {
+	for _, tc := range []struct {
+		contexts int
+		ok       bool
+	}{
+		{maxContexts, true},
+		{maxContexts + 1, false},
+	} {
+		c, err := New(arch.Default21264(tc.contexts))
+		if (err == nil) != tc.ok {
+			t.Errorf("%d contexts: err = %v, want ok = %v", tc.contexts, err, tc.ok)
+		}
+		if err != nil {
+			continue
+		}
+		for ctx := 0; ctx < tc.contexts; ctx++ {
+			c.Attach(ctx, mkSource(t, "GCC", uint64(ctx), ctx), 0, nil, 0)
+		}
+		c.Run(1_000) // every context ranked by fetch
+	}
+}
+
 // TestMispredictStall: raising a stream's branch entropy reduces its IPC
 // through mispredict fetch stalls.
 func TestMispredictStall(t *testing.T) {
