@@ -241,7 +241,8 @@ func BenchmarkCoreCycles(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim_cycles/sec")
 }
 
-// BenchmarkTraceAt measures synthetic stream generation.
+// BenchmarkTraceAt measures synthetic stream generation one instruction at
+// a time — the defining form, which tests and tools read.
 func BenchmarkTraceAt(b *testing.B) {
 	spec := workload.MustLookup("GCC")
 	s, err := trace.NewStream(spec.Params, 1, 0)
@@ -254,6 +255,23 @@ func BenchmarkTraceAt(b *testing.B) {
 		sink = s.At(uint64(i))
 	}
 	_ = sink
+}
+
+// BenchmarkTraceFill measures block stream generation, the shape the fetch
+// stage consumes: one op is still one instruction, generated sixteen at a
+// time into a reused buffer.
+func BenchmarkTraceFill(b *testing.B) {
+	spec := workload.MustLookup("GCC")
+	s, err := trace.NewStream(spec.Params, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf [16]trace.Inst
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		s.Fill(uint64(i), buf[:])
+	}
 }
 
 // BenchmarkScheduleSample measures distinct-schedule sampling for a large

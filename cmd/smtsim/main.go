@@ -20,6 +20,7 @@ import (
 	"symbios/internal/counters"
 	"symbios/internal/cpu"
 	"symbios/internal/rng"
+	"symbios/internal/trace"
 	"symbios/internal/workload"
 )
 
@@ -113,8 +114,9 @@ func dumpStream(name string, seed uint64, n int) error {
 	src := job.Source(0)
 	fmt.Printf("first %d instructions of %s (seed %d):"+"\n", n, spec.Name, seed)
 	fmt.Printf("%6s %-7s %14s %14s %5s %5s %s"+"\n", "seq", "op", "pc", "addr", "dep1", "dep2", "")
-	for i := 0; i < n; i++ {
-		in := src.At(uint64(i))
+	ins := make([]trace.Inst, n)
+	src.Fill(0, ins)
+	for i, in := range ins {
 		addr := ""
 		if in.Op.IsMem() {
 			addr = fmt.Sprintf("%#x", in.Addr)

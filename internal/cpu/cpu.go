@@ -58,10 +58,12 @@ import (
 	"symbios/internal/trace"
 )
 
-// Source supplies a thread's dynamic instruction stream. At must be a pure
-// function of seq (see internal/trace).
+// Source supplies a thread's dynamic instruction stream in blocks: Fill
+// writes instructions seq, seq+1, ... into out. Each instruction must be a
+// pure function of its sequence number (see internal/trace), so a block may
+// be generated ahead of fetch, retried, or regenerated after a detach.
 type Source interface {
-	At(seq uint64) trace.Inst
+	Fill(seq uint64, out []trace.Inst)
 }
 
 // SyncGate coordinates SYNC (barrier) instructions between threads of a
@@ -95,6 +97,20 @@ const wheelSize = 1024 // > worst-case instruction latency
 // maxContexts bounds arch.Config.Contexts: fetch ranks the live contexts in
 // a fixed array of this size.
 const maxContexts = 16
+
+// fetchBufLen is the number of instructions a context's supply buffer holds.
+const fetchBufLen = 16
+
+// fetchBuf is a hardware context's window onto its source: instructions
+// [seq, seq+n) of the attached stream, n == 0 while nothing is buffered.
+// Fetch reads instructions in place and refills when it runs off the end; a
+// seq retried after a line fill, a full window or a structural latch is
+// simply still here.
+type fetchBuf struct {
+	seq uint64
+	n   int
+	in  [fetchBufLen]trace.Inst
+}
 
 // wheel entries pack (generation, global window index) into one word.
 func wheelRef(gen uint32, gi int32) uint64 { return uint64(gen)<<32 | uint64(uint32(gi)) }
@@ -159,12 +175,7 @@ type Core struct {
 	tCurLine   []uint64 // last icache line fetched (1 + line address; 0 = none)
 	tGen       []uint32 // attach generation; survives detach
 
-	// One-instruction fetch memo per context. Fetch often breaks on a line
-	// fill, a full window, or a structural latch and retries the same seq
-	// next cycle; sources are pure functions of seq, so the regenerated
-	// instruction is identical and the (expensive) generation is skipped.
-	tMemoSeq []uint64 // seq the memo holds, or noSeq
-	tMemoIn  []trace.Inst
+	tBuf []fetchBuf // instruction supply; emptied by Attach
 
 	liveCount int
 
@@ -256,8 +267,7 @@ func New(cfg arch.Config) (*Core, error) {
 		tBarrier:   make([]uint64, n),
 		tCurLine:   make([]uint64, n),
 		tGen:       make([]uint32, n),
-		tMemoSeq:   make([]uint64, n),
-		tMemoIn:    make([]trace.Inst, n),
+		tBuf:       make([]fetchBuf, n),
 
 		intQ:        make([]qent, 0, cfg.IntQueue),
 		fpQ:         make([]qent, 0, cfg.FPQueue),
@@ -303,9 +313,6 @@ func New(cfg arch.Config) (*Core, error) {
 	for i := range c.wakeHead {
 		c.wakeHead[i] = -1
 	}
-	for i := range c.tMemoSeq {
-		c.tMemoSeq[i] = noSeq
-	}
 	c.updateSkipOK()
 	return c, nil
 }
@@ -349,7 +356,7 @@ func (c *Core) Attach(ctx int, src Source, startSeq uint64, gate SyncGate, threa
 	c.tWait[ctx] = noSeq
 	c.tBarrier[ctx] = noSeq
 	c.tCurLine[ctx] = 0
-	c.tMemoSeq[ctx] = noSeq
+	c.tBuf[ctx].n = 0
 	c.liveCount++
 	c.updateSkipOK()
 	c.bp.ResetHistory(ctx)
@@ -911,7 +918,7 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		mutated = true
 	}
 	base := ctx << c.winShift
-	src := c.tSrc[ctx]
+	buf := &c.tBuf[ctx]
 	seq := c.tSeq[ctx]
 	head, count := c.tHead[ctx], c.tCount[ctx]
 	curLine := c.tCurLine[ctx]
@@ -922,14 +929,12 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 			c.conf |= 1 << counters.Scoreboard
 			break
 		}
-		var in trace.Inst
-		if c.tMemoSeq[ctx] == seq {
-			in = c.tMemoIn[ctx]
-		} else {
-			in = src.At(seq)
-			c.tMemoSeq[ctx] = seq
-			c.tMemoIn[ctx] = in
+		k := seq - buf.seq
+		if k >= uint64(buf.n) {
+			c.tSrc[ctx].Fill(seq, buf.in[:])
+			buf.seq, buf.n, k = seq, fetchBufLen, 0
 		}
+		in := &buf.in[k%fetchBufLen] // k < n <= fetchBufLen; the modulus only drops the bounds check
 
 		if in.Op == trace.SYNC {
 			idx := in.Seq // barrier ordinal is encoded in Seq by the workload wrapper

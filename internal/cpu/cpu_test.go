@@ -92,6 +92,12 @@ func (s syncSource) At(seq uint64) trace.Inst {
 	return s.base.At(seq)
 }
 
+func (s syncSource) Fill(seq uint64, out []trace.Inst) {
+	for i := range out {
+		out[i] = s.At(seq + uint64(i))
+	}
+}
+
 // testGate is a two-thread barrier (mirrors workload.BarrierGroup).
 type testGate struct{ arrived [2]uint64 }
 

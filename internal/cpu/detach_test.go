@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"symbios/internal/arch"
+	"symbios/internal/trace"
 )
 
 // TestDetachInflightPurge detaches a thread at a point where both queues
@@ -110,5 +111,80 @@ func TestDetachInflightPurge(t *testing.T) {
 	c.Run(5_000)
 	if c.tCommitted[victim] == 0 {
 		t.Fatal("reattached thread made no progress")
+	}
+}
+
+// fillLog wraps a stream and records where each Fill started.
+type fillLog struct {
+	*trace.Stream
+	starts *[]uint64
+}
+
+func (f fillLog) Fill(seq uint64, out []trace.Inst) {
+	*f.starts = append(*f.starts, seq)
+	f.Stream.Fill(seq, out)
+}
+
+// TestReattachDropsBufferedSupply detaches a context whose resume seq lies
+// inside its supply buffer and re-attaches at that seq — once with the same
+// source, once with a different one. The buffer must die at Attach: the
+// first Fill afterwards starts at the resume seq, and every instruction
+// dispatched from then on is the new source's, never a leftover.
+func TestReattachDropsBufferedSupply(t *testing.T) {
+	stream := func(name string, seed uint64) *trace.Stream {
+		s, err := trace.NewStream(testProfiles[name], seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		next *trace.Stream // nil: re-attach the source that was detached
+	}{
+		{"same source", nil},
+		{"different source", stream("FP", 32)},
+	} {
+		c := mustCore(t, arch.Default21264(1))
+		var starts []uint64
+		first := stream("GCC", 31)
+		c.Attach(0, fillLog{first, &starts}, 0, nil, 0)
+		c.Run(2_000)
+		buf := &c.tBuf[0]
+		midBuffer := func() bool {
+			head := c.tHeadSeq[0]
+			return buf.n > 0 && head > buf.seq && head < buf.seq+fetchBufLen-1 && c.tSeq[0] > head
+		}
+		for i := 0; i < 50_000 && !midBuffer(); i++ {
+			c.Run(1)
+		}
+		if !midBuffer() {
+			t.Fatalf("%s: oldest in-flight instruction never fell inside the supply buffer", tc.name)
+		}
+		resume, _ := c.Detach(0)
+		next := tc.next
+		if next == nil {
+			next = first
+		}
+		starts = starts[:0]
+		c.Attach(0, fillLog{next, &starts}, resume, nil, 0)
+		for i := 0; i < 3_000; i++ {
+			c.Run(1)
+			for k := 0; k < c.tCount[0]; k++ {
+				gi := (c.tHead[0] + k) & c.winMask
+				want := next.At(c.uSeq[gi])
+				if c.uOp[gi] != want.Op || c.uAddr[gi] != want.Addr ||
+					c.uDep1[gi] != depSeq(want.Seq, want.Dep1) || c.uDep2[gi] != depSeq(want.Seq, want.Dep2) {
+					t.Fatalf("%s: seq %d in flight as op %v addr %#x, source says %+v",
+						tc.name, c.uSeq[gi], c.uOp[gi], c.uAddr[gi], want)
+				}
+			}
+		}
+		if len(starts) == 0 || starts[0] != resume {
+			t.Fatalf("%s: supply after re-attach started at %v, want a Fill at resume seq %d", tc.name, starts, resume)
+		}
+		if c.tCommitted[0] == 0 {
+			t.Fatalf("%s: no progress after re-attach", tc.name)
+		}
 	}
 }

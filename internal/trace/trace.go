@@ -155,9 +155,10 @@ func (p Params) Validate() error {
 
 // Stream generates instructions for one thread. At is a pure function of
 // the construction arguments and the sequence number; the struct carries
-// only a memo cache and precomputed constants, so replay is exact.
+// only precomputed constants, so replay is exact and a Stream may be read
+// from several goroutines.
 //
-// At runs for every simulated fetch, so its divisions by per-stream
+// Generation runs for every simulated fetch, so its divisions by per-stream
 // constants use precomputed exact reciprocals (rng.Divisor) and its
 // probability draws use precomputed integer thresholds (rng.Threshold); both
 // are proven bit-identical to the plain / % and float-compare forms they
@@ -197,13 +198,6 @@ type Stream struct {
 	thrHot       uint64 // SeqFrac+HotFrac
 	thrEntropy   uint64 // BranchEntropy
 	thrJumpFar   uint64 // JumpFarFrac
-
-	// Single-entry memo for the basic-block lookup, which At performs for
-	// every instruction but which only changes once per block visit. Purely
-	// an evaluation cache: results are identical with or without it.
-	memoVisit uint64
-	memoBlock uint64
-	memoValid bool
 }
 
 // NewStream builds a generator for one thread of one job. seed distinguishes
@@ -262,8 +256,41 @@ func NewStream(p Params, seed, space uint64) (*Stream, error) {
 // Params returns the profile the stream was built with.
 func (s *Stream) Params() Params { return s.params }
 
-// At returns instruction seq of the stream.
+// At returns instruction seq of the stream. It is the stream's definition:
+// Fill is the same function evaluated over a run of consecutive seqs.
 func (s *Stream) At(seq uint64) Inst {
+	var in Inst
+	s.gen(&in, seq, s.pcAt(seq))
+	return in
+}
+
+// Fill writes the len(out) instructions starting at seq into out:
+// out[i] == At(seq+i). It is how the simulator's fetch stage consumes a
+// stream — one call per buffer instead of one per instruction — and walks
+// the basic-block sequence incrementally instead of re-deriving each
+// instruction's block from its seq.
+func (s *Stream) Fill(seq uint64, out []Inst) {
+	if len(out) == 0 {
+		return
+	}
+	blockLen := uint64(s.params.BlockLen)
+	visit := s.divBlockLen.Div(seq)
+	within := seq - visit*blockLen
+	base := s.blockBase(visit)
+	for i := range out {
+		if within == blockLen {
+			visit++
+			within = 0
+			base = s.blockBase(visit)
+		}
+		s.gen(&out[i], seq, base+within*4)
+		within++
+		seq++
+	}
+}
+
+// gen writes instruction seq, whose code address is pc, into in.
+func (s *Stream) gen(in *Inst, seq, pc uint64) {
 	// One counter-based draw per instruction; cheap derived draws for each
 	// independent decision.
 	h := rng.Hash2(s.seed, seq, 0)
@@ -271,7 +298,7 @@ func (s *Stream) At(seq uint64) Inst {
 	r1 := rng.Hash(h, 1)
 	r2 := rng.Hash(h, 2)
 
-	in := Inst{Seq: seq, PC: s.pcAt(seq)}
+	*in = Inst{Seq: seq, PC: pc}
 
 	u := r0 >> 11
 	switch {
@@ -283,7 +310,7 @@ func (s *Stream) At(seq uint64) Inst {
 		in.Addr = s.addrAt(seq, r1)
 	case u < s.thrBranch:
 		in.Op = BRANCH
-		in.Taken = s.outcomeAt(in.PC, r1)
+		in.Taken = s.outcomeAt(pc, r1)
 	default:
 		if r1>>11 < s.thrFP {
 			w := rng.Hash(h, 3) >> 11
@@ -306,7 +333,6 @@ func (s *Stream) At(seq uint64) Inst {
 	if s.thrSecondDep > 0 && rng.Hash(h, 4)>>11 < s.thrSecondDep {
 		in.Dep2 = s.depAt(seq, rng.Hash(h, 5))
 	}
-	return in
 }
 
 // depAt draws a producer distance in [1, min(seq, MaxDep)]; 0 if seq == 0.
@@ -367,19 +393,21 @@ func (s *Stream) outcomeAt(pc, r uint64) bool {
 // blocks; most transitions are near (sequential code), a fraction jump far
 // (calls), producing an icache footprint proportional to CodeBlocks.
 func (s *Stream) pcAt(seq uint64) uint64 {
-	blockLen := uint64(s.params.BlockLen)
-	blockVisit := s.divBlockLen.Div(seq)
-	within := seq - blockVisit*blockLen
-	if !s.memoValid || s.memoVisit != blockVisit {
-		h := rng.Hash2(s.seed, blockVisit, 0xc0de)
-		var block uint64
-		if h>>11 < s.thrJumpFar {
-			block = s.divBlocks.Mod(h >> 8)
-		} else {
-			// Walk nearby blocks to model loop bodies and straight-line code.
-			block = s.divBlocks.Mod(blockVisit + (h>>8)%4)
-		}
-		s.memoVisit, s.memoBlock, s.memoValid = blockVisit, block, true
+	visit := s.divBlockLen.Div(seq)
+	within := seq - visit*uint64(s.params.BlockLen)
+	return s.blockBase(visit) + within*4
+}
+
+// blockBase returns the code address of the basic block executed on the
+// visit-th block visit of the stream.
+func (s *Stream) blockBase(visit uint64) uint64 {
+	h := rng.Hash2(s.seed, visit, 0xc0de)
+	var block uint64
+	if h>>11 < s.thrJumpFar {
+		block = s.divBlocks.Mod(h >> 8)
+	} else {
+		// Walk nearby blocks to model loop bodies and straight-line code.
+		block = s.divBlocks.Mod(visit + (h>>8)%4)
 	}
-	return s.codeBase + s.memoBlock*blockLen*4 + within*4
+	return s.codeBase + block*uint64(s.params.BlockLen)*4
 }

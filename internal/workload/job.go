@@ -110,6 +110,27 @@ func (s threadSource) At(seq uint64) trace.Inst {
 	return s.base.At(seq)
 }
 
+// Fill writes instructions seq.. into out (out[i] == At(seq+i)): runs of
+// the base stream with a SYNC marker spliced in at the last position of
+// every syncEvery-long group.
+func (s threadSource) Fill(seq uint64, out []trace.Inst) {
+	if s.syncEvery == 0 {
+		s.base.Fill(seq, out)
+		return
+	}
+	for len(out) > 0 {
+		n := int(min(s.syncEvery-1-seq%s.syncEvery, uint64(len(out)))) // plain instructions before the next marker
+		s.base.Fill(seq, out[:n])
+		seq += uint64(n)
+		out = out[n:]
+		if len(out) > 0 {
+			out[0] = trace.Inst{Op: trace.SYNC, Seq: seq / s.syncEvery}
+			seq++
+			out = out[1:]
+		}
+	}
+}
+
 // BarrierGroup coordinates the threads of one multithreaded job. A thread
 // may pass barrier k only once every sibling has arrived at barrier k.
 // TryPass is idempotent, which matters because a squashed thread re-arrives

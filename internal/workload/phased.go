@@ -63,6 +63,25 @@ func (ps *PhasedSource) At(seq uint64) trace.Inst {
 	return ps.phases[len(ps.phases)-1].stream.At(seq)
 }
 
+// Fill writes instructions seq.. into out (out[i] == At(seq+i)), switching
+// streams wherever the run crosses a phase boundary.
+func (ps *PhasedSource) Fill(seq uint64, out []trace.Inst) {
+	last := len(ps.phases) - 1
+	for i := range ps.phases {
+		ph := &ps.phases[i]
+		n := len(out)
+		if i < last {
+			if seq >= ph.until {
+				continue
+			}
+			n = int(min(ph.until-seq, uint64(n)))
+		}
+		ph.stream.Fill(seq, out[:n])
+		seq += uint64(n)
+		out = out[n:]
+	}
+}
+
 // Phases returns the number of profiles.
 func (ps *PhasedSource) Phases() int { return len(ps.phases) }
 

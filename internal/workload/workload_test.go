@@ -125,7 +125,7 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 	for i := range a {
 		for seq := uint64(0); seq < 100; seq++ {
-			if a[i].Source(0).At(seq) != b[i].Source(0).At(seq) {
+			if a[i].sources[0].At(seq) != b[i].sources[0].At(seq) {
 				t.Fatalf("job %d diverges at seq %d", i, seq)
 			}
 		}
@@ -139,7 +139,7 @@ func TestJobThreadsShareSpaceDistinctStreams(t *testing.T) {
 	var addr0, addr1 uint64
 	same := 0
 	for seq := uint64(0); seq < 2000; seq++ {
-		a, b := job.Source(0).At(seq), job.Source(1).At(seq)
+		a, b := job.sources[0].At(seq), job.sources[1].At(seq)
 		if a == b {
 			same++
 		}
@@ -164,7 +164,7 @@ func TestJobThreadsShareSpaceDistinctStreams(t *testing.T) {
 func TestSyncMarkers(t *testing.T) {
 	job := MustNewJob(MustLookup("ARRAY"), 0, 5)
 	every := MustLookup("ARRAY").SyncEvery
-	src := job.Source(0)
+	src := job.sources[0]
 	for k := uint64(0); k < 5; k++ {
 		seq := (k+1)*every - 1
 		in := src.At(seq)
