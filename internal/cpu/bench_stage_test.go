@@ -63,7 +63,7 @@ func BenchmarkIssue(b *testing.B) {
 			c.uPending[gi] = 0
 			c.uGen[gi] = 1
 			c.wakeHead[gi] = -1
-			c.intQ = append(c.intQ, qent{gi: gi, gen: 1})
+			c.intQ = append(c.intQ, qent{gi: gi, gen: 1, cls: clsInt})
 		}
 		c.tUnissued[0] = cfg.IntQueue
 		c.intMinRetry = 0

@@ -90,6 +90,29 @@ const (
 type qent struct {
 	gi  int32 // global window index; -1 tombstones an issued entry
 	gen uint32
+	cls unitClass // the functional-unit class the instruction issues to
+}
+
+// unitClass is a one-bit set naming a functional-unit class; the bit is the
+// class's conflict bit (1 << counters.IntUnits and so on), so a denial
+// latches it into Core.conf directly.
+type unitClass uint32
+
+const (
+	clsInt unitClass = 1 << counters.IntUnits
+	clsFP  unitClass = 1 << counters.FPUnits
+	clsLS  unitClass = 1 << counters.LSUnits
+)
+
+// classOf returns the unit class op issues to.
+func classOf(op trace.Op) unitClass {
+	switch {
+	case op.IsMem():
+		return clsLS
+	case op.IsFP():
+		return clsFP
+	}
+	return clsInt
 }
 
 const wheelSize = 1024 // > worst-case instruction latency
@@ -733,20 +756,33 @@ func (c *Core) issue() int {
 	budget := c.cfg.IssueWidth
 	issued := 0
 	if c.cycle >= c.intMinRetry {
-		budget, issued = c.issueQueue(&c.intQ, &c.intMinRetry, budget, false)
+		budget, issued = c.issueQueue(&c.intQ, &c.intMinRetry, budget, clsInt|clsLS)
 	}
 	if budget > 0 && c.cycle >= c.fpMinRetry {
-		_, n := c.issueQueue(&c.fpQ, &c.fpMinRetry, budget, true)
+		_, n := c.issueQueue(&c.fpQ, &c.fpMinRetry, budget, clsFP)
 		issued += n
 	}
 	return issued
 }
 
-func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, isFP bool) (int, int) {
+// issueQueue scans one queue, whose entries need unit classes in holds, and
+// returns the remaining issue budget and the number issued.
+//
+// spent collects the classes this scan has found fully busy. Units'
+// busy-until cycles only rise within a scan, so such a verdict cannot flip
+// before the scan ends, and a later entry of a spent class could only latch
+// the conflict bit the first denial already latched, lower newMin below the
+// cyc+1 that denial recorded, or tighten a polled bound that the next visit
+// re-derives from current state anyway. All three are no-ops, so the scan
+// passes over such entries without loading their state and stops once every
+// class the queue holds is spent.
+func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, holds unitClass) (int, int) {
+	isFP := holds == clsFP
 	issued := 0
 	cyc := c.cycle
 	newMin := uint64(noSeq)
 	firstDead := -1
+	var spent unitClass
 	qq := *q
 	for i := range qq {
 		if budget == 0 {
@@ -756,6 +792,10 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, isFP bool) (i
 				newMin = cyc + 1
 			}
 			break
+		}
+		cls := qq[i].cls
+		if cls&spent != 0 {
+			continue
 		}
 		gi := qq[i].gi
 		if r := c.uReady[gi]; r > cyc {
@@ -777,16 +817,14 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, isFP bool) (i
 				continue
 			}
 		}
-		op := c.uOp[gi]
 		var busy []uint64
-		var res counters.Resource
-		switch {
-		case op.IsMem():
-			busy, res = c.lsuBusy, counters.LSUnits
-		case op.IsFP():
-			busy, res = c.fpuBusy, counters.FPUnits
+		switch cls {
+		case clsLS:
+			busy = c.lsuBusy
+		case clsFP:
+			busy = c.fpuBusy
 		default:
-			busy, res = c.ialuBusy, counters.IntUnits
+			busy = c.ialuBusy
 		}
 		unit := -1
 		for k := range busy {
@@ -796,13 +834,17 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, isFP bool) (i
 			}
 		}
 		if unit < 0 {
-			c.conf |= 1 << res
+			c.conf |= uint32(cls)
 			// Denied a unit: the earliest anything changes is next cycle.
 			if cyc+1 < newMin {
 				newMin = cyc + 1
 			}
+			if spent |= cls; spent == holds {
+				break
+			}
 			continue
 		}
+		op := c.uOp[gi]
 		lat := uint64(c.latency(gi, op))
 		if op == trace.FDIV {
 			busy[unit] = cyc + lat // divider is not pipelined
@@ -1010,11 +1052,11 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		c.uReady[gi] = ready
 		if isFP {
 			c.fpRegsFree--
-			c.fpQ = append(c.fpQ, qent{gi: gi, gen: gen})
+			c.fpQ = append(c.fpQ, qent{gi: gi, gen: gen, cls: clsFP})
 			c.fpMinRetry = 0
 		} else {
 			c.intRegsFree--
-			c.intQ = append(c.intQ, qent{gi: gi, gen: gen})
+			c.intQ = append(c.intQ, qent{gi: gi, gen: gen, cls: classOf(in.Op)})
 			c.intMinRetry = 0
 		}
 		count++
