@@ -88,7 +88,7 @@ const (
 // qent is a queue reference to a window slot; the entry's readiness bound
 // lives in Core.uReady[gi].
 type qent struct {
-	gi  int32 // global window index; -1 tombstones an issued entry
+	gi  int32 // global window index
 	gen uint32
 	cls unitClass // the functional-unit class the instruction issues to
 }
@@ -781,10 +781,10 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, holds unitCla
 	issued := 0
 	cyc := c.cycle
 	newMin := uint64(noSeq)
-	firstDead := -1
 	var spent unitClass
 	qq := *q
-	for i := range qq {
+	i := 0
+	for ; i < len(qq); i++ {
 		if budget == 0 {
 			// Entries past this point go unexamined this cycle; they must
 			// be rescanned next cycle.
@@ -793,11 +793,17 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, holds unitCla
 			}
 			break
 		}
-		cls := qq[i].cls
+		e := qq[i]
+		if issued > 0 {
+			// Compact as the scan goes: the entry slides down over the slots
+			// issued entries vacated, and gives its own up if it issues too.
+			qq[i-issued] = e
+		}
+		cls := e.cls
 		if cls&spent != 0 {
 			continue
 		}
-		gi := qq[i].gi
+		gi := e.gi
 		if r := c.uReady[gi]; r > cyc {
 			if r < newMin {
 				newMin = r
@@ -855,7 +861,7 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, holds unitCla
 		done := cyc + lat
 		c.uDoneAt[gi] = done
 		b := &c.wheel[done&(wheelSize-1)]
-		*b = append(*b, wheelRef(qq[i].gen, gi))
+		*b = append(*b, wheelRef(e.gen, gi))
 		c.pendingWheel++
 		c.tUnissued[ctx]--
 		// Wake dependants: they now know this producer's exact completion.
@@ -868,24 +874,13 @@ func (c *Core) issueQueue(q *[]qent, minRetry *uint64, budget int, holds unitCla
 			eid = c.wakeNext[eid]
 		}
 		c.wakeHead[gi] = -1
-		qq[i].gi = -1 // tombstone
-		if firstDead < 0 {
-			firstDead = i
-		}
 		issued++
 		budget--
 	}
 	if issued > 0 {
-		// Compact in place from the first tombstone; the clean prefix is
-		// untouched.
-		w := firstDead
-		for r := firstDead + 1; r < len(qq); r++ {
-			if qq[r].gi >= 0 {
-				qq[w] = qq[r]
-				w++
-			}
-		}
-		*q = qq[:w]
+		// Entries the scan never reached slide down behind the survivors.
+		w := i - issued
+		*q = qq[:w+copy(qq[w:], qq[i:])]
 	}
 	*minRetry = newMin
 	return budget, issued
