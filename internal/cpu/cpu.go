@@ -34,16 +34,20 @@
 // The kernel is organised for throughput (DESIGN.md §12). Pipeline state
 // lives in flat structure-of-arrays storage indexed by a global window index
 // gi = ctx<<winShift | slot, so the hot loops walk dense arrays instead of
-// chasing per-thread pointers. The issue stage caches a readiness lower
-// bound per queue entry (and per window slot, so dependants of queued
-// producers inherit transitively tight bounds) and skips whole-queue scans
-// while no entry can possibly act. On top of that, Run detects quiescent
-// cycles — no fetch, issue, completion, or retirement, and no thread state
-// change — and jumps directly to the next event (earliest completion-wheel
-// entry, fetch-stall expiry, or functional-unit release), attributing every
-// skipped cycle the exact per-resource conflict pattern the quiescent cycle
-// latched. All of this is observably equivalent to stepping cycle by cycle;
-// the golden suite in golden_test.go pins that equivalence bit for bit.
+// chasing per-thread pointers. Fetch reads each thread's instructions in
+// place from a small per-context buffer that its Source refills a block at a
+// time and Attach empties. The issue stage caches a readiness lower bound per
+// queue entry (and per window slot, so dependants of queued producers inherit
+// transitively tight bounds), skips whole-queue scans while no entry can
+// possibly act, and within a scan passes over every entry whose
+// functional-unit class it has already found fully busy. On top of that, Run
+// detects quiescent cycles — no fetch, issue, completion, or retirement, and
+// no thread state change — and jumps directly to the next event (earliest
+// completion-wheel entry, fetch-stall expiry, or functional-unit release),
+// attributing every skipped cycle the exact per-resource conflict pattern the
+// quiescent cycle latched. All of this is observably equivalent to stepping
+// cycle by cycle; the golden suite in golden_test.go pins that equivalence
+// bit for bit.
 package cpu
 
 import (

@@ -46,6 +46,43 @@ func TestAtPure(t *testing.T) {
 	}
 }
 
+// TestFillMatchesAt: Fill is At over a run of consecutive seqs — every field
+// of every instruction, from any start (stream start-up, mid-block, block
+// edges, far positions) and for any length, including a block length of one.
+func TestFillMatchesAt(t *testing.T) {
+	one := testParams()
+	one.BlockLen = 1
+	for name, p := range map[string]Params{"mixed": testParams(), "blocklen1": one} {
+		s := mustStream(t, p, 42, 3)
+		f := func(start uint64, shift, n uint8) bool {
+			seq := start >> (shift % 64) // spread starts over every magnitude, 0 included
+			if seq > math.MaxUint64-64 {
+				seq = math.MaxUint64 - 64
+			}
+			out := make([]Inst, 1+n%64)
+			for i := range out {
+				out[i] = Inst{Op: SYNC, Dep2: 9, Addr: 1, Taken: true} // junk Fill must overwrite
+			}
+			s.Fill(seq, out)
+			for i, got := range out {
+				if got != s.At(seq+uint64(i)) {
+					t.Errorf("%s: Fill(%d)[%d] = %+v, At = %+v", name, seq, i, got, s.At(seq+uint64(i)))
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Error(err)
+		}
+		for seq := uint64(0); seq < 40; seq++ { // every alignment through the start-up range
+			if !f(seq, 0, 63) {
+				break
+			}
+		}
+	}
+}
+
 // TestTwoStreamsIndependent: different seeds give different streams;
 // identical construction gives identical streams.
 func TestTwoStreamsIndependent(t *testing.T) {

@@ -8,11 +8,13 @@
 # Usage:
 #   scripts/bench.sh [bench-regex] [benchtime] [count]
 #
-# Defaults: the fast structural benchmarks, the simulator hot loop, the
-# per-stage microbenchmarks and the front tier's (one cached dispatch
-# through internal/fleet, the hedge-delay tracker's read and write), 5
-# repetitions at a pinned -benchtime so run-to-run noise is visible in the
-# snapshot instead of silently folded into a single sample. Pass '.' to run everything (slow: the full figure
+# Defaults: the fast structural benchmarks, the simulator hot loop and its
+# instruction supply in both shapes (At, Fill), one serve-scale rank miss
+# in process (cmd/sosd), the per-stage microbenchmarks and the front
+# tier's (one cached dispatch through internal/fleet, the hedge-delay
+# tracker's read and write), 5 repetitions at a pinned -benchtime so
+# run-to-run noise is visible in the snapshot instead of silently folded
+# into a single sample. Pass '.' to run everything (slow: the full figure
 # suite simulates hundreds of millions of cycles).
 #
 # The cold Figure-1 sweep is timed separately in a fresh process with
@@ -28,7 +30,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkFrontDispatchCached|BenchmarkTracker}"
+PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkTraceFill|BenchmarkRankMiss|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkFrontDispatchCached|BenchmarkTracker}"
 BENCHTIME="${2:-1s}"
 COUNT="${3:-5}"
 FIG1="${BENCH_FIG1:-1}"
@@ -43,8 +45,12 @@ FIG1RAW="$(mktemp)"
 OPENLOADJSON="$(mktemp)"
 trap 'rm -f "$RAW" "$FIG1RAW" "$OPENLOADJSON"' EXIT
 
-echo "running: go test -run ^\$ -bench \"$PATTERN\" -benchtime $BENCHTIME -count $COUNT -benchmem ./..." >&2
-go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./... | tee "$RAW"
+# -timeout: the per-stage benchmarks re-prime their state off the clock
+# every few iterations, and under -benchmem each StopTimer/StartTimer reads
+# the memory stats, so internal/cpu spends far longer in wall time than its
+# measured seconds — past go test's default 10 minutes at five samples.
+echo "running: go test -run ^\$ -bench \"$PATTERN\" -benchtime $BENCHTIME -count $COUNT -benchmem -timeout 90m ./..." >&2
+go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem -timeout 90m ./... | tee "$RAW"
 
 if [ "$FIG1" = "1" ]; then
     echo "running: cold Figure-1 sweep (fresh process, -benchtime 1x -count 1)" >&2

@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # benchsmoke.sh — machine-enforce the cycle loop's alloc-free invariant.
-# Runs BenchmarkCoreCycles three times with allocation reporting and fails
-# if any sample reports allocs/op > 0: steady-state simulation must not
-# allocate, and a regression here silently costs every experiment sweep.
+# Runs BenchmarkCoreCycles and BenchmarkTraceFill (the block instruction
+# supply the cycle loop calls) three times each with allocation reporting
+# and fails if any sample reports allocs/op > 0: steady-state simulation
+# must not allocate, and a regression here silently costs every experiment
+# sweep.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="$(go test -run '^$' -bench '^BenchmarkCoreCycles$' -benchtime 200000x -count 3 -benchmem .)"
+OUT="$(go test -run '^$' -bench '^(BenchmarkCoreCycles|BenchmarkTraceFill)$' -benchtime 200000x -count 3 -benchmem .)"
 echo "$OUT"
 
 echo "$OUT" | awk '
-/^BenchmarkCoreCycles/ {
-    found++
+/^Benchmark(CoreCycles|TraceFill)/ {
+    sub(/-[0-9]+$/, "", $1)
+    found[$1]++
     for (i = 1; i <= NF; i++) {
         if ($i == "allocs/op" && $(i-1) + 0 > 0) {
             printf "benchsmoke: allocs/op = %s in: %s\n", $(i-1), $0 > "/dev/stderr"
@@ -21,10 +24,13 @@ echo "$OUT" | awk '
     }
 }
 END {
-    if (found < 3) {
-        printf "benchsmoke: expected 3 BenchmarkCoreCycles samples, saw %d\n", found > "/dev/stderr"
-        exit 1
+    n = split("BenchmarkCoreCycles BenchmarkTraceFill", names, " ")
+    for (k = 1; k <= n; k++) {
+        if (found[names[k]] < 3) {
+            printf "benchsmoke: expected 3 %s samples, saw %d\n", names[k], found[names[k]] > "/dev/stderr"
+            bad = 1
+        }
     }
     exit bad
 }'
-echo "benchsmoke: BenchmarkCoreCycles is alloc-free across 3 samples"
+echo "benchsmoke: BenchmarkCoreCycles and BenchmarkTraceFill are alloc-free across 3 samples each"
