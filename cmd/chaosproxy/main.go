@@ -129,7 +129,7 @@ Flags:
 		return exitInternal
 	}
 
-	// The address line is a contract: scripts/partitionsoak.sh parses it to
+	// The address line is a contract: scripts wrapping the proxy parse it to
 	// find a dynamically chosen port.
 	logger.Printf("listening on %s", proxy.Addr())
 	logger.Printf("relaying to %s (label %q, seed %d)", *backend, lbl, *seed)

@@ -16,11 +16,12 @@ import (
 	"symbios/internal/leakcheck"
 	"symbios/internal/obs"
 	"symbios/internal/resilience"
+	"symbios/internal/serve"
 )
 
 // postBatch sends a batch envelope and returns status, raw body, and the
 // decoded envelope (when the status is 200).
-func postBatch(t *testing.T, ts *httptest.Server, body string) (int, []byte, *BatchResponse) {
+func postBatch(t *testing.T, ts *httptest.Server, body string) (int, []byte, *serve.BatchResponse) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/schedule/batch", bytes.NewReader([]byte(body)))
 	if err != nil {
@@ -43,7 +44,7 @@ func postBatch(t *testing.T, ts *httptest.Server, body string) (int, []byte, *Ba
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, data, nil
 	}
-	var env BatchResponse
+	var env serve.BatchResponse
 	if err := json.Unmarshal(data, &env); err != nil {
 		t.Fatalf("decode batch envelope: %v\n%s", err, data)
 	}
@@ -166,7 +167,8 @@ func TestSchedulePipelineEquivalence(t *testing.T) {
 		for si, shape := range shapes {
 			rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "equiv.ckpt"),
 				checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
-			srv, ts := newTestServer(t, testServerOpts{chaos: flavour.chaos, rec: rec, reg: obs.NewRegistry()})
+			reg := obs.NewRegistry()
+			srv, ts := newTestServer(t, testServerOpts{chaos: flavour.chaos, rec: rec, reg: reg})
 			if v := askSingletons(t, ts, []string{primed}); v[0].status != http.StatusOK || v[0].cache != "miss" {
 				t.Fatalf("%s/%s: priming answered %+v", flavour.name, shape.name, v[0])
 			}
@@ -192,7 +194,10 @@ func TestSchedulePipelineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eff := effects{srv.breaker.Stats(), srv.obs.cacheHits.Value(), srv.obs.stageRetry.Count(), string(snap)}
+			// Registration is idempotent, so these find the server's own series.
+			cacheHits := reg.Counter("sosd_cache_hits_total", "").Value()
+			retries := reg.Histogram("sosd_stage_seconds", "", nil, obs.L("stage", "retry")).Count()
+			eff := effects{srv.Stats().Breaker, cacheHits, retries, string(snap)}
 			if !shape.perBody {
 				eff.breaker = wantEffects.breaker
 			}
@@ -242,7 +247,7 @@ func TestScheduleBatchWorkerInvariance(t *testing.T) {
 	)
 	var bodies [][]byte
 	for _, workers := range []int{1, 8} {
-		_, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) { c.Workers = workers }})
+		_, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) { c.Workers = workers }})
 		status, raw, _ := postBatch(t, ts, env)
 		if status != http.StatusOK {
 			t.Fatalf("workers=%d: batch status %d", workers, status)
@@ -281,7 +286,7 @@ func TestScheduleBatchDuplicateItem(t *testing.T) {
 // a batch that fits is admitted.
 func TestScheduleBatchLimiterChargesPerItem(t *testing.T) {
 	leakcheck.Check(t)
-	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Rate = 0.001 // no meaningful refill during the test
 		c.Burst = 4
 	}})
@@ -334,7 +339,7 @@ func TestScheduleBatchBounds(t *testing.T) {
 }
 
 func make64PlusItems() []string {
-	items := make([]string, MaxBatchItems+1)
+	items := make([]string, serve.MaxBatchItems+1)
 	for i := range items {
 		items[i] = fmt.Sprintf(`{"mix":"Jsb(4,2,2)","seed":%d}`, i)
 	}

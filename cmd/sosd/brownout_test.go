@@ -14,6 +14,7 @@ import (
 
 	"symbios/internal/leakcheck"
 	"symbios/internal/parallel"
+	"symbios/internal/serve"
 )
 
 // postFull sends a schedule request and returns status, headers and body.
@@ -38,12 +39,14 @@ func adaptiveBody(seed uint64) string {
 	return fmt.Sprintf(`{"mix":"Jsb(4,2,2)","seed":%d,"samples":3,"mode":"adaptive"}`, seed)
 }
 
-// TestOverloadBrownoutLadder drives a controller-run server at well past
-// its capacity and asserts the PR's overload contract: every response is a
-// success or a clean shed (sheds carrying Retry-After), the degradation
-// ladder steps down under sustained sojourn pressure, and once the load
-// stops it recovers to full service through the hysteresis band without
-// flapping.
+// TestOverloadBrownoutLadder is the overload soak: it drives a
+// controller-run server at well past its capacity and asserts the overload
+// contract — every response is a success or a clean shed (sheds carrying
+// Retry-After), liveness (/healthz) never fails however degraded the
+// service gets, the degradation ladder steps down under sustained sojourn
+// pressure, once the load stops it recovers to full service through the
+// hysteresis band without flapping, and the server still drains cleanly
+// with no goroutine left behind (TestMain's leakcheck).
 func TestOverloadBrownoutLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload soak skipped in -short mode")
@@ -51,7 +54,7 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 	leakcheck.Check(t)
 
 	srv, ts := newTestServer(t, testServerOpts{
-		cfg: func(c *serverConfig) {
+		cfg: func(c *serve.Config) {
 			c.Queue = 8
 			c.Workers = 1
 			c.QueueTarget = 50 * time.Millisecond
@@ -71,6 +74,35 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*perClient)
+
+	// Liveness prober for the whole overload: every /healthz must answer 200
+	// promptly, however deep the queue.
+	stopProbe := make(chan struct{})
+	probeDone := make(chan int)
+	go func() {
+		client := &http.Client{Timeout: 2 * time.Second}
+		defer client.CloseIdleConnections()
+		failures := 0
+		for {
+			select {
+			case <-stopProbe:
+				probeDone <- failures
+				return
+			case <-time.After(50 * time.Millisecond):
+			}
+			resp, err := client.Get(ts.URL + "/healthz")
+			if err != nil {
+				failures++
+				continue
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				failures++
+			}
+		}
+	}()
+
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -100,36 +132,43 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	close(stopProbe)
+	if n := <-probeDone; n > 0 {
+		t.Errorf("%d /healthz probes failed during the overload", n)
+	}
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 
-	if st := srv.brownout.Stats(); st.StepDowns < 1 {
+	if st := srv.Stats().Brownout; st.StepDowns < 1 {
 		t.Fatalf("ladder never stepped down under overload: %+v", st)
 	}
 
 	// Load has stopped. Recovery needs dequeues (sojourn is only measured
 	// at dequeue), so probe gently until the controller climbs back.
 	deadline := time.Now().Add(15 * time.Second)
-	for srv.mode() != 0 && time.Now().Before(deadline) {
+	for srv.Stats().Brownout.Mode != 0 && time.Now().Before(deadline) {
 		body := fmt.Sprintf(`{"mix":"Jsb(4,2,2)","seed":%d,"samples":2}`, 900_000+time.Now().UnixNano()%100_000)
 		tryPostSchedule(ts, body, "probe")
 		time.Sleep(50 * time.Millisecond)
 	}
-	if m := srv.mode(); m != 0 {
-		t.Fatalf("ladder stuck at mode %d after load stopped (stats %+v)", m, srv.brownout.Stats())
+	if m := srv.Stats().Brownout.Mode; m != 0 {
+		t.Fatalf("ladder stuck at mode %d after load stopped (stats %+v)", m, srv.Stats().Brownout)
 	}
 
 	// Hysteresis: a clean descent and a clean recovery, not a mode that
 	// toggled on every observation. Two full ladders' worth of steps is
 	// the generous bound; flapping would blow far past it.
-	st := srv.brownout.Stats()
+	st := srv.Stats().Brownout
 	if st.StepDowns > 4 {
 		t.Errorf("ladder flapped: %d step-downs (want <= 4): %+v", st.StepDowns, st)
 	}
 	if st.StepUps != st.StepDowns {
 		t.Errorf("recovered to mode 0 but steps unbalanced: %+v", st)
+	}
+	if err := srv.Shutdown(10*time.Second, nil); err != nil {
+		t.Errorf("drain after the overload: %v", err)
 	}
 }
 
@@ -146,7 +185,7 @@ func TestBrownoutDegradedTailLatency(t *testing.T) {
 	drive := func(pin int) []time.Duration {
 		t.Helper()
 		_, ts := newTestServer(t, testServerOpts{
-			cfg: func(c *serverConfig) {
+			cfg: func(c *serve.Config) {
 				c.Queue = 8
 				c.Workers = 2
 				c.BrownoutPin = pin
@@ -219,7 +258,7 @@ func TestBrownoutPerModeDeterminism(t *testing.T) {
 		prev := parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(prev)
 		_, ts := newTestServer(t, testServerOpts{
-			cfg: func(c *serverConfig) { c.BrownoutPin = pin },
+			cfg: func(c *serve.Config) { c.BrownoutPin = pin },
 		})
 		status, first := postSchedule(t, ts, body, "det")
 		if status != http.StatusOK {
@@ -263,7 +302,7 @@ func TestBrownoutPerModeDeterminism(t *testing.T) {
 		t.Fatalf("mode-1 degraded answer diverges from the genuine rank answer:\n%s\n%s", perMode[1], rank)
 	}
 	// Mode 2 marks its fallback explicitly and never claims adaptive work.
-	var rr ScheduleResponse
+	var rr serve.ScheduleResponse
 	if err := json.Unmarshal(perMode[2], &rr); err != nil {
 		t.Fatalf("mode-2 body: %v", err)
 	}

@@ -1,14 +1,19 @@
 package main
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"symbios/internal/serve"
 )
 
 // FuzzDecodeScheduleRequest drives the request decoder with hostile bodies.
-// The invariants: never panic, never accept an invalid request (the
-// returned request, when err is nil, is fully normalized and in range), and
-// reject oversized input outright.
+// The invariants: never panic, reject oversized input outright, and never
+// accept an invalid request — the returned request, when err is nil, is in
+// range and fully normalized: re-encoded, it decodes to itself, so the
+// decoder's own validation (predictor, mode, fault block) holds on it.
 func FuzzDecodeScheduleRequest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -31,32 +36,35 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeScheduleRequest(data)
+		req, err := serve.DecodeScheduleRequest(data)
 		if err != nil {
 			return
 		}
-		if len(data) > MaxRequestBytes {
-			t.Fatalf("accepted %d-byte body over the %d cap", len(data), MaxRequestBytes)
+		if len(data) > serve.MaxRequestBytes {
+			t.Fatalf("accepted %d-byte body over the %d cap", len(data), serve.MaxRequestBytes)
 		}
-		if req.Samples < 1 || req.Samples > maxSamples {
+		if req.Samples < 1 || req.Samples > serve.MaxSamples {
 			t.Fatalf("accepted samples %d out of range", req.Samples)
 		}
 		if req.Mode != "rank" && req.Mode != "adaptive" {
 			t.Fatalf("accepted mode %q", req.Mode)
 		}
-		if _, ok := predictorNames[req.Predictor]; !ok {
-			t.Fatalf("accepted predictor %q", req.Predictor)
-		}
-		if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		if req.DeadlineMS < 0 || req.DeadlineMS > serve.MaxDeadlineMS {
 			t.Fatalf("accepted deadline_ms %d out of range", req.DeadlineMS)
 		}
-		if req.Fault != nil {
-			if err := validateFault(*req.Fault); err != nil {
-				t.Fatalf("accepted invalid fault block: %v", err)
-			}
-			if !req.Fault.Active() {
-				t.Fatal("inactive fault block not normalized to nil")
-			}
+		if req.Fault != nil && !req.Fault.Active() {
+			t.Fatal("inactive fault block not normalized to nil")
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-encoding accepted request: %v", err)
+		}
+		again, err := serve.DecodeScheduleRequest(enc)
+		if err != nil {
+			t.Fatalf("accepted request re-encodes to a rejected body %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, req) {
+			t.Fatalf("normalization is not a fixed point:\n got %+v\nwant %+v", again, req)
 		}
 		// The fingerprint must be total on every accepted request.
 		if req.Fingerprint() == "" {
@@ -96,20 +104,20 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		items, err := DecodeBatchRequest(data)
+		items, err := serve.DecodeBatchRequest(data)
 		if err != nil {
 			return
 		}
-		if len(data) > MaxBatchRequestBytes {
-			t.Fatalf("accepted %d-byte batch over the %d cap", len(data), MaxBatchRequestBytes)
+		if len(data) > serve.MaxBatchRequestBytes {
+			t.Fatalf("accepted %d-byte batch over the %d cap", len(data), serve.MaxBatchRequestBytes)
 		}
-		if len(items) < 1 || len(items) > MaxBatchItems {
-			t.Fatalf("accepted %d items outside [1,%d]", len(items), MaxBatchItems)
+		if len(items) < 1 || len(items) > serve.MaxBatchItems {
+			t.Fatalf("accepted %d items outside [1,%d]", len(items), serve.MaxBatchItems)
 		}
 		for _, raw := range items {
 			// Item validation is the singleton decoder's job; it must hold
 			// its own no-panic guarantee on whatever the envelope let through.
-			DecodeScheduleRequest(raw)
+			serve.DecodeScheduleRequest(raw)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"symbios/internal/checkpoint"
 	"symbios/internal/integrity"
 	"symbios/internal/leakcheck"
+	"symbios/internal/serve"
 )
 
 // checkDigest reads a response body and verifies it against the
@@ -79,7 +80,7 @@ func TestDivergenceInjection(t *testing.T) {
 	leakcheck.Check(t)
 	rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "c.ckpt"),
 		checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
-	_, ts := newTestServer(t, testServerOpts{rec: rec, cfg: func(c *serverConfig) {
+	_, ts := newTestServer(t, testServerOpts{rec: rec, cfg: func(c *serve.Config) {
 		c.Divergence = 1
 	}})
 
@@ -121,11 +122,10 @@ func TestDivergenceInjection(t *testing.T) {
 // window answers honestly again.
 func TestDivergenceWindowCloses(t *testing.T) {
 	leakcheck.Check(t)
-	srv, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Divergence = 1
-		c.DivergenceFor = time.Minute
+		c.DivergenceFor = time.Nanosecond // closed before the first request arrives
 	}})
-	srv.started = time.Now().Add(-time.Hour) // uptime well past the window
 
 	resp := postRaw(t, ts, `{"mix":"Jsb(4,2,2)","seed":7,"samples":2}`)
 	if resp.StatusCode != http.StatusOK {
@@ -167,13 +167,9 @@ func TestWarmCorruptExportRefused(t *testing.T) {
 	postSchedule(t, tsA, `{"mix":"Jsb(4,2,2)","seed":1,"samples":2}`, "t")
 
 	recB := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "b.ckpt"), meta, 1)
-	srvB, _ := newTestServer(t, testServerOpts{rec: recB})
-	srvB.warming.Store(true)
-	srvB.warmFromSiblings([]string{corrupt.URL, tsA.URL}, 5*time.Second)
-
-	if srvB.warming.Load() {
-		t.Fatal("warming bit still up")
-	}
+	srvB, tsB := newTestServer(t, testServerOpts{rec: recB})
+	<-srvB.WarmFrom([]string{corrupt.URL, tsA.URL}, 5*time.Second)
+	wantReady(t, tsB)
 	if got, want := recB.Shards(), recA.Shards(); got != want || got < 1 {
 		t.Fatalf("warmed %d shards, want the honest sibling's %d (corrupt one refused)", got, want)
 	}
@@ -186,8 +182,7 @@ func TestWarmCorruptExportRefused(t *testing.T) {
 	defer bare.Close()
 	recC := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "c.ckpt"), meta, 1)
 	srvC, _ := newTestServer(t, testServerOpts{rec: recC})
-	srvC.warming.Store(true)
-	srvC.warmFromSiblings([]string{bare.URL}, 5*time.Second)
+	<-srvC.WarmFrom([]string{bare.URL}, 5*time.Second)
 	if recC.Shards() != 0 {
 		t.Fatalf("digest-less export adopted %d shards, want 0", recC.Shards())
 	}

@@ -13,6 +13,7 @@ import (
 	"symbios/internal/faults"
 	"symbios/internal/leakcheck"
 	"symbios/internal/obs"
+	"symbios/internal/serve"
 )
 
 // get fetches a path from the test server and returns status + body.
@@ -42,7 +43,7 @@ func TestObsOnOffByteIdentical(t *testing.T) {
 		`{"mix":"Jsb(4,2,2)","seed":7,"samples":3,"mode":"adaptive"}`,
 	}
 	for _, workers := range []int{1, 8} {
-		setWorkers := func(cfg *serverConfig) { cfg.Workers = workers }
+		setWorkers := func(cfg *serve.Config) { cfg.Workers = workers }
 		_, plain := newTestServer(t, testServerOpts{cfg: setWorkers})
 		_, metered := newTestServer(t, testServerOpts{cfg: setWorkers, reg: obs.NewRegistry()})
 		for _, req := range requests {
@@ -58,9 +59,10 @@ func TestObsOnOffByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint scrapes /metrics after real traffic and checks the
-// exposition is valid Prometheus text covering every pipeline stage, the
-// request/simulator families and the SOS phase spans.
+// TestMetricsEndpoint scrapes /metrics after one rank and one adaptive
+// request and checks the exposition is valid Prometheus text covering every
+// pipeline stage, the request, pipeline-gauge and simulator families, and
+// the SOS phase spans.
 func TestMetricsEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	_, ts := newTestServer(t, testServerOpts{reg: obs.NewRegistry()})
@@ -82,15 +84,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}
 	for fam, kind := range map[string]string{
-		"sosd_stage_seconds":        "histogram",
-		"sosd_http_request_seconds": "histogram",
-		"sosd_http_requests_total":  "counter",
-		"sosd_limiter_admitted":     "gauge",
-		"sosd_breaker_state":        "gauge",
-		"sosd_queue_depth":          "gauge",
-		"sim_cycles_total":          "counter",
-		"sim_conflict_cycles_total": "counter",
-		"obs_span_seconds":          "histogram",
+		"sosd_stage_seconds":          "histogram",
+		"sosd_http_request_seconds":   "histogram",
+		"sosd_http_requests_total":    "counter",
+		"sosd_limiter_admitted":       "gauge",
+		"sosd_limiter_shed":           "gauge",
+		"sosd_breaker_state":          "gauge",
+		"sosd_breaker_opens":          "gauge",
+		"sosd_queue_depth":            "gauge",
+		"sosd_queue_rejected":         "gauge",
+		"sosd_retry_budget_exhausted": "gauge",
+		"sosd_draining":               "gauge",
+		"sim_slices_total":            "counter",
+		"sim_cycles_total":            "counter",
+		"sim_committed_total":         "counter",
+		"sim_conflict_cycles_total":   "counter",
+		"obs_span_seconds":            "histogram",
 	} {
 		if got := families[fam]; got != kind {
 			t.Errorf("family %s: type %q, want %q", fam, got, kind)

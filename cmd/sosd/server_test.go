@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +17,7 @@ import (
 	"symbios/internal/leakcheck"
 	"symbios/internal/obs"
 	"symbios/internal/resilience"
+	"symbios/internal/serve"
 )
 
 func TestMain(m *testing.M) { os.Exit(leakcheck.MainRun(m.Run)) }
@@ -36,18 +34,18 @@ func testScale() experiments.Scale {
 }
 
 type testServerOpts struct {
-	chaos   *faults.Config
-	cfg     func(*serverConfig)
-	rec     *checkpoint.Recorder
-	reg     *obs.Registry
-	onTrans func(from, to resilience.State)
+	chaos *faults.Config
+	cfg   func(*serve.Config)
+	rec   *checkpoint.Recorder
+	reg   *obs.Registry
 }
 
 // newTestServer stands up a full pipeline on an httptest listener.
-func newTestServer(t *testing.T, opts testServerOpts) (*server, *httptest.Server) {
+func newTestServer(t *testing.T, opts testServerOpts) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	cfg := serverConfig{
-		Scale:       "serve",
+	cfg := serve.Config{
+		Scale:       testScale(),
+		Chaos:       opts.chaos,
 		DeadlineDef: 10 * time.Second,
 		DeadlineMax: 30 * time.Second,
 		Rate:        10_000, // effectively unlimited unless a test lowers it
@@ -69,13 +67,11 @@ func newTestServer(t *testing.T, opts testServerOpts) (*server, *httptest.Server
 	if opts.cfg != nil {
 		opts.cfg(&cfg)
 	}
-	eval := &evaluator{scale: testScale(), chaos: opts.chaos}
-	logger := log.New(io.Discard, "", 0)
-	srv := newServer(cfg, eval, opts.rec, opts.reg, logger, opts.onTrans)
-	ts := httptest.NewServer(srv.handler())
+	srv := serve.New(cfg, opts.rec, opts.reg, nil)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		if err := srv.shutdown(5*time.Second, nil); err != nil {
+		if err := srv.Shutdown(5*time.Second, nil); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
@@ -117,7 +113,7 @@ func TestScheduleRankHappyPath(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp ScheduleResponse
+	var resp serve.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
@@ -142,7 +138,7 @@ func TestScheduleAdaptiveMode(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var resp ScheduleResponse
+	var resp serve.ScheduleResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func TestScheduleRejectsBadRequests(t *testing.T) {
 // Retry-After rather than queueing unboundedly, and MaxDepth stays bounded.
 func TestScheduleShedsWhenSaturated(t *testing.T) {
 	leakcheck.Check(t)
-	srv, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	srv, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Queue = 1
 		c.Workers = 1
 	}})
@@ -259,7 +255,7 @@ func TestScheduleShedsWhenSaturated(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no request succeeded under saturation")
 	}
-	if st := srv.queue.Stats(); st.MaxDepth > st.Cap {
+	if st := srv.Stats().Queue; st.MaxDepth > st.Cap {
 		t.Fatalf("queue depth %d exceeded cap %d", st.MaxDepth, st.Cap)
 	}
 }
@@ -267,7 +263,7 @@ func TestScheduleShedsWhenSaturated(t *testing.T) {
 // TestScheduleAdmissionControl checks the rate limiter sheds with 429.
 func TestScheduleAdmissionControl(t *testing.T) {
 	leakcheck.Check(t)
-	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Rate = 0.001
 		c.Burst = 2
 	}})
@@ -305,20 +301,26 @@ func TestScheduleDeadline(t *testing.T) {
 // breaker hears the same verdict whichever endpoint the work arrived on.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	leakcheck.Check(t)
-	reqs := []string{
+	healthy := []string{
 		`{"mix":"Jsb(4,2,2)","seed":1,"samples":2}`,
 		`{"mix":"Jsb(4,2,2)","seed":2,"samples":2}`,
 	}
+	// The same requests carrying a fault block that fails every counter read.
+	failing := []string{
+		`{"mix":"Jsb(4,2,2)","seed":1,"samples":2,"fault":{"fail_rate":1}}`,
+		`{"mix":"Jsb(4,2,2)","seed":2,"samples":2,"fault":{"fail_rate":1}}`,
+	}
 	for _, shape := range []struct {
 		name string
-		// ask sends one request and returns its verdict: the response status,
-		// or for an answered envelope the status its items agree on.
-		ask func(*testing.T, *httptest.Server) (int, []byte)
+		// ask sends one request built from reqs and returns its verdict: the
+		// response status, or for an answered envelope the status its items
+		// agree on.
+		ask func(t *testing.T, ts *httptest.Server, reqs []string) (int, []byte)
 	}{
-		{"singleton", func(t *testing.T, ts *httptest.Server) (int, []byte) {
+		{"singleton", func(t *testing.T, ts *httptest.Server, reqs []string) (int, []byte) {
 			return postSchedule(t, ts, reqs[0], "t")
 		}},
-		{"batch", func(t *testing.T, ts *httptest.Server) (int, []byte) {
+		{"batch", func(t *testing.T, ts *httptest.Server, reqs []string) (int, []byte) {
 			status, body, env := postBatch(t, ts, batchEnvelope(reqs...))
 			if status != http.StatusOK {
 				return status, body
@@ -332,42 +334,42 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			transitions := make(chan string, 16)
 			srv, ts := newTestServer(t, testServerOpts{
-				chaos: &faults.Config{FailRate: 1}, // every counter read fails
-				cfg: func(c *serverConfig) {
+				chaos: &faults.Config{}, // admits the fault blocks, injects nothing itself
+				cfg: func(c *serve.Config) {
 					c.BreakerMin = 2
 					c.BreakerWindow = 4
 					c.BreakerCooldown = 100 * time.Millisecond
 					c.BreakerProbes = 1
 					c.RetryAttempts = 1
-				},
-				onTrans: func(from, to resilience.State) {
-					transitions <- from.String() + "->" + to.String()
+					c.OnBreakerTransition = func(from, to resilience.State) {
+						transitions <- from.String() + "->" + to.String()
+					}
 				},
 			})
-			// Guaranteed failures: FailRate 1 and no retries.
+			// Guaranteed failures: fail_rate 1 and no retries.
 			for i := 0; i < 4; i++ {
-				if status, body := shape.ask(t, ts); status != http.StatusServiceUnavailable {
+				if status, body := shape.ask(t, ts, failing); status != http.StatusServiceUnavailable {
 					t.Fatalf("request %d: status %d (%s), want 503", i, status, body)
 				}
 			}
 			waitTransition(t, transitions, "closed->open")
-			if srv.breaker.State() != resilience.Open {
-				t.Fatalf("breaker %v after failures, want open", srv.breaker.State())
+			if st := srv.Stats().Breaker.State; st != resilience.Open.String() {
+				t.Fatalf("breaker %v after failures, want open", st)
 			}
-			// While open: fast-fail without touching the backend.
-			if status, _ := shape.ask(t, ts); status != http.StatusServiceUnavailable {
+			// While open: fast-fail without touching the backend, even for a
+			// request that would succeed.
+			if status, _ := shape.ask(t, ts, healthy); status != http.StatusServiceUnavailable {
 				t.Fatal("open breaker did not fast-fail")
 			}
-			// Heal the backend, wait out the cooldown, and probe.
-			srv.eval.chaos = nil
+			// Send healthy work after the cooldown: the probe succeeds.
 			time.Sleep(150 * time.Millisecond)
-			if status, body := shape.ask(t, ts); status != http.StatusOK {
+			if status, body := shape.ask(t, ts, healthy); status != http.StatusOK {
 				t.Fatalf("probe after cooldown: status %d (%s), want 200", status, body)
 			}
 			waitTransition(t, transitions, "open->half-open")
 			waitTransition(t, transitions, "half-open->closed")
-			if srv.breaker.State() != resilience.Closed {
-				t.Fatalf("breaker %v after successful probe, want closed", srv.breaker.State())
+			if st := srv.Stats().Breaker.State; st != resilience.Closed.String() {
+				t.Fatalf("breaker %v after successful probe, want closed", st)
 			}
 		})
 	}
@@ -392,7 +394,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	leakcheck.Check(t)
 	srv, ts := newTestServer(t, testServerOpts{
 		chaos: &faults.Config{FailRate: 1},
-		cfg: func(c *serverConfig) {
+		cfg: func(c *serve.Config) {
 			c.RetryAttempts = 3
 			c.RetryBudgetRatio = 0.01
 			c.RetryBudgetCap = 1
@@ -404,7 +406,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			t.Fatalf("request %d: status %d, want 503", i, status)
 		}
 	}
-	if got := srv.budgets.Exhausted(); got == 0 {
+	if got := srv.Stats().Retries.BudgetExhausted; got == 0 {
 		t.Fatal("retry budget never exhausted under sustained failure")
 	}
 }
@@ -426,7 +428,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	// Let the requests reach the queue, then drain.
 	time.Sleep(20 * time.Millisecond)
-	if err := srv.shutdown(10*time.Second, nil); err != nil {
+	if err := srv.Shutdown(10*time.Second, nil); err != nil {
 		t.Fatalf("shutdown under load: %v", err)
 	}
 	var ok int
@@ -452,30 +454,26 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 }
 
-// TestHealthAndReadiness checks the probe endpoints.
+// TestHealthAndReadiness checks the probe endpoints: both answer 200 on a
+// serving node, and /readyz turns 503 once the node drains while /healthz
+// (liveness) stays 200.
 func TestHealthAndReadiness(t *testing.T) {
 	leakcheck.Check(t)
 	srv, ts := newTestServer(t, testServerOpts{})
 	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		if status, body := get(t, ts, path); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, status, body)
 		}
 	}
-	srv.draining.Store(true)
-	resp, err := ts.Client().Get(ts.URL + "/readyz")
-	if err != nil {
+	if err := srv.Shutdown(time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz while draining: status %d, want 503", resp.StatusCode)
+	if status, _ := get(t, ts, "/readyz"); status != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz while draining: status %d, want 503", status)
 	}
-	srv.draining.Store(false)
+	if status, _ := get(t, ts, "/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz while draining: status %d, want 200", status)
+	}
 }
 
 // TestStatz checks the stats endpoint decodes.
@@ -488,7 +486,7 @@ func TestStatz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st serverStats
+	var st serve.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decoding /statz: %v", err)
 	}
@@ -516,6 +514,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-scale", "bogus"},
 		{"-chaos", "7"},
 		{"-nonsense"},
+		{"-soak", "http://127.0.0.1:1"}, // the soak client is a Go test now
 	} {
 		var out, errOut bytes.Buffer
 		if code := realMain(args, &out, &errOut); code != exitUsage {
@@ -528,7 +527,7 @@ func TestUsageErrors(t *testing.T) {
 // that outlives the drain budget is cancelled via the base context.
 func TestHardStopCancelsRequests(t *testing.T) {
 	leakcheck.Check(t)
-	srv, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	srv, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.DeadlineDef = time.Hour // only the hard-stop can end this request
 		c.DeadlineMax = time.Hour
 	}})
@@ -538,14 +537,16 @@ func TestHardStopCancelsRequests(t *testing.T) {
 		status, _, _ := tryPostSchedule(ts, `{"mix":"Jsb(12,6,6)","seed":1,"samples":32,"mode":"adaptive"}`, "t")
 		result <- status
 	}()
-	waitForCond(t, func() bool { return srv.queue.Stats().Submitted >= 1 })
+	waitForCond(t, func() bool { return srv.Stats().Queue.Submitted >= 1 })
 	start := time.Now()
-	if err := srv.shutdown(50*time.Millisecond, nil); err != nil {
+	if err := srv.Shutdown(50*time.Millisecond, nil); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("hard-stop shutdown took %v", elapsed)
 	}
+	// The request's deadline is an hour away, so only the hard stop can
+	// have ended it.
 	select {
 	case status := <-result:
 		if status != http.StatusServiceUnavailable && status != http.StatusGatewayTimeout {
@@ -553,9 +554,6 @@ func TestHardStopCancelsRequests(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("hard-stopped request never returned")
-	}
-	if ctxErr := srv.base.Err(); !errors.Is(ctxErr, context.Canceled) {
-		t.Fatalf("base context err %v, want Canceled", ctxErr)
 	}
 }
 

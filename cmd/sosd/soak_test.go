@@ -15,15 +15,18 @@ import (
 	"symbios/internal/leakcheck"
 	"symbios/internal/resilience"
 	"symbios/internal/rng"
+	"symbios/internal/serve"
 )
 
-// TestSoakChaos is the in-process soak: sustained concurrent load against a
+// TestSoakChaos is the chaos soak: sustained concurrent load against a
 // chaos-mode server, with a poisoned request stream, asserting the
 // acceptance criteria end to end — overload sheds rather than queues
-// unboundedly, the breaker opens and closes again, no request outlives its
-// deadline by more than scheduling slack, responses stay deterministic, and
-// shutdown under load drains with zero leaked goroutines (enforced by
-// TestMain's leakcheck).
+// unboundedly and every shed carries Retry-After, the breaker opens and
+// closes again, no request outlives its deadline by more than scheduling
+// slack, responses stay deterministic, shutdown under load drains and
+// flushes the response cache, a server restarted from that checkpoint
+// serves the canary as a byte-identical cache hit, and no goroutine leaks
+// (enforced by TestMain's leakcheck).
 func TestSoakChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
@@ -34,26 +37,30 @@ func TestSoakChaos(t *testing.T) {
 	var transitions []string
 	dir := t.TempDir()
 	ckptPath := filepath.Join(dir, "soak.json")
-	rec := checkpoint.NewRecorder(ckptPath, checkpoint.Meta{Exp: "sosd-chaos", Scale: "serve", Seed: 1}, 4)
+	meta := checkpoint.Meta{Exp: "sosd-chaos", Scale: "serve", Seed: 1}
+	rec := checkpoint.NewRecorder(ckptPath, meta, 4)
+	soakConfig := func(c *serve.Config) {
+		c.Queue = 8
+		c.Workers = 2
+		c.BreakerMin = 4
+		c.BreakerWindow = 8
+		c.BreakerRate = 0.3
+		c.BreakerCooldown = 100 * time.Millisecond
+		c.BreakerProbes = 1
+		c.RetryAttempts = 2
+		c.DeadlineDef = 2 * time.Second
+		c.DeadlineMax = 5 * time.Second
+	}
 	srv, ts := newTestServer(t, testServerOpts{
 		chaos: &faults.Config{FailRate: 0.2},
 		rec:   rec,
-		cfg: func(c *serverConfig) {
-			c.Queue = 8
-			c.Workers = 2
-			c.BreakerMin = 4
-			c.BreakerWindow = 8
-			c.BreakerRate = 0.3
-			c.BreakerCooldown = 100 * time.Millisecond
-			c.BreakerProbes = 1
-			c.RetryAttempts = 2
-			c.DeadlineDef = 2 * time.Second
-			c.DeadlineMax = 5 * time.Second
-		},
-		onTrans: func(from, to resilience.State) {
-			transMu.Lock()
-			transitions = append(transitions, from.String()+"->"+to.String())
-			transMu.Unlock()
+		cfg: func(c *serve.Config) {
+			soakConfig(c)
+			c.OnBreakerTransition = func(from, to resilience.State) {
+				transMu.Lock()
+				transitions = append(transitions, from.String()+"->"+to.String())
+				transMu.Unlock()
+			}
 		},
 	})
 
@@ -62,6 +69,7 @@ func TestSoakChaos(t *testing.T) {
 		perWorker     = 12
 		deadlineSlack = 2 * time.Second
 	)
+	const canaryBody = `{"mix":"Jsb(4,2,2)","seed":42,"samples":3,"deadline_ms":5000}`
 	canonical := struct {
 		sync.Mutex
 		bytes []byte
@@ -79,9 +87,9 @@ func TestSoakChaos(t *testing.T) {
 				var body string
 				canary := i%3 == 0
 				if canary {
-					body = `{"mix":"Jsb(4,2,2)","seed":42,"samples":3,"deadline_ms":5000}`
+					body = canaryBody
 				} else {
-					req := ScheduleRequest{
+					req := serve.ScheduleRequest{
 						Mix:        "Jsb(5,2,2)",
 						Seed:       r.Uint64() % 50,
 						Samples:    3,
@@ -100,7 +108,7 @@ func TestSoakChaos(t *testing.T) {
 					deadline = time.Second + deadlineSlack
 				}
 				start := time.Now()
-				status, resp, err := tryPostSchedule(ts, body, fmt.Sprintf("w%d", w))
+				status, hdr, resp, err := postFull(ts, body, fmt.Sprintf("w%d", w))
 				elapsed := time.Since(start)
 				if err != nil {
 					errs <- fmt.Errorf("transport: %w", err)
@@ -120,8 +128,13 @@ func TestSoakChaos(t *testing.T) {
 						}
 						canonical.Unlock()
 					}
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-					// Shed, broken, or out of time: all graceful.
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					// Shed or broken: graceful, if it says when to come back.
+					if hdr.Get("Retry-After") == "" {
+						errs <- fmt.Errorf("shed %d without Retry-After", status)
+					}
+				case http.StatusGatewayTimeout:
+					// Out of time: graceful, and a deadline verdict, not a shed.
 				default:
 					errs <- fmt.Errorf("unexpected status %d: %s", status, resp)
 				}
@@ -135,7 +148,7 @@ func TestSoakChaos(t *testing.T) {
 	}
 
 	// The queue never grew past its bound.
-	if st := srv.queue.Stats(); st.MaxDepth > st.Cap {
+	if st := srv.Stats().Queue; st.MaxDepth > st.Cap {
 		t.Fatalf("queue depth %d exceeded cap %d", st.MaxDepth, st.Cap)
 	}
 	// The canary succeeded at least once, deterministically.
@@ -146,13 +159,14 @@ func TestSoakChaos(t *testing.T) {
 	// back to closed within a few cooldown rounds.
 	// (Fresh seeds each probe: a cached response would short-circuit ahead
 	// of the breaker and never report an outcome.)
-	for i := 0; i < 50 && srv.breaker.State() != resilience.Closed; i++ {
+	breakerClosed := func() bool { return srv.Stats().Breaker.State == resilience.Closed.String() }
+	for i := 0; i < 50 && !breakerClosed(); i++ {
 		time.Sleep(120 * time.Millisecond)
 		body := fmt.Sprintf(`{"mix":"Jsb(4,2,2)","seed":%d,"samples":3,"deadline_ms":5000}`, 10_000+i)
 		tryPostSchedule(ts, body, "recover")
 	}
-	if srv.breaker.State() != resilience.Closed {
-		t.Errorf("breaker did not recover after the poison stream stopped (state %v)", srv.breaker.State())
+	if !breakerClosed() {
+		t.Errorf("breaker did not recover after the poison stream stopped (state %v)", srv.Stats().Breaker.State)
 	}
 
 	// The poisoned stream opened the breaker at least once, and the
@@ -178,7 +192,7 @@ func TestSoakChaos(t *testing.T) {
 
 	// Shutdown under residual load drains and checkpoints; the flushed
 	// cache must be loadable and hold the canary's response.
-	if err := srv.shutdown(10*time.Second, nil); err != nil {
+	if err := srv.Shutdown(10*time.Second, nil); err != nil {
 		t.Fatalf("post-soak shutdown: %v", err)
 	}
 	snap, err := checkpoint.Load(ckptPath)
@@ -187,5 +201,26 @@ func TestSoakChaos(t *testing.T) {
 	}
 	if len(snap.Shards) == 0 {
 		t.Fatal("soak checkpoint holds no responses")
+	}
+
+	// Restart from the checkpoint: the resumed cache answers the canary as a
+	// hit, byte-identical to what the first server computed.
+	resumed, err := checkpoint.Resume(ckptPath, "", meta, 4)
+	if err != nil {
+		t.Fatalf("resuming the soak checkpoint: %v", err)
+	}
+	if resumed.Shards() != len(snap.Shards) {
+		t.Fatalf("restart resumed %d responses, checkpoint holds %d", resumed.Shards(), len(snap.Shards))
+	}
+	_, ts2 := newTestServer(t, testServerOpts{chaos: &faults.Config{FailRate: 0.2}, rec: resumed, cfg: soakConfig})
+	status, hdr, body, err := postFull(ts2, canaryBody, "canary")
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("canary after restart: status %d, err %v: %s", status, err, body)
+	}
+	if hdr.Get("X-Cache") != "hit" {
+		t.Errorf("canary after restart X-Cache = %q, want hit", hdr.Get("X-Cache"))
+	}
+	if !bytes.Equal(body, canonical.bytes) {
+		t.Errorf("canary changed across restart:\nbefore: %s\nafter:  %s", canonical.bytes, body)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"symbios/internal/faults"
 	"symbios/internal/leakcheck"
 	"symbios/internal/resilience"
+	"symbios/internal/serve"
 )
 
 // postRaw sends a schedule request and returns the full response, headers
@@ -54,7 +55,7 @@ func retryAfterSeconds(t *testing.T, resp *http.Response) int {
 // empty bucket needs ~4s to hold a token again.
 func TestLimiterShedRetryAfterDerived(t *testing.T) {
 	leakcheck.Check(t)
-	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	_, ts := newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Rate = 0.25
 		c.Burst = 1
 	}})
@@ -77,7 +78,7 @@ func TestLimiterShedRetryAfterDerived(t *testing.T) {
 	// A shed envelope is told when all the tokens it was refused will be
 	// there: 8 items against an empty bucket refilling at 4/s wait ~2s, not
 	// the fraction of a second the first token takes.
-	_, ts = newTestServer(t, testServerOpts{cfg: func(c *serverConfig) {
+	_, ts = newTestServer(t, testServerOpts{cfg: func(c *serve.Config) {
 		c.Rate = 4
 		c.Burst = 8
 	}})
@@ -112,7 +113,7 @@ func TestBreakerShedRetryAfterDerived(t *testing.T) {
 	leakcheck.Check(t)
 	srv, ts := newTestServer(t, testServerOpts{
 		chaos: &faults.Config{FailRate: 1},
-		cfg: func(c *serverConfig) {
+		cfg: func(c *serve.Config) {
 			c.BreakerMin = 2
 			c.BreakerWindow = 4
 			c.BreakerCooldown = 30 * time.Second
@@ -121,12 +122,12 @@ func TestBreakerShedRetryAfterDerived(t *testing.T) {
 		},
 	})
 	req := `{"mix":"Jsb(4,2,2)","seed":1,"samples":2}`
-	for i := 0; i < 4 && srv.breaker.State() != resilience.Open; i++ {
+	for i := 0; i < 4 && srv.Stats().Breaker.State != resilience.Open.String(); i++ {
 		resp := postRaw(t, ts, req)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	if srv.breaker.State() != resilience.Open {
+	if srv.Stats().Breaker.State != resilience.Open.String() {
 		t.Fatal("breaker never opened under guaranteed failures")
 	}
 	resp := postRaw(t, ts, req)
@@ -181,30 +182,36 @@ func TestCacheExport(t *testing.T) {
 	}
 }
 
-// TestWarmingGatesReadyz checks /readyz holds at 503 while the warming bit
-// is up, so a fleet front never routes to a half-warmed node.
+// wantReady fails unless /readyz answers 200: the warming gate is down.
+func wantReady(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	if status, body := get(t, ts, "/readyz"); status != http.StatusOK {
+		t.Fatalf("readyz = %d %s, want 200 (warming gate still up?)", status, body)
+	}
+}
+
+// TestWarmingGatesReadyz checks /readyz holds at 503 while a warm-up is in
+// flight, so a fleet front never routes to a half-warmed node, and opens
+// once the transfer settles.
 func TestWarmingGatesReadyz(t *testing.T) {
 	leakcheck.Check(t)
-	srv, ts := newTestServer(t, testServerOpts{})
-	srv.warming.Store(true)
-	resp, err := ts.Client().Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	release := make(chan struct{})
+	sibling := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		http.NotFound(w, r)
+	}))
+	defer sibling.Close()
+	rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "c.ckpt"),
+		checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
+	srv, ts := newTestServer(t, testServerOpts{rec: rec})
+	done := srv.WarmFrom([]string{sibling.URL}, 5*time.Second)
+	status, body := get(t, ts, "/readyz")
+	close(release)
+	<-done
+	if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte("warming")) {
+		t.Fatalf("readyz while warming = %d %s, want 503 warming", status, body)
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || !bytes.Contains(data, []byte("warming")) {
-		t.Fatalf("readyz while warming = %d %s, want 503 warming", resp.StatusCode, data)
-	}
-	srv.warming.Store(false)
-	resp, err = ts.Client().Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz after warming = %d, want 200", resp.StatusCode)
-	}
+	wantReady(t, ts)
 }
 
 // TestWarmFromSibling is the warm-up round trip: a cold node adopts a
@@ -226,12 +233,8 @@ func TestWarmFromSibling(t *testing.T) {
 
 	recB := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "b.ckpt"), meta, 1)
 	srvB, tsB := newTestServer(t, testServerOpts{rec: recB})
-	srvB.warming.Store(true)
-	srvB.warmFromSiblings([]string{tsA.URL}, 5*time.Second)
-
-	if srvB.warming.Load() {
-		t.Fatal("warming bit still up after warmFromSiblings returned")
-	}
+	<-srvB.WarmFrom([]string{tsA.URL}, 5*time.Second)
+	wantReady(t, tsB)
 	if got, want := recB.Shards(), recA.Shards(); got != want || got < 1 {
 		t.Fatalf("warmed recorder holds %d shards, want the sibling's %d", got, want)
 	}
@@ -263,13 +266,9 @@ func TestWarmMetaMismatchFallsThrough(t *testing.T) {
 
 	recB := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "b.ckpt"),
 		checkpoint.Meta{Exp: "sosd-chaos", Scale: "serve", Seed: 1}, 1)
-	srvB, _ := newTestServer(t, testServerOpts{rec: recB})
-	srvB.warming.Store(true)
-	srvB.warmFromSiblings([]string{tsA.URL}, 5*time.Second)
-
-	if srvB.warming.Load() {
-		t.Fatal("warming bit still up after a refused warm-up")
-	}
+	srvB, tsB := newTestServer(t, testServerOpts{rec: recB})
+	<-srvB.WarmFrom([]string{tsA.URL}, 5*time.Second)
+	wantReady(t, tsB)
 	if recB.Shards() != 0 {
 		t.Fatalf("mismatched-meta warm-up adopted %d shards, want 0", recB.Shards())
 	}
@@ -281,12 +280,9 @@ func TestWarmDeadSiblingFallsThrough(t *testing.T) {
 	leakcheck.Check(t)
 	rec := checkpoint.NewRecorder(filepath.Join(t.TempDir(), "c.ckpt"),
 		checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 1)
-	srv, _ := newTestServer(t, testServerOpts{rec: rec})
-	srv.warming.Store(true)
-	srv.warmFromSiblings([]string{"http://127.0.0.1:1"}, time.Second)
-	if srv.warming.Load() {
-		t.Fatal("warming bit still up after every sibling failed")
-	}
+	srv, ts := newTestServer(t, testServerOpts{rec: rec})
+	<-srv.WarmFrom([]string{"http://127.0.0.1:1"}, time.Second)
+	wantReady(t, ts)
 	if rec.Shards() != 0 {
 		t.Fatalf("dead-sibling warm-up adopted %d shards", rec.Shards())
 	}

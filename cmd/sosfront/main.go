@@ -8,11 +8,11 @@
 // is THE answer. See DESIGN.md section 13.
 //
 // Exit codes: 0 clean shutdown (SIGINT/SIGTERM drained), 1 internal error,
-// 2 usage error. In -soak mode: 0 the fleet behaved, 1 a violation was
-// found, 2 usage error.
+// 2 usage error.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -44,7 +44,18 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain(args []string, stdout, stderr io.Writer) int {
+// options is everything the command line sets: the front's configuration
+// (Logger and Registry left for the caller) plus the process-level knobs.
+type options struct {
+	addr    string
+	drain   time.Duration
+	version bool
+	front   fleet.Config
+}
+
+// parseFlags parses args into options. A usage error has already been
+// reported on stderr when ok is false.
+func parseFlags(args []string, stderr io.Writer) (o options, ok bool) {
 	fs := flag.NewFlagSet("sosfront", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
@@ -88,23 +99,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		brkRate     = fs.Float64("breaker-rate", 0.5, "per-backend breaker error-rate threshold")
 		brkCooldown = fs.Duration("breaker-cooldown", 2*time.Second, "per-backend breaker open-state cooldown")
 		brkProbes   = fs.Int("breaker-probes", 2, "per-backend breaker half-open probe quota")
-
-		soakURL      = fs.String("soak", "", "run as a fleet soak client against this front base URL instead of serving")
-		oracleURL    = fs.String("oracle", "", "soak client: single-node sosd base URL whose responses are the byte-identity oracle")
-		soakDuration = fs.Duration("soak-duration", 30*time.Second, "soak client: how long to generate load")
-		soakSeed     = fs.Uint64("soak-seed", 1, "soak client: load-pattern seed")
-		soakRate     = fs.Float64("soak-rate", 40, "soak client: request pacing, requests/second (0 = unpaced)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `sosfront — fleet front tier for sosd
 
 Usage:
-  sosfront -backends URL,URL,... [flags]        serve (default)
-  sosfront -soak URL -oracle URL [flags]        fleet soak client
+  sosfront -backends URL,URL,... [flags]
 
 Exit codes:
-  0  clean shutdown (drained on SIGINT/SIGTERM), or soak passed
-  1  internal error, or soak found a violation
+  0  clean shutdown (drained on SIGINT/SIGTERM)
+  1  internal error
   2  usage error
 
 Flags:
@@ -112,28 +116,17 @@ Flags:
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return o, false
 	}
-	if *version {
-		fmt.Fprintln(stdout, buildinfo.Version("sosfront"))
-		return exitOK
-	}
-	logger := log.New(stderr, "sosfront: ", log.LstdFlags|log.Lmsgprefix)
-
-	if *soakURL != "" {
-		if *oracleURL == "" {
-			fmt.Fprintln(stderr, "-soak requires -oracle (the byte-identity reference)")
-			return exitUsage
-		}
-		return fleetSoak(stdout, logger, *soakURL, *oracleURL, *soakDuration, *soakSeed, *soakRate)
+	o = options{addr: *addr, drain: *drain, version: *version}
+	if o.version {
+		return o, true
 	}
 	if *backends == "" {
 		fmt.Fprintln(stderr, "-backends is required (comma-separated sosd base URLs)")
-		return exitUsage
+		return o, false
 	}
-
-	reg := obs.NewRegistry()
-	front, err := fleet.New(fleet.Config{
+	o.front = fleet.Config{
 		Backends: strings.Split(*backends, ","),
 		Replicas: *replicas,
 		VNodes:   *vnodes,
@@ -174,16 +167,29 @@ Flags:
 			Probes:     *brkProbes,
 		},
 		Budget: resilience.BudgetConfig{Ratio: *hedgeRatio, Cap: *hedgeCap},
+	}
+	return o, true
+}
 
-		Logger:   logger,
-		Registry: reg,
-	})
+func realMain(args []string, stdout, stderr io.Writer) int {
+	o, ok := parseFlags(args, stderr)
+	if !ok {
+		return exitUsage
+	}
+	if o.version {
+		fmt.Fprintln(stdout, buildinfo.Version("sosfront"))
+		return exitOK
+	}
+	logger := log.New(stderr, "sosfront: ", log.LstdFlags|log.Lmsgprefix)
+	o.front.Logger = logger
+	o.front.Registry = obs.NewRegistry()
+	front, err := fleet.New(o.front)
 	if err != nil {
 		logger.Printf("config: %v", err)
 		return exitUsage
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		logger.Printf("listen: %v", err)
 		return exitInternal
@@ -191,10 +197,10 @@ Flags:
 	httpSrv := &http.Server{Handler: front.Handler()}
 	front.Start()
 
-	// The address line is a contract: scripts/fleetsoak.sh parses it to find
-	// a dynamically chosen port.
+	// The address line is a contract: the repository benchmark parses it to
+	// find a dynamically chosen port.
 	logger.Printf("listening on %s", ln.Addr())
-	logger.Printf("fronting %d backends, %d-way replicas", len(strings.Split(*backends, ",")), *replicas)
+	logger.Printf("fronting %d backends, %d-way replicas", len(o.front.Backends), o.front.Replicas)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -205,9 +211,9 @@ Flags:
 
 	select {
 	case sig := <-sigs:
-		logger.Printf("%v: draining (budget %s)", sig, *drain)
+		logger.Printf("%v: draining (budget %s)", sig, o.drain)
 		front.Draining()
-		ctx, cancel := contextWithTimeout(*drain)
+		ctx, cancel := context.WithTimeout(context.Background(), o.drain)
 		err := httpSrv.Shutdown(ctx)
 		cancel()
 		front.Close()

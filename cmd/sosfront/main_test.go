@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"symbios/internal/integrity"
+	"symbios/internal/leakcheck"
 )
 
-// TestRealMainExitCodes pins the CLI contract the soak scripts rely on: which
-// invocations are usage errors and which succeed without serving.
+// The in-process soaks stand up fronts, sosd nodes and chaos proxies; none
+// may outlive its test.
+func TestMain(m *testing.M) { os.Exit(leakcheck.MainRun(m.Run)) }
+
+// TestRealMainExitCodes pins the CLI contract: which invocations are usage
+// errors and which succeed without serving.
 func TestRealMainExitCodes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -26,7 +31,8 @@ func TestRealMainExitCodes(t *testing.T) {
 	}{
 		{"version", []string{"-version"}, exitOK, "sosfront", ""},
 		{"no backends", nil, exitUsage, "", "-backends is required"},
-		{"soak without oracle", []string{"-soak", "http://127.0.0.1:1"}, exitUsage, "", "-soak requires -oracle"},
+		// The soak client is an in-process Go test now (soak_test.go).
+		{"removed soak client", []string{"-soak", "http://127.0.0.1:1"}, exitUsage, "", "flag provided but not defined"},
 		// Spelled in two halves so a grep for the removed flag finds nothing.
 		{"removed batching flag", []string{"-backends", "http://127.0.0.1:1", "-batch" + "-window", "25ms"}, exitUsage, "", "flag provided but not defined"},
 	} {
@@ -72,45 +78,41 @@ func honest(w http.ResponseWriter, body []byte) {
 	w.Write(data)
 }
 
-// TestFleetSoakVerdicts holds the soak client — the outside observer every
-// fleet soak script trusts — to its own contract: it passes a front that
-// relays the oracle's bytes, and fails one that diverges from the oracle,
-// breaks the digest envelope, or sheds without Retry-After.
+// TestFleetSoakVerdicts holds the soak checker — the outside observer every
+// fleet soak trusts — to its own contract: it passes a front that relays the
+// oracle's bytes, and fails one that diverges from the oracle, breaks the
+// digest envelope, or sheds without Retry-After.
 func TestFleetSoakVerdicts(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		front func(w http.ResponseWriter, body []byte)
-		want  int
+		pass  bool
 	}{
-		{"identical bytes", honest, exitOK},
+		{"identical bytes", honest, true},
 		{"differs from the oracle", func(w http.ResponseWriter, body []byte) {
 			data := append([]byte("x"), answer(body)...)
 			w.Header().Set(integrity.Header, integrity.Digest(data))
 			w.Write(data)
-		}, exitInternal},
+		}, false},
 		{"bad digest", func(w http.ResponseWriter, body []byte) {
 			w.Header().Set(integrity.Header, integrity.Digest([]byte("other bytes")))
 			w.Write(answer(body))
-		}, exitInternal},
+		}, false},
 		{"shed without Retry-After", func(w http.ResponseWriter, body []byte) {
 			data := []byte("{\"error\":\"busy\"}\n")
 			w.Header().Set(integrity.Header, integrity.Digest(data))
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write(data)
-		}, exitInternal},
+		}, false},
 	} {
 		front := scheduleStandIn(t, tc.front)
 		oracle := scheduleStandIn(t, honest)
-		var stdout, logs bytes.Buffer
-		got := fleetSoak(&stdout, log.New(&logs, "", 0), front, oracle, 100*time.Millisecond, 1, 200)
-		if got != tc.want {
-			t.Errorf("%s: exit %d, want %d\nlog:\n%s", tc.name, got, tc.want, logs.String())
+		res := fleetSoak(front, oracle, 100*time.Millisecond, 1, 200)
+		if passed := res.passed(); passed != tc.pass {
+			t.Errorf("%s: passed = %v, want %v (%+v)", tc.name, passed, tc.pass, res)
 		}
-		if passed := strings.Contains(stdout.String(), "fleet soak passed"); passed != (tc.want == exitOK) {
-			t.Errorf("%s: stdout %q, \"fleet soak passed\" present = %v", tc.name, stdout.String(), passed)
-		}
-		if tc.want != exitOK && !strings.Contains(logs.String(), "VIOLATION") {
-			t.Errorf("%s: failed without naming a violation:\n%s", tc.name, logs.String())
+		if !tc.pass && len(res.violations) == 0 {
+			t.Errorf("%s: failed without naming a violation: %+v", tc.name, res)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 // tier. It injects the failures a real wire produces — added latency,
 // connection resets, truncated responses, bit-flipped body bytes,
 // slow-loris stalls, and timed blackhole partition windows — in two forms:
-// an http.RoundTripper wrapper (Transport) for in-process tests, and a
-// standalone TCP proxy (Proxy) a soak script puts between sosfront and its
-// sosd backends.
+// an http.RoundTripper wrapper (Transport) for in-process tests, and a TCP
+// proxy (Proxy) the partition soak, or cmd/chaosproxy, puts between a front
+// and its sosd backends.
 //
 // Every fault decision is a pure function of (seed, stream, index) via
 // rng.Hash2, exactly like the simulator's instruction streams: run the same

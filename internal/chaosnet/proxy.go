@@ -12,7 +12,7 @@ import (
 
 // Proxy is a standalone TCP relay that applies the fault layer to real
 // connections, so an unmodified fleet can be soaked against an adversarial
-// wire: the soak script points sosfront at proxy addresses and each proxy
+// wire: the partition soak points a front at proxy addresses and each proxy
 // at its true sosd backend. Fault plans are per accepted connection, drawn
 // from the proxy's label stream in accept order.
 type Proxy struct {

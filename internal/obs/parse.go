@@ -22,8 +22,8 @@ var labelRe = regexp.MustCompile(
 // the declared metric families as a name → type map. It checks that
 // every sample line parses, that every sample belongs to a family
 // declared with a # TYPE line, and that every histogram family carries
-// an le="+Inf" bucket plus _sum and _count series. scripts/promcheck
-// runs this against a live sosd scrape in CI.
+// an le="+Inf" bucket plus _sum and _count series. The scrape tests of
+// sosd and the front run it against a live exposition.
 func ParseText(r io.Reader) (map[string]string, error) {
 	families := make(map[string]string)
 	infSeen := make(map[string]bool)

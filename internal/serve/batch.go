@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -81,7 +81,7 @@ func DecodeBatchRequest(data []byte) ([]json.RawMessage, error) {
 // request. Only a malformed envelope or a whole-request refusal (drain,
 // admission, breaker, queue, deadline) fails the batch, with the statuses and
 // Retry-After hints the singleton path uses.
-func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	mode, ok := s.gate(w)
 	if !ok {
 		return

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"net/http"
@@ -123,7 +123,7 @@ func (o *serverObs) brownoutTransition(from, to int) {
 // numbers, continuously scrapeable). Scrape-time evaluation keeps them
 // exact without per-request bookkeeping; each fn takes only its stage's
 // own lock.
-func (o *serverObs) registerPipelineGauges(s *server) {
+func (o *serverObs) registerPipelineGauges(s *Server) {
 	if o.reg == nil {
 		return
 	}
@@ -200,7 +200,7 @@ func (o *serverObs) instrument(h http.Handler) http.Handler {
 }
 
 // handleMetrics serves the Prometheus text exposition.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.obs.reg == nil {
 		httpError(w, http.StatusNotFound, "metrics disabled")
 		return

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -32,7 +32,7 @@ type evaluator struct {
 	// it for that request.
 	chaos *faults.Config
 	// sim, when non-nil, aggregates every request machine's cycles, commits
-	// and per-resource conflicts into the registry (set by newServer).
+	// and per-resource conflicts into the registry.
 	sim *core.SimMetrics
 }
 

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"bytes"
@@ -19,8 +19,8 @@ const MaxRequestBytes = 16 << 10
 // Request limits. Deadlines are bounded by server policy as well; these just
 // reject nonsense at the decode layer.
 const (
-	maxSamples    = 32
-	maxDeadlineMS = 600_000
+	MaxSamples    = 32
+	MaxDeadlineMS = 600_000
 )
 
 // ScheduleRequest is the body of POST /v1/schedule.
@@ -126,8 +126,8 @@ func DecodeScheduleRequest(data []byte) (ScheduleRequest, error) {
 	if req.Samples == 0 {
 		req.Samples = 10
 	}
-	if req.Samples < 1 || req.Samples > maxSamples {
-		return req, fmt.Errorf("samples %d out of range [1,%d]", req.Samples, maxSamples)
+	if req.Samples < 1 || req.Samples > MaxSamples {
+		return req, fmt.Errorf("samples %d out of range [1,%d]", req.Samples, MaxSamples)
 	}
 	switch req.Mode {
 	case "":
@@ -136,8 +136,8 @@ func DecodeScheduleRequest(data []byte) (ScheduleRequest, error) {
 	default:
 		return req, fmt.Errorf("unknown mode %q (want \"rank\" or \"adaptive\")", req.Mode)
 	}
-	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
-		return req, fmt.Errorf("deadline_ms %d out of range [0,%d]", req.DeadlineMS, maxDeadlineMS)
+	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
+		return req, fmt.Errorf("deadline_ms %d out of range [0,%d]", req.DeadlineMS, MaxDeadlineMS)
 	}
 	if req.Fault != nil {
 		if err := validateFault(*req.Fault); err != nil {

@@ -1,4 +1,15 @@
-package main
+// Package serve is the SOS scheduler as a small, resilient HTTP service:
+// POST a jobmix and seed to /v1/schedule and get back the predictor-ranked
+// coschedule (or a full adaptive-run verdict). The interesting part is not
+// the route table but the failure behavior — every request passes admission
+// control, a circuit breaker, a deadline budget, a bounded queue and a
+// budgeted retry loop, so overload sheds instead of queuing unboundedly and
+// a sick simulator backend fails fast instead of dragging every client
+// down with it. See DESIGN.md section 10.
+//
+// cmd/sosd wires a Server to flags, a listener and signals; tests and other
+// tiers compose Servers in process.
+package serve
 
 import (
 	"bytes"
@@ -19,6 +30,8 @@ import (
 
 	"symbios/internal/checkpoint"
 	"symbios/internal/core"
+	"symbios/internal/experiments"
+	"symbios/internal/faults"
 	"symbios/internal/integrity"
 	"symbios/internal/obs"
 	"symbios/internal/resilience"
@@ -26,10 +39,15 @@ import (
 	"symbios/internal/workload"
 )
 
-// serverConfig collects every policy knob the flags set.
-type serverConfig struct {
-	Scale       string
-	Chaos       float64 // -chaos: FailRate injected into every request
+// Config collects every policy knob sosd's flags set.
+type Config struct {
+	// Scale is the cycle budget every evaluation runs under.
+	Scale experiments.Scale
+	// Chaos, when non-nil, is the server-wide fault config applied to every
+	// request's machine (-chaos); it also unlocks per-request fault blocks,
+	// which override it for their request.
+	Chaos *faults.Config
+
 	DeadlineDef time.Duration
 	DeadlineMax time.Duration
 	Pprof       bool // -pprof: mount net/http/pprof under /debug/pprof/
@@ -44,6 +62,9 @@ type serverConfig struct {
 	BreakerRate     float64
 	BreakerCooldown time.Duration
 	BreakerProbes   int
+	// OnBreakerTransition, when set, hears every breaker state change after
+	// the server has logged it.
+	OnBreakerTransition func(from, to resilience.State)
 
 	RetryAttempts    int
 	RetryBase        time.Duration
@@ -79,16 +100,47 @@ type serverConfig struct {
 	DivergenceFor time.Duration
 }
 
-// brownoutModes is the ladder length: mode 0 full adaptive verdicts, mode 1
-// predictor-rank-only, mode 2 cached or round-robin answers only.
-const brownoutModes = 3
+// DefaultConfig is the policy sosd runs with when no flag overrides it:
+// serve-scale evaluations, 50 admissions/s into a 64-deep queue on four
+// workers, the brownout controller running, and no fault injection.
+func DefaultConfig() Config {
+	return Config{
+		Scale:       experiments.ServeScale(),
+		DeadlineDef: 5 * time.Second,
+		DeadlineMax: 30 * time.Second,
 
-// server is the resilient scheduling service: every /v1/schedule request
+		Rate:    50,
+		Queue:   64,
+		Workers: 4,
+
+		BreakerWindow:   32,
+		BreakerMin:      8,
+		BreakerRate:     0.5,
+		BreakerCooldown: 2 * time.Second,
+		BreakerProbes:   3,
+
+		RetryAttempts:    3,
+		RetryBase:        20 * time.Millisecond,
+		RetryMax:         500 * time.Millisecond,
+		RetryBudgetRatio: 0.2,
+		RetryBudgetCap:   10,
+
+		BrownoutPin:      -1,
+		BrownoutDown:     250 * time.Millisecond,
+		BrownoutDownHold: time.Second,
+	}
+}
+
+// BrownoutModes is the ladder length: mode 0 full adaptive verdicts, mode 1
+// predictor-rank-only, mode 2 cached or round-robin answers only.
+const BrownoutModes = 3
+
+// Server is the resilient scheduling service: every /v1/schedule request
 // passes drain-gate -> admission limiter -> decode -> response cache ->
 // circuit breaker -> deadline budget -> bounded queue -> budgeted retry ->
 // evaluator, in that order.
-type server struct {
-	cfg  serverConfig
+type Server struct {
+	cfg  Config
 	eval *evaluator
 
 	limiter *resilience.Limiter
@@ -120,24 +172,36 @@ type server struct {
 	obs *serverObs
 }
 
-// newServer wires the pipeline. rec may be nil (no response cache); reg
-// may be nil (metrics disabled, /metrics answers 404).
-func newServer(cfg serverConfig, eval *evaluator, rec *checkpoint.Recorder, reg *obs.Registry, logger *log.Logger, onTransition func(from, to resilience.State)) *server {
+// New wires the pipeline. rec may be nil (no response cache); reg may be
+// nil (metrics disabled, /metrics answers 404); logger may be nil (logs
+// discarded).
+func New(cfg Config, rec *checkpoint.Recorder, reg *obs.Registry, logger *log.Logger) *Server {
+	if logger == nil {
+		logger = log.New(io.Discard, "", 0)
+	}
 	base, cancel := context.WithCancel(context.Background())
-	srv := &server{
-		cfg:  cfg,
-		eval: eval,
+	srv := &Server{
+		cfg: cfg,
+		// The evaluator shares the registry's simulator counters: every
+		// machine it builds reports cycles, commits and per-resource
+		// conflicts.
+		eval: &evaluator{scale: cfg.Scale, chaos: cfg.Chaos, sim: core.NewSimMetrics(reg)},
 		limiter: resilience.NewLimiter(resilience.LimiterConfig{
 			Rate:  cfg.Rate,
 			Burst: cfg.Burst,
 		}),
 		breaker: resilience.NewBreaker(resilience.BreakerConfig{
-			Window:       cfg.BreakerWindow,
-			MinSamples:   cfg.BreakerMin,
-			ErrorRate:    cfg.BreakerRate,
-			Cooldown:     cfg.BreakerCooldown,
-			Probes:       cfg.BreakerProbes,
-			OnTransition: onTransition,
+			Window:     cfg.BreakerWindow,
+			MinSamples: cfg.BreakerMin,
+			ErrorRate:  cfg.BreakerRate,
+			Cooldown:   cfg.BreakerCooldown,
+			Probes:     cfg.BreakerProbes,
+			OnTransition: func(from, to resilience.State) {
+				logger.Printf("breaker: %s -> %s", from, to)
+				if cfg.OnBreakerTransition != nil {
+					cfg.OnBreakerTransition(from, to)
+				}
+			},
 		}),
 		budgets:  resilience.NewBudgetPool(resilience.BudgetConfig{Ratio: cfg.RetryBudgetRatio, Cap: cfg.RetryBudgetCap}),
 		rec:      rec,
@@ -149,7 +213,7 @@ func newServer(cfg serverConfig, eval *evaluator, rec *checkpoint.Recorder, reg 
 	}
 	if cfg.BrownoutPin < 0 {
 		srv.brownout = resilience.NewBrownout(resilience.BrownoutConfig{
-			Modes:         brownoutModes,
+			Modes:         BrownoutModes,
 			DownThreshold: cfg.BrownoutDown,
 			UpThreshold:   cfg.BrownoutUp,
 			DownHold:      cfg.BrownoutDownHold,
@@ -170,14 +234,11 @@ func newServer(cfg serverConfig, eval *evaluator, rec *checkpoint.Recorder, reg 
 		OnSojourn: func(d time.Duration) { srv.brownout.Observe(d) },
 	})
 	srv.obs.registerPipelineGauges(srv)
-	// The evaluator shares the registry's simulator counters: every machine
-	// it builds reports cycles, commits and per-resource conflicts.
-	eval.sim = core.NewSimMetrics(reg)
 	return srv
 }
 
-// handler builds the route table.
-func (s *server) handler() http.Handler {
+// Handler builds the route table.
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	mux.HandleFunc("POST /v1/schedule/batch", s.handleScheduleBatch)
@@ -294,7 +355,7 @@ func isTransient(err error) bool {
 
 // mode returns the current degradation mode: the pinned value when the
 // config pins one, else the brownout controller's verdict.
-func (s *server) mode() int {
+func (s *Server) mode() int {
 	if s.cfg.BrownoutPin >= 0 {
 		return s.cfg.BrownoutPin
 	}
@@ -304,7 +365,7 @@ func (s *server) mode() int {
 // gate samples the serving mode once per request and advertises it on every
 // response — sheds included — so the fleet tier can steer new work toward
 // the least-degraded replica; it refuses the request while draining.
-func (s *server) gate(w http.ResponseWriter) (mode int, ok bool) {
+func (s *Server) gate(w http.ResponseWriter) (mode int, ok bool) {
 	mode = s.mode()
 	w.Header().Set("X-Brownout-Mode", strconv.Itoa(mode))
 	if s.draining.Load() {
@@ -317,7 +378,7 @@ func (s *server) gate(w http.ResponseWriter) (mode int, ok bool) {
 // admit charges the limiter one token per schedule request carried — a
 // batch of n is the same admission load as n singletons — and sheds the
 // whole request when the bucket cannot pay.
-func (s *server) admit(w http.ResponseWriter, n int) bool {
+func (s *Server) admit(w http.ResponseWriter, n int) bool {
 	t0 := time.Now()
 	allowed := s.limiter.AllowN(n)
 	s.obs.stageLimiter.ObserveSince(t0)
@@ -340,7 +401,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 
 // handleSchedule answers one schedule request: a batch of one through the
 // pipeline, rendered as a bare response.
-func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	mode, ok := s.gate(w)
 	if !ok || !s.admit(w, 1) {
 		return
@@ -368,7 +429,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // Item failures are isolated: a malformed or failing item is that item's 4xx
 // or 5xx, never its neighbours'. batched marks an envelope, whose items must
 // be rank requests with distinct fingerprints.
-func (s *server) schedule(r *http.Request, mode int, bodies []json.RawMessage, batched bool) ([]answer, *answer) {
+func (s *Server) schedule(r *http.Request, mode int, bodies []json.RawMessage, batched bool) ([]answer, *answer) {
 	type work struct {
 		idx int
 		req ScheduleRequest
@@ -531,7 +592,7 @@ func (s *server) schedule(r *http.Request, mode int, bodies []json.RawMessage, b
 // hits included) — exactly the repeatably-wrong replica the fleet tier's
 // quarantine must catch. The caller records the honest bytes before calling,
 // so the perturbation never enters the cache or its exports.
-func (s *server) maybeDiverge(key string, raw []byte) []byte {
+func (s *Server) maybeDiverge(key string, raw []byte) []byte {
 	if s.cfg.Divergence <= 0 {
 		return raw
 	}
@@ -556,7 +617,7 @@ func (s *server) maybeDiverge(key string, raw []byte) []byte {
 
 // evalBytes produces the response bytes for one cache-missing request: the
 // round-robin floor, or the evaluator under the client's retry budget.
-func (s *server) evalBytes(ctx context.Context, req ScheduleRequest, rr bool, client string) ([]byte, error) {
+func (s *Server) evalBytes(ctx context.Context, req ScheduleRequest, rr bool, client string) ([]byte, error) {
 	var resp *ScheduleResponse
 	var err error
 	if rr {
@@ -580,7 +641,7 @@ func (s *server) evalBytes(ctx context.Context, req ScheduleRequest, rr bool, cl
 // predictWithRetry runs the evaluation under the client's retry budget with
 // full-jitter backoff. The jitter stream is seeded from the request, so a
 // request's retry timing — like everything else about it — is deterministic.
-func (s *server) predictWithRetry(ctx context.Context, req ScheduleRequest, client string) (*ScheduleResponse, error) {
+func (s *Server) predictWithRetry(ctx context.Context, req ScheduleRequest, client string) (*ScheduleResponse, error) {
 	var resp *ScheduleResponse
 	cfg := resilience.RetryConfig{
 		MaxAttempts: s.cfg.RetryAttempts,
@@ -602,7 +663,7 @@ func (s *server) predictWithRetry(ctx context.Context, req ScheduleRequest, clie
 // encoding failure yields a clean 500 instead of a silently truncated 200
 // (json.NewEncoder(w).Encode commits the status line before it can fail).
 // Failures are tallied in sosd_encode_failures_total.
-func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		s.obs.encodeFailures.Inc()
@@ -618,7 +679,7 @@ func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // handleMixes lists the schedulable jobmix labels.
-func (s *server) handleMixes(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleMixes(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, workload.MixLabels())
 }
 
@@ -626,7 +687,7 @@ func (s *server) handleMixes(w http.ResponseWriter, r *http.Request) {
 // the transfer a restarted fleet sibling pulls to warm up before reporting
 // ready. Export deep-copies under the recorder's lock, so serving it never
 // blocks or races the request path.
-func (s *server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 	if s.rec == nil {
 		httpError(w, http.StatusNotFound, "no response cache (start with -checkpoint)")
 		return
@@ -635,14 +696,14 @@ func (s *server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is liveness: the process is up.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, "ok\n")
 }
 
 // handleReadyz is readiness: accepting work (not draining, breaker closed
 // enough to admit).
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -659,8 +720,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-// serverStats is the /statz body.
-type serverStats struct {
+// Stats is the /statz body.
+type Stats struct {
 	Limiter  resilience.LimiterStats  `json:"limiter"`
 	Breaker  resilience.BreakerStats  `json:"breaker"`
 	Queue    resilience.QueueStats    `json:"queue"`
@@ -678,16 +739,16 @@ type serverStats struct {
 	Goroutines int `json:"goroutines"`
 }
 
-// stats snapshots every pipeline stage.
-func (s *server) stats() serverStats {
-	var st serverStats
+// Stats snapshots every pipeline stage.
+func (s *Server) Stats() Stats {
+	var st Stats
 	st.Limiter = s.limiter.Stats()
 	st.Breaker = s.breaker.Stats()
 	st.Queue = s.queue.Stats()
 	st.Brownout = s.brownout.Stats()
 	if s.cfg.BrownoutPin >= 0 {
 		st.Brownout.Mode = s.cfg.BrownoutPin
-		st.Brownout.Modes = brownoutModes
+		st.Brownout.Modes = BrownoutModes
 	}
 	st.Retries.BudgetExhausted = s.budgets.Exhausted()
 	if s.rec != nil {
@@ -700,13 +761,13 @@ func (s *server) stats() serverStats {
 }
 
 // handleStatz reports the pipeline counters.
-func (s *server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.stats())
+func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// shutdown drains the server: stop accepting, let in-flight work finish
+// Shutdown drains the server: stop accepting, let in-flight work finish
 // within the budget, then hard-stop whatever remains and flush the cache.
-func (s *server) shutdown(budget time.Duration, httpSrv *http.Server) error {
+func (s *Server) Shutdown(budget time.Duration, httpSrv *http.Server) error {
 	s.draining.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()

@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"fmt"
@@ -16,14 +16,27 @@ import (
 // confused or malicious sibling from feeding the warm-up an unbounded body.
 const maxExportBytes = 64 << 20
 
-// warmFromSiblings transfers the response cache from the first responsive
-// sibling before the node reports ready: fetch /v1/cache/export, merge it
-// into the local recorder (Meta must match; divergent bytes abort), and
-// clear the warming gate. Best-effort by design — every failure falls
+// WarmFrom raises the warming gate — /readyz answers 503 "warming cache"
+// from this call on, so call it before the listener opens — and transfers
+// the response cache from the first responsive sibling in the background.
+// The returned channel closes once the gate is down again.
+func (s *Server) WarmFrom(siblings []string, timeout time.Duration) <-chan struct{} {
+	s.warming.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer s.warming.Store(false)
+		s.warmFromSiblings(siblings, timeout)
+	}()
+	return done
+}
+
+// warmFromSiblings fetches /v1/cache/export from each sibling in turn and
+// merges the first good one into the local recorder (Meta must match;
+// divergent bytes abort). Best-effort by design — every failure falls
 // through to the next sibling and finally to a cold start, because a node
 // that refuses to boot without a sibling turns one failure into two.
-func (s *server) warmFromSiblings(siblings []string, timeout time.Duration) {
-	defer s.warming.Store(false)
+func (s *Server) warmFromSiblings(siblings []string, timeout time.Duration) {
 	if s.rec == nil || len(siblings) == 0 {
 		return
 	}

@@ -10,7 +10,7 @@
 #
 # Defaults: the fast structural benchmarks, the simulator hot loop and its
 # instruction supply in both shapes (At, Fill), one serve-scale rank miss
-# in process (cmd/sosd), the per-stage microbenchmarks and the front
+# in process (internal/serve), the per-stage microbenchmarks and the front
 # tier's (one cached dispatch through internal/fleet, the hedge-delay
 # tracker's read and write), 5 repetitions at a pinned -benchtime so
 # run-to-run noise is visible in the snapshot instead of silently folded
