@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"symbios/internal/checkpoint"
 	"symbios/internal/leakcheck"
 	"symbios/internal/parallel"
 	"symbios/internal/serve"
@@ -45,8 +47,10 @@ func adaptiveBody(seed uint64) string {
 // Retry-After), liveness (/healthz) never fails however degraded the
 // service gets, the degradation ladder steps down under sustained sojourn
 // pressure, once the load stops it recovers to full service through the
-// hysteresis band without flapping, and the server still drains cleanly
-// with no goroutine left behind (TestMain's leakcheck).
+// hysteresis band without flapping, a cached rank canary mixed into the
+// traffic answers byte-identically at every rung the ladder passes through,
+// and the server still drains cleanly with no goroutine left behind
+// (TestMain's leakcheck).
 func TestOverloadBrownoutLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload soak skipped in -short mode")
@@ -54,6 +58,8 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 	leakcheck.Check(t)
 
 	srv, ts := newTestServer(t, testServerOpts{
+		rec: checkpoint.NewRecorder(filepath.Join(t.TempDir(), "overload.ckpt"),
+			checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}, 8),
 		cfg: func(c *serve.Config) {
 			c.Queue = 8
 			c.Workers = 1
@@ -66,14 +72,40 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 		},
 	})
 
+	// The canary is a rank request answered once at full service before the
+	// load starts, so the cache holds it before the ladder can reach mode 2
+	// (where an uncached request gets the round-robin fallback). Every later
+	// 200 for it must be these bytes, whichever rung served it.
+	const canary = `{"mix":"Jsb(4,2,2)","seed":42,"samples":3,"mode":"rank"}`
+	status, primed := postSchedule(t, ts, canary, "canary")
+	if status != http.StatusOK {
+		t.Fatalf("priming the canary: status %d: %s", status, primed)
+	}
+	var canaryMu sync.Mutex
+	canaryModes := map[string]int{} // X-Brownout-Mode -> canary 200s served at it
+	checkCanary := func(status int, hdr http.Header, body []byte) error {
+		if status != http.StatusOK {
+			return nil // a shed is held to the shed contract by the caller
+		}
+		if !bytes.Equal(body, primed) {
+			return fmt.Errorf("canary changed at brownout mode %s:\nprimed: %s\ngot:    %s",
+				hdr.Get("X-Brownout-Mode"), primed, body)
+		}
+		canaryMu.Lock()
+		canaryModes[hdr.Get("X-Brownout-Mode")]++
+		canaryMu.Unlock()
+		return nil
+	}
+
 	// Offered load: 6 concurrent clients of back-to-back adaptive requests
-	// against a single worker — far past 1.3x capacity, sustained.
+	// against a single worker — far past 1.3x capacity, sustained — with the
+	// canary after every third.
 	const (
 		clients   = 6
 		perClient = 10
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, clients*perClient)
+	errs := make(chan error, 4*clients*perClient)
 
 	// Liveness prober for the whole overload: every /healthz must answer 200
 	// promptly, however deep the queue.
@@ -128,6 +160,15 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 				if hdr.Get("X-Brownout-Mode") == "" {
 					errs <- fmt.Errorf("response (status %d) missing X-Brownout-Mode", status)
 				}
+				if i%3 == 2 {
+					status, hdr, body, err := postFull(ts, canary, fmt.Sprintf("c%d", c))
+					if err == nil {
+						err = checkCanary(status, hdr, body)
+					}
+					if err != nil {
+						errs <- err
+					}
+				}
 			}
 		}(c)
 	}
@@ -146,15 +187,32 @@ func TestOverloadBrownoutLadder(t *testing.T) {
 	}
 
 	// Load has stopped. Recovery needs dequeues (sojourn is only measured
-	// at dequeue), so probe gently until the controller climbs back.
+	// at dequeue), so probe gently until the controller climbs back, asking
+	// for the canary at each rung on the way up.
+	askCanary := func() {
+		t.Helper()
+		status, hdr, body, err := postFull(ts, canary, "canary")
+		if err == nil {
+			err = checkCanary(status, hdr, body)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for srv.Stats().Brownout.Mode != 0 && time.Now().Before(deadline) {
+		askCanary()
 		body := fmt.Sprintf(`{"mix":"Jsb(4,2,2)","seed":%d,"samples":2}`, 900_000+time.Now().UnixNano()%100_000)
 		tryPostSchedule(ts, body, "probe")
 		time.Sleep(50 * time.Millisecond)
 	}
 	if m := srv.Stats().Brownout.Mode; m != 0 {
 		t.Fatalf("ladder stuck at mode %d after load stopped (stats %+v)", m, srv.Stats().Brownout)
+	}
+	askCanary()
+	t.Logf("canary 200s by brownout mode: %v", canaryModes)
+	if len(canaryModes) < 2 {
+		t.Errorf("canary answered only at brownout modes %v; want it served across a rung change", canaryModes)
 	}
 
 	// Hysteresis: a clean descent and a clean recovery, not a mode that

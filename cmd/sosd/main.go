@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -144,10 +143,8 @@ Flags:
 		return exitUsage
 	}
 
-	mode := "sosd"
 	if *chaos > 0 {
 		cfg.Chaos = &faults.Config{FailRate: *chaos}
-		mode = "sosd-chaos"
 		logger.Printf("chaos mode: counter reads fail with p=%v", *chaos)
 	}
 	if cfg.Divergence > 0 {
@@ -156,17 +153,14 @@ Flags:
 
 	var rec *checkpoint.Recorder
 	if *ckpt != "" {
-		meta := checkpoint.Meta{Exp: mode, Scale: *scale, Seed: cfg.Scale.Seed}
-		if _, err := os.Stat(*ckpt); err == nil {
-			r, err := checkpoint.Resume(*ckpt, "", meta, *every)
-			if err != nil {
-				logger.Printf("checkpoint resume failed: %v", err)
-				return exitInternal
-			}
-			rec = r
+		r, resumed, err := serve.OpenCache(*ckpt, *scale, cfg, *every)
+		if err != nil {
+			logger.Printf("checkpoint resume failed: %v", err)
+			return exitInternal
+		}
+		rec = r
+		if resumed {
 			logger.Printf("resumed %d cached responses from %s", rec.Shards(), *ckpt)
-		} else {
-			rec = checkpoint.NewRecorder(*ckpt, meta, *every)
 		}
 	}
 
@@ -181,15 +175,15 @@ Flags:
 	// "warming cache" from the very first request, and flips to ready only
 	// once a sibling's cache has been merged (or every sibling failed and
 	// the node falls through to a cold start).
-	var siblings []string
-	for _, sib := range strings.Split(*warm, ",") {
-		if sib = strings.TrimSpace(sib); sib != "" {
-			siblings = append(siblings, sib)
-		}
-	}
-	if len(siblings) > 0 {
+	if siblings := serve.SplitSiblings(*warm); len(siblings) > 0 {
 		srv.WarmFrom(siblings, *warmTO)
 	}
+
+	// Signals are caught before the address line is printed, so a supervisor
+	// that signals as soon as it reads the line gets a drain, not a kill.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -204,10 +198,6 @@ Flags:
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case sig := <-sigs:

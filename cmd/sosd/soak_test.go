@@ -37,8 +37,13 @@ func TestSoakChaos(t *testing.T) {
 	var transitions []string
 	dir := t.TempDir()
 	ckptPath := filepath.Join(dir, "soak.json")
-	meta := checkpoint.Meta{Exp: "sosd-chaos", Scale: "serve", Seed: 1}
-	rec := checkpoint.NewRecorder(ckptPath, meta, 4)
+	// Opened as `sosd -chaos 0.2 -checkpoint` opens it, so the restart below
+	// resumes it through the daemon's own code.
+	cacheCfg := serve.Config{Scale: testScale(), Chaos: &faults.Config{FailRate: 0.2}}
+	rec, _, err := serve.OpenCache(ckptPath, "serve", cacheCfg, 4)
+	if err != nil {
+		t.Fatalf("opening the soak checkpoint: %v", err)
+	}
 	soakConfig := func(c *serve.Config) {
 		c.Queue = 8
 		c.Workers = 2
@@ -205,9 +210,9 @@ func TestSoakChaos(t *testing.T) {
 
 	// Restart from the checkpoint: the resumed cache answers the canary as a
 	// hit, byte-identical to what the first server computed.
-	resumed, err := checkpoint.Resume(ckptPath, "", meta, 4)
-	if err != nil {
-		t.Fatalf("resuming the soak checkpoint: %v", err)
+	resumed, ok, err := serve.OpenCache(ckptPath, "serve", cacheCfg, 4)
+	if err != nil || !ok {
+		t.Fatalf("resuming the soak checkpoint: resumed %v, err %v", ok, err)
 	}
 	if resumed.Shards() != len(snap.Shards) {
 		t.Fatalf("restart resumed %d responses, checkpoint holds %d", resumed.Shards(), len(snap.Shards))

@@ -8,14 +8,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"symbios/internal/chaosnet"
-	"symbios/internal/checkpoint"
 	"symbios/internal/fleet"
 	"symbios/internal/integrity"
 	"symbios/internal/leakcheck"
@@ -169,10 +167,6 @@ func fleetSoak(frontURL, oracleURL string, dur time.Duration, seed uint64, rate 
 	return res
 }
 
-// soakMeta is the checkpoint identity every soak node shares, so response
-// caches can be transferred between them.
-var soakMeta = checkpoint.Meta{Exp: "sosd", Scale: "serve", Seed: 1}
-
 // backendConfig is sosd's default policy with room for a soak's offered
 // load (-rate 500) and a reduced cycle budget, so a rank request answers in
 // tens of milliseconds.
@@ -194,18 +188,15 @@ type node struct {
 }
 
 // startNode boots a node on addr ("127.0.0.1:0" picks a port) with a
-// response cache at ckpt, flushed on every record and resumed when the file
-// exists. Named siblings warm the cache before startNode returns, as
-// `sosd -warm-from` does before /readyz turns 200.
+// response cache at ckpt, opened as `sosd -scale serve -checkpoint` opens it
+// (resumed when the file exists) and flushed on every record. Named siblings
+// warm the cache before startNode returns, as `sosd -warm-from` does before
+// /readyz turns 200.
 func startNode(t *testing.T, addr, ckpt string, cfg serve.Config, siblings ...string) *node {
 	t.Helper()
-	var rec *checkpoint.Recorder
-	if _, err := os.Stat(ckpt); err == nil {
-		if rec, err = checkpoint.Resume(ckpt, "", soakMeta, 1); err != nil {
-			t.Fatalf("resuming %s: %v", ckpt, err)
-		}
-	} else {
-		rec = checkpoint.NewRecorder(ckpt, soakMeta, 1)
+	rec, _, err := serve.OpenCache(ckpt, "serve", cfg, 1)
+	if err != nil {
+		t.Fatalf("opening %s: %v", ckpt, err)
 	}
 	n := &node{srv: serve.New(cfg, rec, nil, nil)}
 	var warmed <-chan struct{}
@@ -213,7 +204,6 @@ func startNode(t *testing.T, addr, ckpt string, cfg serve.Config, siblings ...st
 		warmed = n.srv.WarmFrom(siblings, 10*time.Second)
 	}
 	var ln net.Listener
-	var err error
 	// The port of a killed node is free again at once (listeners set
 	// SO_REUSEADDR), but give the kernel a moment if it disagrees.
 	for i := 0; i < 50; i++ {

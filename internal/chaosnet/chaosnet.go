@@ -3,8 +3,8 @@
 // connection resets, truncated responses, bit-flipped body bytes,
 // slow-loris stalls, and timed blackhole partition windows — in two forms:
 // an http.RoundTripper wrapper (Transport) for in-process tests, and a TCP
-// proxy (Proxy) the partition soak, or cmd/chaosproxy, puts between a front
-// and its sosd backends.
+// proxy (Proxy) the partition soak puts between a front and its sosd
+// backends.
 //
 // Every fault decision is a pure function of (seed, stream, index) via
 // rng.Hash2, exactly like the simulator's instruction streams: run the same

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -15,6 +16,38 @@ import (
 // generous — a serve-scale cache is a few hundred KiB — but it keeps a
 // confused or malicious sibling from feeding the warm-up an unbounded body.
 const maxExportBytes = 64 << 20
+
+// OpenCache opens the response cache a server records into, flushing every
+// every records: the checkpoint at path is resumed when the file exists
+// (resumed reports that) and started empty otherwise. scale names cfg.Scale
+// as sosd's -scale flag does. The cache's identity is (sosd or sosd-chaos,
+// scale, seed): a chaos server's cache never seeds a clean one, and warm-up
+// transfers only between caches of one identity.
+func OpenCache(path, scale string, cfg Config, every int) (rec *checkpoint.Recorder, resumed bool, err error) {
+	meta := checkpoint.Meta{Exp: "sosd", Scale: scale, Seed: cfg.Scale.Seed}
+	if cfg.Chaos != nil {
+		meta.Exp = "sosd-chaos"
+	}
+	if _, err := os.Stat(path); err != nil {
+		return checkpoint.NewRecorder(path, meta, every), false, nil
+	}
+	if rec, err = checkpoint.Resume(path, "", meta, every); err != nil {
+		return nil, false, err
+	}
+	return rec, true, nil
+}
+
+// SplitSiblings parses a comma-separated list of sibling base URLs, as
+// sosd's -warm-from flag takes it: entries are trimmed and blanks dropped.
+func SplitSiblings(list string) []string {
+	var siblings []string
+	for _, sib := range strings.Split(list, ",") {
+		if sib = strings.TrimSpace(sib); sib != "" {
+			siblings = append(siblings, sib)
+		}
+	}
+	return siblings
+}
 
 // WarmFrom raises the warming gate — /readyz answers 503 "warming cache"
 // from this call on, so call it before the listener opens — and transfers
