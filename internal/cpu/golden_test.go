@@ -72,6 +72,18 @@ func goldenConfigs() map[string]arch.Config {
 	lsBound := arch.Default21264(3)
 	lsBound.LSUnits = 1
 
+	// One issue per cycle: the budget ends every scan after its first
+	// issue, so most of each queue goes unexamined.
+	issue1 := arch.Default21264(2)
+	issue1.IssueWidth = 1
+
+	// Queues longer than one 64-bit word, with registers to fill them, so
+	// runs of not-yet-ready entries are long.
+	deep := arch.Default21264(2)
+	deep.WindowSize = 256
+	deep.IntQueue, deep.FPQueue = 96, 80
+	deep.IntRenameRegs, deep.FPRenameRegs = 160, 160
+
 	return map[string]arch.Config{
 		"smt1-default":     arch.Default21264(1),
 		"smt2-default":     arch.Default21264(2),
@@ -81,6 +93,8 @@ func goldenConfigs() map[string]arch.Config {
 		"smt2-roundrobin":  rr,
 		"smt2-narrowissue": narrow,
 		"smt3-lsbound":     lsBound,
+		"smt2-issue1":      issue1,
+		"smt2-deepqueue":   deep,
 	}
 }
 
@@ -238,6 +252,46 @@ func TestGoldenKernel(t *testing.T) {
 			if !t.Failed() {
 				t.Errorf("%s diverged from golden", want[i].Name)
 			}
+		}
+	}
+}
+
+// TestGoldenCoverage keeps the golden matrix honest: summed over every cell,
+// each conflict counter and each per-class commit counter must be nonzero,
+// so no resource or class path of the kernel goes unpinned.
+func TestGoldenCoverage(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []goldenCase
+	if err := json.Unmarshal(data, &cases); err != nil {
+		t.Fatal(err)
+	}
+	var sum counters.Set
+	for _, gc := range cases {
+		last := gc.Steps[len(gc.Steps)-1].Counters
+		for r := range sum.ConflictCycles {
+			sum.ConflictCycles[r] += last.ConflictCycles[r]
+		}
+		sum.IntCommitted += last.IntCommitted
+		sum.FPCommitted += last.FPCommitted
+		sum.LoadCommitted += last.LoadCommitted
+		sum.StoreCommitted += last.StoreCommitted
+		sum.BranchCommitted += last.BranchCommitted
+	}
+	for r, n := range sum.ConflictCycles {
+		if n == 0 {
+			t.Errorf("no golden cell latches a %v conflict", counters.Resource(r))
+		}
+	}
+	for name, n := range map[string]uint64{
+		"IntCommitted": sum.IntCommitted, "FPCommitted": sum.FPCommitted,
+		"LoadCommitted": sum.LoadCommitted, "StoreCommitted": sum.StoreCommitted,
+		"BranchCommitted": sum.BranchCommitted,
+	} {
+		if n == 0 {
+			t.Errorf("no golden cell commits any %s", name)
 		}
 	}
 }
