@@ -74,13 +74,20 @@ func (e *evaluator) injectorFor(req ScheduleRequest, attempt int) *faults.Inject
 
 // rank runs the sample phase and returns the predictor-ranked candidates.
 func (e *evaluator) rank(ctx context.Context, req ScheduleRequest, mix workload.Mix, pred core.Predictor, attempt int) (*ScheduleResponse, error) {
-	cfg := arch.Default21264(mix.SMTLevel)
-	slice := e.scale.SliceFor(mix)
+	m, err := e.rankMachine(req, mix, attempt)
+	if err != nil {
+		return nil, err
+	}
+	return e.rankOn(ctx, m, req, mix, pred)
+}
+
+// rankMachine builds the cold machine a rank samples on.
+func (e *evaluator) rankMachine(req ScheduleRequest, mix workload.Mix, attempt int) (*core.Machine, error) {
 	jobs, err := mix.Build(req.Seed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.NewMachine(cfg, jobs, slice)
+	m, err := core.NewMachine(arch.Default21264(mix.SMTLevel), jobs, e.scale.SliceFor(mix))
 	if err != nil {
 		return nil, err
 	}
@@ -88,6 +95,12 @@ func (e *evaluator) rank(ctx context.Context, req ScheduleRequest, mix workload.
 	if inj := e.injectorFor(req, attempt); inj != nil {
 		m.SetCounterReader(inj)
 	}
+	return m, nil
+}
+
+// rankOn warms m, samples the request's candidate schedules on it and
+// ranks them.
+func (e *evaluator) rankOn(ctx context.Context, m *core.Machine, req ScheduleRequest, mix workload.Mix, pred core.Predictor) (*ScheduleResponse, error) {
 	r := rng.New(rng.Hash2(req.Seed, saltSchedDraw, 0))
 	scheds := schedule.Sample(r, mix.Tasks(), mix.SMTLevel, mix.Swap, req.Samples)
 	if err := m.Warm(ctx, scheds[0], e.scale.WarmupCycles); err != nil {
