@@ -35,8 +35,8 @@ func TestDetachInflightPurge(t *testing.T) {
 	found := false
 	for i := 0; i < 50_000; i++ {
 		c.Run(1)
-		if countCtx(c.intQ, victim) > 0 && countCtx(c.fpQ, victim) > 0 &&
-			len(c.intQ) > countCtx(c.intQ, victim) && c.tCount[victim] > 0 {
+		if countCtx(c.queued(sideInt), victim) > 0 && countCtx(c.queued(sideFP), victim) > 0 &&
+			len(c.queued(sideInt)) > countCtx(c.queued(sideInt), victim) && c.tCount[victim] > 0 {
 			found = true
 			break
 		}
@@ -47,12 +47,12 @@ func TestDetachInflightPurge(t *testing.T) {
 
 	// Expected survivors: the non-victim entries in their current order.
 	var wantInt, wantFP []qent
-	for _, e := range c.intQ {
+	for _, e := range c.queued(sideInt) {
 		if int(e.gi)>>c.winShift != victim {
 			wantInt = append(wantInt, e)
 		}
 	}
-	for _, e := range c.fpQ {
+	for _, e := range c.queued(sideFP) {
 		if int(e.gi)>>c.winShift != victim {
 			wantFP = append(wantFP, e)
 		}
@@ -77,8 +77,8 @@ func TestDetachInflightPurge(t *testing.T) {
 			}
 		}
 	}
-	check("intQ", c.intQ, wantInt)
-	check("fpQ", c.fpQ, wantFP)
+	check("intQ", c.queued(sideInt), wantInt)
+	check("fpQ", c.queued(sideFP), wantFP)
 
 	// Register accounting: free counts must equal the totals minus what the
 	// surviving windows still hold.
@@ -96,9 +96,9 @@ func TestDetachInflightPurge(t *testing.T) {
 			}
 		}
 	}
-	if c.intRegsFree != wantIntFree || c.fpRegsFree != wantFPFree {
+	if c.regsFree[sideInt] != wantIntFree || c.regsFree[sideFP] != wantFPFree {
 		t.Fatalf("register leak after detach: int %d want %d, fp %d want %d",
-			c.intRegsFree, wantIntFree, c.fpRegsFree, wantFPFree)
+			c.regsFree[sideInt], wantIntFree, c.regsFree[sideFP], wantFPFree)
 	}
 
 	// The core must keep simulating and the detached slot must be reusable.

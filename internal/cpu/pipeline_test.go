@@ -162,9 +162,9 @@ func TestRandomConfigRobustness(t *testing.T) {
 		for i := 0; i < cfg.Contexts; i++ {
 			c.Detach(i)
 		}
-		return c.intRegsFree == cfg.IntRenameRegs &&
-			c.fpRegsFree == cfg.FPRenameRegs &&
-			len(c.intQ) == 0 && len(c.fpQ) == 0
+		return c.regsFree[sideInt] == cfg.IntRenameRegs &&
+			c.regsFree[sideFP] == cfg.FPRenameRegs &&
+			len(c.queued(sideInt)) == 0 && len(c.queued(sideFP)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
