@@ -70,11 +70,11 @@ func extGoodness(samples []Sample, p ExtPredictor, i int) float64 {
 		// Latency-weighted conflict mix: fp unit conflicts cost ~4 cycles,
 		// queue conflicts stall dispatch (~2), dcache misses ~12. The paper
 		// found no such weighting that beat the simple predictors.
-		return -(4*s.FP + 2*(s.FQ+s.IQ) + 12*(100-s.Dcache))
+		return -(float64(4*s.FP) + float64(2*(s.FQ+s.IQ)) + float64(12*(100-s.Dcache)))
 	case ExtMispredict:
 		return -s.Mispredict
 	case ExtMemSystem:
-		return s.Dcache + 0.25*s.L2Hit
+		return s.Dcache + float64(0.25*s.L2Hit)
 	case ExtIPCBalance:
 		return s.IPC - 2*s.Balance
 	case ExtRankFusion:

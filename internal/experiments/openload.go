@@ -72,7 +72,7 @@ func openLoadCompare(pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := rng.Hash2(qs.Seed, uint64(pt.Factor*1000), 0x01d5)
+	seed := rng.Hash2(qs.Seed, uint64(float64(pt.Factor*1000)), 0x01d5)
 	script, err := queueing.GenerateScriptDist(seed, inter, jobs, qs.Horizon, solo)
 	if err != nil {
 		return nil, err

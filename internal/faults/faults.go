@@ -210,7 +210,7 @@ func (in *Injector) Observe(d counters.Set) (counters.Set, error) {
 			continue
 		}
 		if in.cfg.NoiseSigma > 0 {
-			factor := 1 + in.cfg.NoiseSigma*in.gaussian(ord, uint64(i))
+			factor := 1 + float64(in.cfg.NoiseSigma*in.gaussian(ord, uint64(i)))
 			if factor < 0 {
 				factor = 0
 			}

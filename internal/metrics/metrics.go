@@ -75,7 +75,7 @@ func StdDev(xs []float64) float64 {
 	for _, x := range xs {
 		if finite(x) {
 			d := x - m
-			ss += d * d
+			ss += float64(d * d)
 			n++
 		}
 	}

@@ -95,7 +95,7 @@ func GenerateScriptDist(seed uint64, interarrival, jobCycles Dist, horizon uint6
 			return Script{}, fmt.Errorf("queueing: no solo IPC for %s", bench)
 		}
 		lenCycles := jobCycles.Draw(r)
-		work := uint64(lenCycles * ipc)
+		work := uint64(float64(lenCycles * ipc))
 		if work < 1000 {
 			work = 1000
 		}
@@ -223,7 +223,7 @@ func (r *runner) admit() int {
 // out, credits progress, and completes finished jobs. It returns the number
 // of departures.
 func (r *runner) runSlice(ids []int) int {
-	r.areaInSystem += float64(len(r.jobs)) * float64(r.slice)
+	r.areaInSystem += float64(float64(len(r.jobs)) * float64(r.slice))
 
 	n := 0
 	for _, id := range ids {
@@ -290,7 +290,7 @@ func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
+	idx := int(float64(p*float64(len(sorted)))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}

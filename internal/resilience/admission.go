@@ -64,7 +64,7 @@ func (l *Limiter) AllowN(n int) bool {
 	defer l.mu.Unlock()
 	now := l.cfg.Now()
 	if el := now.Sub(l.last).Seconds(); el > 0 {
-		l.tokens += el * l.cfg.Rate
+		l.tokens += float64(el * l.cfg.Rate)
 		if l.tokens > l.cfg.Burst {
 			l.tokens = l.cfg.Burst
 		}
@@ -97,7 +97,7 @@ func (l *Limiter) RetryAfter(n int) time.Duration {
 	defer l.mu.Unlock()
 	tokens := l.tokens
 	if el := l.cfg.Now().Sub(l.last).Seconds(); el > 0 {
-		tokens += el * l.cfg.Rate
+		tokens += float64(el * l.cfg.Rate)
 		if tokens > l.cfg.Burst {
 			tokens = l.cfg.Burst
 		}

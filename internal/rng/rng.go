@@ -126,7 +126,7 @@ func (s *Stream) BoundedPareto(alpha, lo, hi float64) float64 {
 	u := s.Float64()
 	// F(x) = (1 - (lo/x)^alpha) / (1 - (lo/hi)^alpha); invert for x.
 	ratio := math.Pow(lo/hi, alpha)
-	x := lo * math.Pow(1-u*(1-ratio), -1/alpha)
+	x := lo * math.Pow(1-float64(u*(1-ratio)), -1/alpha)
 	// Clamp fp round-off back into the support.
 	return math.Min(x, hi)
 }
