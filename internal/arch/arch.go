@@ -95,7 +95,8 @@ type Config struct {
 	L2HitLatency  int
 	MemLatency    int
 
-	// DTLBEntries is the (fully associative) data TLB capacity;
+	// DTLBEntries is the data TLB capacity: the TLB is 4-way
+	// set-associative, so it must be four times a power of two.
 	// TLBMissPenalty is the refill cost in cycles.
 	DTLBEntries    int
 	TLBMissPenalty int
@@ -183,9 +184,10 @@ func (c Config) Validate() error {
 		{c.LSUnits >= 1, "LSUnits >= 1"},
 		{c.MispredictPenalty >= 0, "MispredictPenalty >= 0"},
 		{isPow2(c.L1DSets) && isPow2(c.L2Sets) && isPow2(c.L1ISets), "cache set counts are powers of two"},
+		{c.L1IAssoc >= 1 && c.L1DAssoc >= 1 && c.L2Assoc >= 1, "cache associativities >= 1"},
 		{isPow2(c.L1DLineBytes) && isPow2(c.L2LineBytes) && isPow2(c.L1ILineBytes), "cache line sizes are powers of two"},
 		{isPow2(c.PageBytes), "PageBytes is a power of two"},
-		{c.DTLBEntries >= 1, "DTLBEntries >= 1"},
+		{c.DTLBEntries%4 == 0 && isPow2(c.DTLBEntries/4), "DTLBEntries is 4 x a power of two"},
 		{c.BranchPHTBits >= 1 && c.BranchPHTBits <= 24, "BranchPHTBits in [1,24]"},
 		{c.BranchHistBits >= 0 && c.BranchHistBits <= 16, "BranchHistBits in [0,16]"},
 	}
