@@ -1,6 +1,6 @@
 // Package cache implements the simulated memory hierarchy: set-associative
-// LRU caches (L1 instruction, L1 data, unified L2), and a fully associative
-// data TLB.
+// LRU caches (L1 instruction, L1 data, unified L2), and a 4-way
+// set-associative data TLB.
 //
 // All levels are shared between hardware contexts, as on the modeled SMT
 // processor. Jobs occupy disjoint virtual regions (see internal/trace), so
@@ -12,12 +12,12 @@ package cache
 
 import "fmt"
 
-// line is one cache line: a tag plus an LRU stamp. valid is folded into
-// tag != 0 being insufficient (tag 0 is legal), so track explicitly.
+// line is one cache way: a tag plus the LRU clock at its last use. The
+// clock is incremented before every fill, so a filled way's stamp is at
+// least 1 and stamp 0 marks an empty way (tag 0 is a legal tag).
 type line struct {
 	tag   uint64
 	stamp uint64
-	valid bool
 }
 
 // Stats counts cache events since construction or the last reset.
@@ -106,33 +106,22 @@ func (c *Cache) Access(addr uint64) bool {
 	ways, tag := c.index(addr)
 	c.clock++
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag && ways[i].stamp != 0 {
 			ways[i].stamp = c.clock
 			c.stats.Hits++
 			return true
 		}
 	}
 	c.stats.Misses++
+	// The first way with the smallest stamp: the first empty way, else the
+	// least recently used (filled stamps are distinct).
 	victim := 0
 	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].stamp < ways[victim].stamp || !ways[victim].valid {
+		if ways[i].stamp < ways[victim].stamp {
 			victim = i
 		}
 	}
-	if !ways[victim].valid {
-		// Prefer any invalid way over the LRU valid way.
-		for i := range ways {
-			if !ways[i].valid {
-				victim = i
-				break
-			}
-		}
-	}
-	ways[victim] = line{tag: tag, stamp: c.clock, valid: true}
+	ways[victim] = line{tag: tag, stamp: c.clock}
 	return false
 }
 
@@ -140,25 +129,21 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) Probe(addr uint64) bool {
 	ways, tag := c.index(addr)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag && ways[i].stamp != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Flush invalidates the entire cache (used to model a cold machine).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
+// Flush empties every way (used to model a cold machine).
+func (c *Cache) Flush() { clear(c.lines) }
 
-// Resident returns the number of valid lines (test/diagnostic helper).
+// Resident returns the number of filled ways (test/diagnostic helper).
 func (c *Cache) Resident() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].valid {
+		if c.lines[i].stamp != 0 {
 			n++
 		}
 	}

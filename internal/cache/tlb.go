@@ -15,10 +15,11 @@ type TLB struct {
 	stats     Stats
 }
 
+// tlbEntry is one TLB way. As for a cache line, stamp 0 marks an empty
+// way: the clock is incremented before every fill.
 type tlbEntry struct {
 	vpn   uint64
 	stamp uint64
-	valid bool
 }
 
 // tlbAssoc is the fixed associativity.
@@ -65,28 +66,24 @@ func (t *TLB) Access(addr uint64) bool {
 	set := int(vpn&t.setMask) * t.assoc
 	ways := t.entries[set : set+t.assoc]
 	t.clock++
+	// On a miss, the victim is the last way with the smallest stamp: the
+	// last empty way, else the least recently used.
 	victim := 0
 	for i := range ways {
 		e := &ways[i]
-		if e.valid && e.vpn == vpn {
+		if e.vpn == vpn && e.stamp != 0 {
 			e.stamp = t.clock
 			t.stats.Hits++
 			return true
 		}
-		if !e.valid {
-			victim = i
-		} else if ways[victim].valid && e.stamp < ways[victim].stamp {
+		if e.stamp <= ways[victim].stamp {
 			victim = i
 		}
 	}
 	t.stats.Misses++
-	ways[victim] = tlbEntry{vpn: vpn, stamp: t.clock, valid: true}
+	ways[victim] = tlbEntry{vpn: vpn, stamp: t.clock}
 	return false
 }
 
-// Flush invalidates all entries.
-func (t *TLB) Flush() {
-	for i := range t.entries {
-		t.entries[i] = tlbEntry{}
-	}
-}
+// Flush empties every way.
+func (t *TLB) Flush() { clear(t.entries) }
