@@ -1,7 +1,7 @@
 package cpu
 
 // Per-stage microbenchmarks. Each one drives a single pipeline stage on
-// fabricated steady-state SoA state (re-primed off the clock as the stage
+// fabricated steady-state pipeline state (re-primed off the clock as the stage
 // drains it), so a throughput regression localizes to fetch, issue, or
 // retire instead of hiding inside the whole-cycle number.
 
@@ -35,9 +35,10 @@ func BenchmarkFetch(b *testing.B) {
 		}
 		unparkLastFetch(c)
 		c.regsFree = [numSides]int{cfg.IntRenameRegs, cfg.FPRenameRegs}
-		for ctx := 0; ctx < cfg.Contexts; ctx++ {
-			c.tCount[ctx], c.tUnissued[ctx] = 0, 0
-			c.tStall[ctx], c.tWait[ctx] = 0, noSeq
+		for ctx := range c.t {
+			t := &c.t[ctx]
+			t.count, t.unissued = 0, 0
+			t.stall, t.wait = 0, noSeq
 		}
 		c.conf = 0
 		c.fetch()
@@ -53,23 +54,19 @@ func BenchmarkIssue(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.tLive[0] = true
-	c.tGen[0] = 1
+	c.t[0].live = true
+	c.t[0].gen = 1
 	prime := func() {
 		q := &c.q[sideInt]
 		emptyQueue(q)
 		for k := 0; k < cfg.IntQueue; k++ {
 			gi := int32(k)
-			c.uOp[gi] = trace.IALU
-			c.uState[gi] = stQueued
-			c.uReady[gi] = 0
-			c.uPending[gi] = 0
-			c.uGen[gi] = 1
-			c.wakeHead[gi] = -1
-			c.uQpos[gi] = q.push(qent{gi: gi, gen: 1, cls: clsInt})
-			q.setElig(c.uQpos[gi])
+			u := &c.u[gi]
+			*u = slot{op: trace.IALU, state: stQueued, gen: 1, wakeHead: -1}
+			u.qpos = q.push(qent{gi: gi, gen: 1, cls: clsInt})
+			q.setElig(u.qpos)
 		}
-		c.tUnissued[0] = cfg.IntQueue
+		c.t[0].unissued = cfg.IntQueue
 		for i := range c.wheel {
 			c.wheel[i] = c.wheel[i][:0]
 		}
@@ -101,14 +98,15 @@ func BenchmarkRetire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.tLive[0] = true
+	t := &c.t[0]
+	t.live = true
 	prime := func() {
-		for slot := 0; slot < cfg.WindowSize; slot++ {
-			c.uOp[slot] = trace.IALU
-			c.uState[slot] = stDone
+		for gi := 0; gi < cfg.WindowSize; gi++ {
+			c.u[gi].op = trace.IALU
+			c.u[gi].state = stDone
 		}
-		c.tHead[0], c.tCount[0] = 0, cfg.WindowSize
-		c.tHeadSeq[0], c.tCommitted[0] = 0, 0
+		t.head, t.count = 0, cfg.WindowSize
+		t.headSeq, t.committed = 0, 0
 		c.regsFree[sideInt] = 0
 	}
 	prime()
@@ -116,7 +114,7 @@ func BenchmarkRetire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.retire()
-		if c.tCount[0] == 0 {
+		if t.count == 0 {
 			b.StopTimer()
 			prime()
 			b.StartTimer()
@@ -135,10 +133,11 @@ func emptyQueue(q *queue) {
 // entries, so emptying the buckets of its window slots empties the wheel.
 func unparkLastFetch(c *Core) {
 	prev := c.cycle - 1
-	for ctx, n := range c.tCount {
-		for i := 0; i < n; i++ {
-			gi := ctx<<c.winShift | (c.tHead[ctx]+i)&c.winMask
-			c.readyHead[min(c.uReady[gi], prev+wheelSize-1)&(wheelSize-1)] = -1
+	for ctx := range c.t {
+		t := &c.t[ctx]
+		for i := 0; i < t.count; i++ {
+			gi := ctx<<c.winShift | (t.head+i)&c.winMask
+			c.readyHead[min(c.u[gi].ready, prev+wheelSize-1)&(wheelSize-1)] = -1
 		}
 	}
 	c.parked = 0

@@ -32,9 +32,11 @@
 // # Implementation
 //
 // The kernel is organised for throughput (DESIGN.md §12). Pipeline state
-// lives in flat structure-of-arrays storage indexed by a global window index
-// gi = ctx<<winShift | slot, so the hot loops walk dense arrays instead of
-// chasing per-thread pointers. Fetch reads each thread's instructions in
+// lives in two flat, index-addressed slices of records: one slot per window
+// entry, at the global window index gi = ctx<<winShift | ring index, and one
+// thread per hardware context. Queues, wheels and wakeup lists refer to
+// entries by index, never by pointer, and the hot loops take one pointer per
+// record they touch. Fetch reads each thread's instructions in
 // place from a small per-context buffer that its Source refills a block at a
 // time and Attach empties. What dispatch, unit selection, latency and retire
 // need to know about an op comes from a per-Core table built in New, and the
@@ -94,8 +96,8 @@ const (
 	stDone                   // completed, awaiting in-order retire
 )
 
-// qent is a queue reference to a window slot; the entry's readiness bound
-// lives in Core.uReady[gi].
+// qent is a queue reference to a window entry; the entry's readiness bound
+// lives in its slot record, Core.u[gi].ready.
 type qent struct {
 	gi  int32 // global window index
 	gen uint32
@@ -162,11 +164,68 @@ type fetchBuf struct {
 // wheel entries pack (generation, global window index) into one word.
 func wheelRef(gen uint32, gi int32) uint64 { return uint64(gen)<<32 | uint64(uint32(gi)) }
 
-// Core is the simulated SMT processor. Per-instruction and per-thread
-// pipeline state is held in parallel arrays ("structure of arrays") indexed
-// by gi = ctx<<winShift | slot for instructions and by ctx for threads; the
-// arrays are allocated once in New and recycled across Attach/Detach, so
-// steady-state simulation performs no allocation.
+// slot is one window entry's pipeline state. Slots hold stale contents from
+// earlier attachments (exactly like the recycled window rings they
+// replace); every read is guarded by a seq or generation check.
+type slot struct {
+	seq    uint64
+	dep1   uint64 // producers' sequence numbers, or noSeq
+	dep2   uint64
+	addr   uint64
+	doneAt uint64 // completion cycle once issued
+	// ready caches the entry's readiness bound while queued. It is exact —
+	// the max of the producers' completion cycles — once pending hits zero;
+	// until then it is a lower bound and the issue scan re-polls on expiry.
+	ready uint64
+	// gen stamps the attach generation that dispatched the entry, so
+	// producer state is only trusted for entries of the current attachment.
+	gen  uint32
+	qpos int32 // position in its queue while queued
+
+	// Forward wakeup edges: when an instruction issues, it pushes its exact
+	// completion cycle to dependants dispatched while it was still queued,
+	// instead of each dependant polling its producers. pending counts the
+	// entry's unresolved producers. wakeHead heads the producer's waiter
+	// list, a singly-linked list of edge ids consumer<<1 | depIndex whose
+	// links live in the consumer's wakeNext[depIndex] (each consumer has at
+	// most two outgoing edges, so edge storage is preallocated and
+	// allocation-free).
+	wakeHead int32
+	wakeNext [2]int32
+	parkNext int32 // next entry in the same readiness bucket
+
+	op      trace.Op
+	state   uopState
+	mispred bool
+	pending uint8
+}
+
+// thread is one hardware context's state. Attach and Detach rebuild it
+// whole; only gen carries over.
+type thread struct {
+	src       Source
+	gate      SyncGate
+	id        int
+	live      bool
+	seq       uint64 // next instruction to fetch
+	committed uint64 // instructions retired since attach
+	headSeq   uint64 // seq of the oldest in-flight instruction
+	head      int    // ring index of oldest
+	count     int
+	unissued  int    // ICOUNT: fetched but not yet issued
+	stall     uint64 // fetch stalled until this cycle (icache miss, refill)
+	wait      uint64 // seq of unresolved mispredicted branch, or noSeq
+	barrier   uint64 // barrier index the thread is blocked on, or noSeq
+	curLine   uint64 // last icache line fetched (1 + line address; 0 = none)
+	gen       uint32 // attach generation; survives detach
+	buf       fetchBuf
+}
+
+// Core is the simulated SMT processor. Per-instruction state is one slot
+// record per global window index gi = ctx<<winShift | ring index, and
+// per-context state one thread record per ctx; both slices are allocated
+// once in New and recycled across Attach/Detach, so steady-state simulation
+// performs no allocation.
 type Core struct {
 	cfg arch.Config
 	mem *cache.Hierarchy
@@ -175,55 +234,8 @@ type Core struct {
 	winShift int // log2(WindowSize)
 	winMask  int // WindowSize-1
 
-	// Per-instruction state, indexed by gi. Slots hold stale contents from
-	// earlier attachments (exactly like the recycled window rings they
-	// replace); every read is guarded by a seq or generation check.
-	uOp      []trace.Op
-	uState   []uopState
-	uMispred []bool
-	uSeq     []uint64
-	uDep1    []uint64
-	uDep2    []uint64
-	uAddr    []uint64
-	uDoneAt  []uint64
-	// uReady caches the slot's readiness bound while queued. It is exact —
-	// the max of the producers' completion cycles — once uPending[gi] hits
-	// zero; until then it is a lower bound and the issue scan re-polls on
-	// expiry. uGen stamps the attach generation that dispatched the slot, so
-	// producer state is only trusted for slots of the current attachment.
-	uReady []uint64
-	uGen   []uint32
-	uQpos  []int32 // the slot's position in its queue while queued
-
-	// Forward wakeup edges: when an instruction issues, it pushes its exact
-	// completion cycle to dependants dispatched while it was still queued,
-	// instead of each dependant polling its producers. uPending counts a
-	// slot's unresolved producers; wakeHead/wakeNext form per-producer
-	// singly-linked waiter lists where edge id = consumer<<1 | depIndex
-	// (each consumer has at most two outgoing edges, so edge storage is
-	// preallocated and allocation-free).
-	uPending []uint8
-	wakeHead []int32
-	wakeNext []int32
-
-	// Per-thread (hardware context) state, indexed by ctx.
-	tSrc       []Source
-	tGate      []SyncGate
-	tID        []int
-	tLive      []bool
-	tSeq       []uint64 // next instruction to fetch
-	tCommitted []uint64 // instructions retired since attach
-	tHeadSeq   []uint64 // seq of the oldest in-flight instruction
-	tHead      []int    // ring index of oldest
-	tCount     []int
-	tUnissued  []int    // ICOUNT: fetched but not yet issued
-	tStall     []uint64 // fetch stalled until this cycle (icache miss, refill)
-	tWait      []uint64 // seq of unresolved mispredicted branch, or noSeq
-	tBarrier   []uint64 // barrier index the thread is blocked on, or noSeq
-	tCurLine   []uint64 // last icache line fetched (1 + line address; 0 = none)
-	tGen       []uint32 // attach generation; survives detach
-
-	tBuf []fetchBuf // instruction supply; emptied by Attach
+	u []slot   // indexed by gi
+	t []thread // indexed by ctx
 
 	liveCount int
 
@@ -234,13 +246,12 @@ type Core struct {
 
 	// The readiness wheel parks each queued entry that is not yet eligible
 	// in the bucket of its readiness bound (or the wheel's far edge): a
-	// bucket is a list threaded through parkNext, headed by readyHead (-1
-	// when empty). issue drains the current cycle's bucket into the queues'
-	// eligibility sets, re-parking entries whose bound a wakeup raised;
-	// skipAhead drains every bucket it jumps over, and Detach unlinks the
-	// squashed context's entries.
+	// bucket is a list threaded through the slots' parkNext, headed by
+	// readyHead (-1 when empty). issue drains the current cycle's bucket
+	// into the queues' eligibility sets, re-parking entries whose bound a
+	// wakeup raised; skipAhead drains every bucket it jumps over, and Detach
+	// unlinks the squashed context's entries.
 	readyHead [wheelSize]int32
-	parkNext  []int32
 	parked    int // entries on the readiness wheel
 
 	regsFree [numSides]int
@@ -307,43 +318,14 @@ func New(cfg arch.Config) (*Core, error) {
 		return nil, fmt.Errorf("cpu: %d contexts exceed the supported maximum %d", cfg.Contexts, maxContexts)
 	}
 	n := cfg.Contexts
-	size := n * cfg.WindowSize
 	c := &Core{
 		cfg:      cfg,
 		mem:      cache.NewHierarchy(cfg),
 		bp:       branch.New(cfg.BranchPHTBits, cfg.BranchHistBits, n),
 		winShift: bits.TrailingZeros(uint(cfg.WindowSize)),
 		winMask:  cfg.WindowSize - 1,
-
-		uOp:      make([]trace.Op, size),
-		uState:   make([]uopState, size),
-		uMispred: make([]bool, size),
-		uSeq:     make([]uint64, size),
-		uDep1:    make([]uint64, size),
-		uDep2:    make([]uint64, size),
-		uAddr:    make([]uint64, size),
-		uDoneAt:  make([]uint64, size),
-		uReady:   make([]uint64, size),
-		uGen:     make([]uint32, size),
-		uPending: make([]uint8, size),
-
-		tSrc:       make([]Source, n),
-		tGate:      make([]SyncGate, n),
-		tID:        make([]int, n),
-		tLive:      make([]bool, n),
-		tSeq:       make([]uint64, n),
-		tCommitted: make([]uint64, n),
-		tHeadSeq:   make([]uint64, n),
-		tHead:      make([]int, n),
-		tCount:     make([]int, n),
-		tUnissued:  make([]int, n),
-		tStall:     make([]uint64, n),
-		tWait:      make([]uint64, n),
-		tBarrier:   make([]uint64, n),
-		tCurLine:   make([]uint64, n),
-		tGen:       make([]uint32, n),
-		tBuf:       make([]fetchBuf, n),
-
+		u:        make([]slot, n*cfg.WindowSize),
+		t:        make([]thread, n),
 		q:        newQueues(cfg.IntQueue, cfg.FPQueue),
 		regsFree: [numSides]int{cfg.IntRenameRegs, cfg.FPRenameRegs},
 		busy: [numClasses][]uint64{
@@ -351,12 +333,6 @@ func New(cfg arch.Config) (*Core, error) {
 		lineMask: ^uint64(cfg.L1ILineBytes - 1),
 	}
 	c.ops = ops
-	// The per-slot links and positions share one allocation: a Core is
-	// built per evaluation, so its allocation count is part of every
-	// rank's cost.
-	links := make([]int32, 5*size)
-	c.wakeHead, c.wakeNext = links[:size], links[size:3*size]
-	c.parkNext, c.uQpos = links[3*size:4*size], links[4*size:]
 	// Pre-size the completion-wheel buckets out of one backing array so the
 	// issue stage's bucket appends never grow storage in the steady state
 	// (a bucket holds the instructions completing on one cycle; more than
@@ -369,9 +345,6 @@ func New(cfg arch.Config) (*Core, error) {
 	}
 	for i := range c.readyHead {
 		c.readyHead[i] = -1
-	}
-	for i := range c.wakeHead {
-		c.wakeHead[i] = -1
 	}
 	c.updateSkipOK()
 	return c, nil
@@ -438,28 +411,15 @@ func (c *Core) Mem() *cache.Hierarchy { return c.mem }
 // gate for barrier coordination. Attach panics if the context is occupied or
 // out of range, which indicates a scheduler bug.
 func (c *Core) Attach(ctx int, src Source, startSeq uint64, gate SyncGate, threadID int) {
-	if ctx < 0 || ctx >= len(c.tLive) {
-		panic(fmt.Sprintf("cpu: Attach to context %d of %d", ctx, len(c.tLive)))
+	if ctx < 0 || ctx >= len(c.t) {
+		panic(fmt.Sprintf("cpu: Attach to context %d of %d", ctx, len(c.t)))
 	}
-	if c.tLive[ctx] {
+	t := &c.t[ctx]
+	if t.live {
 		panic(fmt.Sprintf("cpu: context %d already occupied", ctx))
 	}
-	c.tGen[ctx]++
-	c.tSrc[ctx] = src
-	c.tGate[ctx] = gate
-	c.tID[ctx] = threadID
-	c.tLive[ctx] = true
-	c.tSeq[ctx] = startSeq
-	c.tCommitted[ctx] = 0
-	c.tHeadSeq[ctx] = startSeq
-	c.tHead[ctx] = 0
-	c.tCount[ctx] = 0
-	c.tUnissued[ctx] = 0
-	c.tStall[ctx] = 0
-	c.tWait[ctx] = noSeq
-	c.tBarrier[ctx] = noSeq
-	c.tCurLine[ctx] = 0
-	c.tBuf[ctx].n = 0
+	*t = thread{src: src, gate: gate, id: threadID, live: true, seq: startSeq, headSeq: startSeq,
+		wait: noSeq, barrier: noSeq, gen: t.gen + 1}
 	c.liveCount++
 	c.updateSkipOK()
 	c.bp.ResetHistory(ctx)
@@ -470,38 +430,37 @@ func (c *Core) Attach(ctx int, src Source, startSeq uint64, gate SyncGate, threa
 // oldest unretired instruction) along with the number of instructions it
 // committed while attached.
 func (c *Core) Detach(ctx int) (resumeSeq, committed uint64) {
-	if !c.tLive[ctx] {
+	t := &c.t[ctx]
+	if !t.live {
 		panic(fmt.Sprintf("cpu: Detach of idle context %d", ctx))
 	}
 	// Reclaim rename registers held by in-flight instructions.
 	base := ctx << c.winShift
-	head, count := c.tHead[ctx], c.tCount[ctx]
-	for i := 0; i < count; i++ {
-		c.regsFree[c.ops[c.uOp[base|((head+i)&c.winMask)]].side]++
+	for i := 0; i < t.count; i++ {
+		c.regsFree[c.ops[c.u[base|((t.head+i)&c.winMask)].op].side]++
 	}
 	// Purge queue entries belonging to this context and unlink those parked
 	// on the readiness wheel. Completion-wheel entries are invalidated
 	// lazily via the generation check.
 	for side := range c.q {
-		c.q[side].purge(ctx, c.winShift, c.uQpos)
+		c.q[side].purge(ctx, c.winShift, c.u)
 	}
 	c.unpark(ctx)
-	resume, n := c.tHeadSeq[ctx], c.tCommitted[ctx]
-	c.tSrc[ctx], c.tGate[ctx] = nil, nil // drop references until reuse
-	c.tLive[ctx] = false
+	resume, n := t.headSeq, t.committed
+	*t = thread{gen: t.gen} // drops the source and gate references until reuse
 	c.liveCount--
 	c.updateSkipOK()
 	return resume, n
 }
 
 // Occupied reports whether context ctx has a thread attached.
-func (c *Core) Occupied(ctx int) bool { return c.tLive[ctx] }
+func (c *Core) Occupied(ctx int) bool { return c.t[ctx].live }
 
 // ThreadCommitted returns instructions committed by the thread on ctx since
 // it was attached.
 func (c *Core) ThreadCommitted(ctx int) uint64 {
-	if c.tLive[ctx] {
-		return c.tCommitted[ctx]
+	if t := &c.t[ctx]; t.live {
+		return t.committed
 	}
 	return 0
 }
@@ -583,9 +542,9 @@ func (c *Core) skipAhead(target uint64) {
 		return
 	}
 	event := target
-	for ctx, live := range c.tLive {
-		if live && c.tStall[ctx] > cyc && c.tStall[ctx] < event {
-			event = c.tStall[ctx]
+	for i := range c.t {
+		if t := &c.t[i]; t.live && t.stall > cyc && t.stall < event {
+			event = t.stall
 		}
 	}
 	for cls, busy := range c.busy {
@@ -608,8 +567,7 @@ func (c *Core) skipAhead(target uint64) {
 			// processed. A live entry is a hard event boundary.
 			for _, ref := range b {
 				gi := int32(uint32(ref))
-				ctx := int(gi) >> c.winShift
-				if c.tLive[ctx] && c.tGen[ctx] == uint32(ref>>32) {
+				if t := &c.t[int(gi)>>c.winShift]; t.live && t.gen == uint32(ref>>32) {
 					event = cyc + d
 					break
 				}
@@ -648,30 +606,31 @@ func minBusy(event, cyc uint64, busy []uint64) uint64 {
 // complete processes instructions whose execution finishes this cycle. It
 // reports whether any live instruction completed.
 func (c *Core) complete() bool {
-	slot := &c.wheel[c.cycle&(wheelSize-1)]
-	if len(*slot) == 0 {
+	bucket := &c.wheel[c.cycle&(wheelSize-1)]
+	if len(*bucket) == 0 {
 		return false
 	}
 	active := false
-	for _, ref := range *slot {
+	for _, ref := range *bucket {
 		gi := int32(uint32(ref))
-		ctx := int(gi) >> c.winShift
-		if !c.tLive[ctx] || c.tGen[ctx] != uint32(ref>>32) {
+		t := &c.t[int(gi)>>c.winShift]
+		if !t.live || t.gen != uint32(ref>>32) {
 			continue // squashed
 		}
-		if c.uState[gi] != stIssued {
+		u := &c.u[gi]
+		if u.state != stIssued {
 			continue
 		}
-		c.uState[gi] = stDone
+		u.state = stDone
 		active = true
-		if c.uMispred[gi] && c.tWait[ctx] == c.uSeq[gi] {
+		if u.mispred && t.wait == u.seq {
 			// Resolve: fetch restarts after the refill penalty.
-			c.tWait[ctx] = noSeq
-			c.tStall[ctx] = c.cycle + uint64(c.cfg.MispredictPenalty)
+			t.wait = noSeq
+			t.stall = c.cycle + uint64(c.cfg.MispredictPenalty)
 		}
 	}
-	c.pendingWheel -= len(*slot)
-	*slot = (*slot)[:0]
+	c.pendingWheel -= len(*bucket)
+	*bucket = (*bucket)[:0]
 	return active
 }
 
@@ -679,22 +638,23 @@ func (c *Core) complete() bool {
 // the number retired.
 func (c *Core) retire() int {
 	retired := 0
-	for ctx, live := range c.tLive {
-		if !live {
+	for ctx := range c.t {
+		t := &c.t[ctx]
+		if !t.live {
 			continue
 		}
 		base := ctx << c.winShift
-		head, count := c.tHead[ctx], c.tCount[ctx]
-		if count == 0 || c.uState[base|head] != stDone {
+		head, count := t.head, t.count
+		if count == 0 || c.u[base|head].state != stDone {
 			continue
 		}
 		committed := uint64(0)
 		for n := 0; n < c.cfg.RetireWidth && count > 0; n++ {
-			gi := base | head
-			if c.uState[gi] != stDone {
+			u := &c.u[base|head]
+			if u.state != stDone {
 				break
 			}
-			op := c.uOp[gi]
+			op := u.op
 			c.regsFree[c.ops[op].side]++
 			c.opCommitted[op]++
 			committed++
@@ -703,14 +663,29 @@ func (c *Core) retire() int {
 		}
 		if committed > 0 {
 			c.ctr.Committed += committed
-			c.tCommitted[ctx] += committed
-			c.tHeadSeq[ctx] += committed
-			c.tHead[ctx] = head
-			c.tCount[ctx] = count
+			t.committed += committed
+			t.headSeq += committed
+			t.head = head
+			t.count = count
 			retired += int(committed)
 		}
 	}
 	return retired
+}
+
+// producer returns the window entry that holds producer sequence p of the
+// thread on ctx, or nil if p is absent, retired or pre-attach, or was
+// squashed by a detach and never re-fetched under this attachment: either
+// way its value is architecturally available.
+func (c *Core) producer(ctx int, t *thread, p uint64) *slot {
+	if p == noSeq || p < t.headSeq {
+		return nil
+	}
+	u := &c.u[ctx<<c.winShift|(t.head+int(p-t.headSeq))&c.winMask]
+	if u.seq != p {
+		return nil
+	}
+	return u
 }
 
 // depAvail returns the earliest cycle producer sequence p of thread ctx
@@ -719,22 +694,16 @@ func (c *Core) retire() int {
 // consumerSide tells which queue the consumer sits in, which determines
 // whether a queued producer could still issue in the current cycle (the
 // integer queue is scanned before the floating-point queue).
-func (c *Core) depAvail(ctx int, p uint64, consumerSide int) uint64 {
-	if p == noSeq || p < c.tHeadSeq[ctx] {
-		return 0 // absent, retired or pre-attach: available
-	}
-	slot := (c.tHead[ctx] + int(p-c.tHeadSeq[ctx])) & c.winMask
-	gi := ctx<<c.winShift | slot
-	if c.uSeq[gi] != p {
-		// The producer was squashed by a detach and never re-fetched under
-		// this attachment; its value is architecturally available on resume.
+func (c *Core) depAvail(ctx int, t *thread, p uint64, consumerSide int) uint64 {
+	u := c.producer(ctx, t, p)
+	if u == nil {
 		return 0
 	}
-	switch c.uState[gi] {
+	switch u.state {
 	case stDone:
 		return 0
 	case stIssued:
-		return c.uDoneAt[gi]
+		return u.doneAt
 	}
 	// Still queued: it must issue and execute first. For a producer
 	// dispatched by the current attachment the bound compounds the
@@ -743,10 +712,10 @@ func (c *Core) depAvail(ctx int, p uint64, consumerSide int) uint64 {
 	// issue. A stale seq-colliding slot from an earlier attachment has no
 	// trustworthy bound; it is re-polled shortly, as the pre-SoA kernel
 	// polled every queued producer.
-	if c.uGen[gi] != c.tGen[ctx] {
+	if u.gen != t.gen {
 		return c.cycle + 2
 	}
-	info := &c.ops[c.uOp[gi]]
+	info := &c.ops[u.op]
 	// The producer can issue this cycle at the earliest — or next cycle if
 	// its queue's scan already passed it (same queue as the consumer, or
 	// the integer queue seen from a floating-point consumer).
@@ -754,31 +723,33 @@ func (c *Core) depAvail(ctx int, p uint64, consumerSide int) uint64 {
 	if consumerSide == sideFP || info.side == sideInt {
 		base++
 	}
-	if rb := c.uReady[gi]; rb > base {
-		base = rb
+	if u.ready > base {
+		base = u.ready
 	}
 	return base + info.latMin
 }
 
-// availAt returns the earliest cycle gi's producers could all be complete.
-func (c *Core) availAt(ctx int, gi int32, consumerSide int) uint64 {
-	a := c.depAvail(ctx, c.uDep1[gi], consumerSide)
-	if d2 := c.uDep2[gi]; d2 != noSeq {
-		if b := c.depAvail(ctx, d2, consumerSide); b > a {
+// availAt returns the earliest cycle u's producers could all be complete;
+// u is an entry of the thread on ctx.
+func (c *Core) availAt(ctx int, u *slot, consumerSide int) uint64 {
+	t := &c.t[ctx]
+	a := c.depAvail(ctx, t, u.dep1, consumerSide)
+	if u.dep2 != noSeq {
+		if b := c.depAvail(ctx, t, u.dep2, consumerSide); b > a {
 			a = b
 		}
 	}
 	return a
 }
 
-// latency returns gi's execution latency. A memory op probes the
+// latency returns u's execution latency. A memory op probes the
 // hierarchy; a store's probe is for contention accounting only, since the
 // write buffer lets dependants proceed after its table latency of one cycle.
-func (c *Core) latency(gi int32, info *opInfo) uint64 {
+func (c *Core) latency(u *slot, info *opInfo) uint64 {
 	if !info.mem {
 		return info.lat
 	}
-	lat, _ := c.mem.DataAccess(c.uAddr[gi])
+	lat, _ := c.mem.DataAccess(u.addr)
 	if info.lat != 0 {
 		return info.lat
 	}
@@ -810,11 +781,11 @@ var queueHolds = [numSides]uint32{clsInt.bit() | clsLS.bit(), clsFP.bit()}
 // issueQueue scans one queue's eligible entries, oldest first, and returns
 // the remaining issue budget and the number issued.
 //
-// An entry outside the eligibility set has uReady > cycle, and all a scan
+// An entry outside the eligibility set has ready > cycle, and all a scan
 // ever did with such an entry was note its bound as the next time a scan
 // was worth running. Every effect a scan has — the order of issue, unit
-// denials and the conflict bits they latch, polls that update uReady —
-// comes from entries with uReady <= cycle, visited in age order. The set
+// denials and the conflict bits they latch, polls that update ready —
+// comes from entries with ready <= cycle, visited in age order. The set
 // holds all of those in the same order (and possibly entries whose bound a
 // wakeup has since raised, which are re-parked on sight), so scanning only
 // the set has the same effects as scanning the whole queue.
@@ -846,19 +817,20 @@ scan:
 				continue
 			}
 			gi := e.gi
-			if r := c.uReady[gi]; r > cyc {
+			u := &c.u[gi]
+			if u.ready > cyc {
 				// A wakeup raised the bound after the entry became eligible.
 				q.clearElig(p)
-				c.park(gi, r, cyc)
+				c.park(gi, u.ready, cyc)
 				continue
 			}
 			ctx := int(gi) >> c.winShift
-			if c.uPending[gi] != 0 {
+			if u.pending != 0 {
 				// Some producer is unresolved (squashed-slot collision or a
 				// stale bound): fall back to polling, exactly as the pre-SoA
 				// kernel polled every queued producer.
-				if avail := c.availAt(ctx, gi, side); avail > cyc {
-					c.uReady[gi] = avail
+				if avail := c.availAt(ctx, u, side); avail > cyc {
+					u.ready = avail
 					q.clearElig(p)
 					c.park(gi, avail, cyc)
 					continue
@@ -879,26 +851,26 @@ scan:
 				}
 				continue
 			}
-			info := &c.ops[c.uOp[gi]]
-			lat := c.latency(gi, info)
+			info := &c.ops[u.op]
+			lat := c.latency(u, info)
 			busy[unit] = cyc + info.occupy
-			c.uState[gi] = stIssued
+			u.state = stIssued
 			done := cyc + lat
-			c.uDoneAt[gi] = done
+			u.doneAt = done
 			b := &c.wheel[done&(wheelSize-1)]
 			*b = append(*b, wheelRef(e.gen, gi))
 			c.pendingWheel++
-			c.tUnissued[ctx]--
+			c.t[ctx].unissued--
 			// Wake dependants: they now know this producer's exact completion.
-			for eid := c.wakeHead[gi]; eid >= 0; {
-				cons := eid >> 1
-				c.uPending[cons]--
-				if done > c.uReady[cons] {
-					c.uReady[cons] = done
+			for eid := u.wakeHead; eid >= 0; {
+				cons := &c.u[eid>>1]
+				cons.pending--
+				if done > cons.ready {
+					cons.ready = done
 				}
-				eid = c.wakeNext[eid]
+				eid = cons.wakeNext[eid&1]
 			}
-			c.wakeHead[gi] = -1
+			u.wakeHead = -1
 			q.remove(p)
 			issued++
 			budget--
@@ -919,7 +891,7 @@ func (c *Core) park(gi int32, at, now uint64) {
 		at = now + wheelSize - 1
 	}
 	h := &c.readyHead[at&(wheelSize-1)]
-	c.parkNext[gi] = *h
+	c.u[gi].parkNext = *h
 	*h = gi
 	c.parked++
 }
@@ -937,12 +909,13 @@ func (c *Core) drainReady(t uint64) {
 	// t+wheelSize-1), so the bucket can be emptied before it is walked.
 	*h = -1
 	for gi >= 0 {
-		next := c.parkNext[gi]
+		u := &c.u[gi]
+		next := u.parkNext
 		c.parked--
-		if r := c.uReady[gi]; r > t {
-			c.park(gi, r, t)
+		if u.ready > t {
+			c.park(gi, u.ready, t)
 		} else {
-			c.q[c.ops[c.uOp[gi]].side].setElig(c.uQpos[gi])
+			c.q[c.ops[u.op].side].setElig(u.qpos)
 		}
 		gi = next
 	}
@@ -953,11 +926,11 @@ func (c *Core) unpark(ctx int) {
 	for b := 0; b < wheelSize && c.parked > 0; b++ {
 		link := &c.readyHead[b]
 		for gi := *link; gi >= 0; gi = *link {
-			if int(gi)>>c.winShift == ctx {
-				*link = c.parkNext[gi]
+			if u := &c.u[gi]; int(gi)>>c.winShift == ctx {
+				*link = u.parkNext
 				c.parked--
 			} else {
-				link = &c.parkNext[gi]
+				link = &u.parkNext
 			}
 		}
 	}
@@ -970,8 +943,8 @@ func (c *Core) unpark(ctx int) {
 func (c *Core) fetch() (int, bool) {
 	var order [maxContexts]int
 	n := 0
-	for ctx, live := range c.tLive {
-		if live {
+	for ctx := range c.t {
+		if c.t[ctx].live {
 			order[n] = ctx
 			n++
 		}
@@ -990,7 +963,7 @@ func (c *Core) fetch() (int, bool) {
 		// Insertion sort by unissued count (ICOUNT); context count is tiny.
 		for i := 1; i < n; i++ {
 			for j := i; j > 0; j-- {
-				if c.tUnissued[order[j]] < c.tUnissued[order[j-1]] {
+				if c.t[order[j]].unissued < c.t[order[j-1]].unissued {
 					order[j-1], order[j] = order[j], order[j-1]
 				} else {
 					break
@@ -1020,23 +993,23 @@ func (c *Core) fetch() (int, bool) {
 // fetch state mutated.
 func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) {
 	cyc := c.cycle
-	if c.tStall[ctx] > cyc || c.tWait[ctx] != noSeq {
+	t := &c.t[ctx]
+	if t.stall > cyc || t.wait != noSeq {
 		return 0, false, false
 	}
-	if bar := c.tBarrier[ctx]; bar != noSeq {
-		if !c.tGate[ctx].TryPass(c.tID[ctx], bar) {
+	if t.barrier != noSeq {
+		if !t.gate.TryPass(t.id, t.barrier) {
 			return 0, false, false
 		}
-		c.tBarrier[ctx] = noSeq
-		c.tSeq[ctx]++ // consume the SYNC marker
+		t.barrier = noSeq
+		t.seq++ // consume the SYNC marker
 		mutated = true
 	}
 	base := ctx << c.winShift
-	buf := &c.tBuf[ctx]
-	seq := c.tSeq[ctx]
-	head, count := c.tHead[ctx], c.tCount[ctx]
-	curLine := c.tCurLine[ctx]
-	gen := c.tGen[ctx]
+	buf := &t.buf
+	seq := t.seq
+	head, count := t.head, t.count
+	curLine := t.curLine
 
 	for fetched < max {
 		if count > c.winMask { // window full
@@ -1045,7 +1018,7 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		}
 		k := seq - buf.seq
 		if k >= uint64(buf.n) {
-			c.tSrc[ctx].Fill(seq, buf.in[:])
+			t.src.Fill(seq, buf.in[:])
 			c.work.Fills++
 			buf.seq, buf.n, k = seq, fetchBufLen, 0
 		}
@@ -1053,12 +1026,12 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 
 		if in.Op == trace.SYNC {
 			idx := in.Seq // barrier ordinal is encoded in Seq by the workload wrapper
-			if gate := c.tGate[ctx]; gate == nil || gate.TryPass(c.tID[ctx], idx) {
+			if t.gate == nil || t.gate.TryPass(t.id, idx) {
 				seq++
 				fetched++ // a consumed barrier occupies a fetch slot
 				continue
 			}
-			c.tBarrier[ctx] = idx
+			t.barrier = idx
 			mutated = true
 			break
 		}
@@ -1069,7 +1042,7 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		line := in.PC&c.lineMask + 1
 		if line != curLine {
 			if stall := c.mem.InstAccess(in.PC); stall > 0 {
-				c.tStall[ctx] = cyc + uint64(stall)
+				t.stall = cyc + uint64(stall)
 				curLine = line // the miss fills the line
 				mutated = true
 				break
@@ -1092,99 +1065,83 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		}
 
 		// All resources available: dispatch.
-		slot := (head + count) & c.winMask
-		gi := int32(base | slot)
-		c.uOp[gi] = in.Op
-		c.uState[gi] = stQueued
-		c.uMispred[gi] = false
-		c.uSeq[gi] = seq
-		d1 := depSeq(seq, in.Dep1)
-		d2 := depSeq(seq, in.Dep2)
-		c.uDep1[gi] = d1
-		c.uDep2[gi] = d2
-		c.uAddr[gi] = in.Addr
-		c.uGen[gi] = gen
-		c.uPending[gi] = 0
-		c.wakeHead[gi] = -1
-		ready := c.resolveDep(ctx, gi, 0, d1, cyc)
-		if d2 != noSeq {
-			if r2 := c.resolveDep(ctx, gi, 1, d2, cyc); r2 > ready {
+		gi := int32(base | (head+count)&c.winMask)
+		u := &c.u[gi]
+		*u = slot{seq: seq, dep1: depSeq(seq, in.Dep1), dep2: depSeq(seq, in.Dep2), addr: in.Addr,
+			gen: t.gen, wakeHead: -1, op: in.Op}
+		ready := c.resolveDep(ctx, t, gi, 0, u.dep1, cyc)
+		if u.dep2 != noSeq {
+			if r2 := c.resolveDep(ctx, t, gi, 1, u.dep2, cyc); r2 > ready {
 				ready = r2
 			}
 		}
-		c.uReady[gi] = ready
+		u.ready = ready
 		c.regsFree[side]--
 		if q.hi == len(q.ent) {
-			q.compact(c.uQpos)
+			q.compact(c.u)
 		}
-		p := q.push(qent{gi: gi, gen: gen, cls: info.cls})
-		c.uQpos[gi] = p
+		u.qpos = q.push(qent{gi: gi, gen: t.gen, cls: info.cls})
 		// The next scan is next cycle's: eligible if ready by then.
 		if ready <= cyc+1 {
-			q.setElig(p)
+			q.setElig(u.qpos)
 		} else {
 			c.park(gi, ready, cyc)
 		}
 		count++
-		c.tUnissued[ctx]++
-		dispSeq := seq
+		t.unissued++
 		seq++
 		fetched++
 		c.ctr.Fetched++
 
 		if in.Op == trace.BRANCH {
 			if correct := c.bp.Lookup(ctx, in.PC, in.Taken); !correct {
-				c.uMispred[gi] = true
-				c.tWait[ctx] = dispSeq
+				u.mispred = true
+				t.wait = u.seq
 				break
 			}
 		}
 	}
-	c.tSeq[ctx] = seq
-	c.tCount[ctx] = count
-	c.tCurLine[ctx] = curLine
+	t.seq = seq
+	t.count = count
+	t.curLine = curLine
 	return fetched, attempted, mutated
 }
 
 // resolveDep computes, at dispatch time, the earliest cycle producer
-// sequence p could be complete, registering a wakeup edge (depIndex k) when
-// the producer is genuinely queued so the bound is later replaced by the
-// producer's exact completion cycle. Squashed-slot collisions get a finite
-// bound with no edge; uPending stays nonzero, keeping the consumer on the
-// issue scan's poll path, which re-derives the pre-SoA kernel's verdict
-// from current state at every expiry.
-func (c *Core) resolveDep(ctx int, consGi int32, k int, p, cyc uint64) uint64 {
-	if p == noSeq || p < c.tHeadSeq[ctx] {
-		return 0 // absent, retired or pre-attach: available
+// sequence p of entry consGi could be complete, registering a wakeup edge
+// (depIndex k) when the producer is genuinely queued so the bound is later
+// replaced by the producer's exact completion cycle. Squashed-slot
+// collisions get a finite bound with no edge; pending stays nonzero,
+// keeping the consumer on the issue scan's poll path, which re-derives the
+// pre-SoA kernel's verdict from current state at every expiry.
+func (c *Core) resolveDep(ctx int, t *thread, consGi int32, k int, p, cyc uint64) uint64 {
+	u := c.producer(ctx, t, p)
+	if u == nil {
+		return 0
 	}
-	slot := (c.tHead[ctx] + int(p-c.tHeadSeq[ctx])) & c.winMask
-	pgi := int32(ctx<<c.winShift | slot)
-	if c.uSeq[pgi] != p {
-		return 0 // squashed and never re-fetched: available on resume
-	}
-	switch c.uState[pgi] {
+	switch u.state {
 	case stDone:
 		return 0
 	case stIssued:
-		return c.uDoneAt[pgi]
+		return u.doneAt
 	}
-	c.uPending[consGi]++
-	if c.uGen[pgi] != c.tGen[ctx] {
+	cons := &c.u[consGi]
+	cons.pending++
+	if u.gen != t.gen {
 		// Stale queued slot from an earlier attachment: no wakeup will ever
 		// fire; poll from a conservative bound.
 		return cyc + 2
 	}
-	eid := consGi<<1 | int32(k)
-	c.wakeNext[eid] = c.wakeHead[pgi]
-	c.wakeHead[pgi] = eid
+	cons.wakeNext[k&1] = u.wakeHead
+	u.wakeHead = consGi<<1 | int32(k)
 	// The producer can issue next cycle at the earliest (fetch runs after
 	// issue), or at its own readiness bound; it then executes for at least
 	// its class's minimum latency.
 	b := cyc + 1
-	if r := c.uReady[pgi]; r > b {
-		b = r
+	if u.ready > b {
+		b = u.ready
 	}
-	return b + c.ops[c.uOp[pgi]].latMin
+	return b + c.ops[u.op].latMin
 }
 
 // depSeq converts a producer distance to an absolute sequence number.

@@ -36,7 +36,7 @@ func TestDetachInflightPurge(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		c.Run(1)
 		if countCtx(c.queued(sideInt), victim) > 0 && countCtx(c.queued(sideFP), victim) > 0 &&
-			len(c.queued(sideInt)) > countCtx(c.queued(sideInt), victim) && c.tCount[victim] > 0 {
+			len(c.queued(sideInt)) > countCtx(c.queued(sideInt), victim) && c.t[victim].count > 0 {
 			found = true
 			break
 		}
@@ -84,12 +84,13 @@ func TestDetachInflightPurge(t *testing.T) {
 	// surviving windows still hold.
 	wantIntFree, wantFPFree := cfg.IntRenameRegs, cfg.FPRenameRegs
 	for ctx := 0; ctx < cfg.Contexts; ctx++ {
-		if !c.tLive[ctx] {
+		th := &c.t[ctx]
+		if !th.live {
 			continue
 		}
 		base := ctx << c.winShift
-		for i := 0; i < c.tCount[ctx]; i++ {
-			if c.uOp[base|((c.tHead[ctx]+i)&c.winMask)].IsFP() {
+		for i := 0; i < th.count; i++ {
+			if c.u[base|((th.head+i)&c.winMask)].op.IsFP() {
 				wantFPFree--
 			} else {
 				wantIntFree--
@@ -109,7 +110,7 @@ func TestDetachInflightPurge(t *testing.T) {
 	}
 	c.Attach(victim, mkSource(t, "FP", 22, 1), resume, nil, victim)
 	c.Run(5_000)
-	if c.tCommitted[victim] == 0 {
+	if c.ThreadCommitted(victim) == 0 {
 		t.Fatal("reattached thread made no progress")
 	}
 }
@@ -150,10 +151,10 @@ func TestReattachDropsBufferedSupply(t *testing.T) {
 		first := stream("GCC", 31)
 		c.Attach(0, fillLog{first, &starts}, 0, nil, 0)
 		c.Run(2_000)
-		buf := &c.tBuf[0]
+		th := &c.t[0]
 		midBuffer := func() bool {
-			head := c.tHeadSeq[0]
-			return buf.n > 0 && head > buf.seq && head < buf.seq+fetchBufLen-1 && c.tSeq[0] > head
+			buf, head := &th.buf, th.headSeq
+			return buf.n > 0 && head > buf.seq && head < buf.seq+fetchBufLen-1 && th.seq > head
 		}
 		for i := 0; i < 50_000 && !midBuffer(); i++ {
 			c.Run(1)
@@ -170,21 +171,60 @@ func TestReattachDropsBufferedSupply(t *testing.T) {
 		c.Attach(0, fillLog{next, &starts}, resume, nil, 0)
 		for i := 0; i < 3_000; i++ {
 			c.Run(1)
-			for k := 0; k < c.tCount[0]; k++ {
-				gi := (c.tHead[0] + k) & c.winMask
-				want := next.At(c.uSeq[gi])
-				if c.uOp[gi] != want.Op || c.uAddr[gi] != want.Addr ||
-					c.uDep1[gi] != depSeq(want.Seq, want.Dep1) || c.uDep2[gi] != depSeq(want.Seq, want.Dep2) {
+			for k := 0; k < th.count; k++ {
+				u := &c.u[(th.head+k)&c.winMask]
+				want := next.At(u.seq)
+				if u.op != want.Op || u.addr != want.Addr ||
+					u.dep1 != depSeq(want.Seq, want.Dep1) || u.dep2 != depSeq(want.Seq, want.Dep2) {
 					t.Fatalf("%s: seq %d in flight as op %v addr %#x, source says %+v",
-						tc.name, c.uSeq[gi], c.uOp[gi], c.uAddr[gi], want)
+						tc.name, u.seq, u.op, u.addr, want)
 				}
 			}
 		}
 		if len(starts) == 0 || starts[0] != resume {
 			t.Fatalf("%s: supply after re-attach started at %v, want a Fill at resume seq %d", tc.name, starts, resume)
 		}
-		if c.tCommitted[0] == 0 {
+		if th.committed == 0 {
 			t.Fatalf("%s: no progress after re-attach", tc.name)
 		}
+	}
+}
+
+// TestReattachLeavesNothingBehind runs a context, detaches it and attaches
+// a different source: the context's record must equal a fresh core's after
+// the same Attach, except for the attach generation and the supply
+// buffer's entries past n, which fetch never reads. Detach itself must
+// leave only the generation, so no source or gate outlives its job.
+func TestReattachLeavesNothingBehind(t *testing.T) {
+	cfg := arch.Default21264(2)
+	c := mustCore(t, cfg)
+	c.Attach(0, mkSource(t, "GCC", 41, 0), 0, nil, 0)
+	c.Attach(1, mkSource(t, "MG", 42, 1), 0, nil, 1)
+	c.Run(20_000)
+	resume, _ := c.Detach(0)
+	if resume == 0 {
+		t.Fatal("the detached context made no progress")
+	}
+	live := func(th thread) thread {
+		clear(th.buf.in[th.buf.n:])
+		return th
+	}
+	gen := c.t[0].gen
+	if got := live(c.t[0]); got != (thread{gen: gen}) {
+		t.Fatalf("detached record holds state: %+v", got)
+	}
+
+	next := mkSource(t, "FP", 43, 2)
+	gate := &testGate{}
+	c.Attach(0, next, 7, gate, 1)
+	fresh := mustCore(t, cfg)
+	fresh.Attach(0, next, 7, gate, 1)
+	got, want := live(c.t[0]), live(fresh.t[0])
+	if got.gen != gen+1 {
+		t.Errorf("attach generation %d after %d, want %d", got.gen, gen, gen+1)
+	}
+	got.gen = want.gen
+	if got != want {
+		t.Errorf("re-attached record differs from a fresh one:\n got %+v\nwant %+v", got, want)
 	}
 }

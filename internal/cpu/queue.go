@@ -3,7 +3,7 @@ package cpu
 // queue is one instruction queue. Its entries sit in age order at positions
 // [0, hi) of ent, with holes (gi < 0) where entries issued or were purged;
 // elig is the set of positions whose entry may issue this cycle. An entry
-// joins elig once its readiness bound uReady is no later than the cycle
+// joins elig once its slot's readiness bound is no later than the cycle
 // being scanned; until then it is parked on the Core's readiness wheel, so
 // the issue scan examines only entries that can act.
 //
@@ -65,9 +65,9 @@ func (q *queue) remove(p int) {
 }
 
 // compact slides the live entries down to positions [0, n), keeping their
-// order and their eligibility, and records each entry's new position in
-// pos (indexed by global window index).
-func (q *queue) compact(pos []int32) {
+// order and their eligibility, and records each entry's new position in its
+// slot record in u.
+func (q *queue) compact(u []slot) {
 	k := 0
 	for p := 0; p < q.hi; p++ {
 		e := q.ent[p]
@@ -80,18 +80,18 @@ func (q *queue) compact(pos []int32) {
 		q.clearElig(p)
 		q.elig[k>>6] |= el << (k & 63)
 		q.ent[k] = e
-		pos[e.gi] = int32(k)
+		u[e.gi].qpos = int32(k)
 		k++
 	}
 	q.hi = k
 }
 
 // purge removes every entry of context ctx, then compacts.
-func (q *queue) purge(ctx, winShift int, pos []int32) {
+func (q *queue) purge(ctx, winShift int, u []slot) {
 	for p := 0; p < q.hi; p++ {
 		if gi := q.ent[p].gi; gi >= 0 && int(gi)>>winShift == ctx {
 			q.remove(p)
 		}
 	}
-	q.compact(pos)
+	q.compact(u)
 }
