@@ -1066,9 +1066,24 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 
 		// All resources available: dispatch.
 		gi := int32(base | (head+count)&c.winMask)
+		// Every field is written in place: a composite literal would build
+		// the record in a stack temporary and block-copy it over.
 		u := &c.u[gi]
-		*u = slot{seq: seq, dep1: depSeq(seq, in.Dep1), dep2: depSeq(seq, in.Dep2), addr: in.Addr,
-			gen: t.gen, wakeHead: -1, op: in.Op}
+		u.seq = seq
+		u.dep1 = depSeq(seq, in.Dep1)
+		u.dep2 = depSeq(seq, in.Dep2)
+		u.addr = in.Addr
+		u.doneAt = 0
+		u.ready = 0
+		u.gen = t.gen
+		u.qpos = 0
+		u.wakeHead = -1
+		u.wakeNext = [2]int32{}
+		u.parkNext = 0
+		u.op = in.Op
+		u.state = stQueued
+		u.mispred = false
+		u.pending = 0
 		ready := c.resolveDep(ctx, t, gi, 0, u.dep1, cyc)
 		if u.dep2 != noSeq {
 			if r2 := c.resolveDep(ctx, t, gi, 1, u.dep2, cyc); r2 > ready {
