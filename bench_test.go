@@ -274,6 +274,28 @@ func BenchmarkTraceFill(b *testing.B) {
 	}
 }
 
+// BenchmarkTapeFill measures block supply from a recorded tape, the shape
+// an evaluation's machines consume: sixteen instructions at a time decoded
+// from chunks recorded before the timer starts, so no read generates.
+func BenchmarkTapeFill(b *testing.B) {
+	spec := workload.MustLookup("GCC")
+	s, err := trace.NewStream(spec.Params, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const span = 1 << 16 // recorded instructions the reads cycle over
+	tp := trace.NewTape(s)
+	var buf [16]trace.Inst
+	for seq := uint64(0); seq < span; seq += uint64(len(buf)) {
+		tp.Fill(seq, buf[:])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		tp.Fill(uint64(i)%span, buf[:])
+	}
+}
+
 // BenchmarkScheduleSample measures distinct-schedule sampling for a large
 // space (Jsb(8,4,1): 2520 schedules).
 func BenchmarkScheduleSample(b *testing.B) {

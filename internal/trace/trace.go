@@ -133,16 +133,24 @@ type Params struct {
 	JumpFarFrac float64
 }
 
-// Validate reports an error if the profile is not generatable.
+// Bounds a profile must keep for its instructions to fit a Tape record:
+// dependence distances in 10 bits, data offsets divided by 8 in 36.
+const (
+	maxTapeDep        = recDepMask
+	maxTapeWorkingSet = 1 << 39
+)
+
+// Validate reports an error if the profile is not generatable, or if its
+// instructions would not fit a Tape record.
 func (p Params) Validate() error {
 	sum := p.LoadFrac + p.StoreFrac + p.BranchFrac
 	switch {
 	case sum >= 1:
 		return fmt.Errorf("trace: LoadFrac+StoreFrac+BranchFrac = %.3f must be < 1", sum)
-	case p.MaxDep < 1:
-		return fmt.Errorf("trace: MaxDep must be >= 1")
-	case p.WorkingSet == 0:
-		return fmt.Errorf("trace: WorkingSet must be > 0")
+	case p.MaxDep < 1 || p.MaxDep > maxTapeDep:
+		return fmt.Errorf("trace: MaxDep %d must be in [1, %d]", p.MaxDep, maxTapeDep)
+	case p.WorkingSet == 0 || p.WorkingSet > maxTapeWorkingSet:
+		return fmt.Errorf("trace: WorkingSet %d must be in [1, %d]", p.WorkingSet, uint64(maxTapeWorkingSet))
 	case p.HotSet > p.WorkingSet:
 		return fmt.Errorf("trace: HotSet larger than WorkingSet")
 	case p.BranchSites < 1:
@@ -275,6 +283,9 @@ func (s *Stream) Fill(seq uint64, out []Inst) {
 	if len(out) == 0 {
 		return
 	}
+	if fillHook != nil {
+		fillHook(len(out))
+	}
 	blockLen := uint64(s.params.BlockLen)
 	visit := s.divBlockLen.Div(seq)
 	within := seq - visit*blockLen
@@ -290,6 +301,17 @@ func (s *Stream) Fill(seq uint64, out []Inst) {
 		seq++
 	}
 }
+
+// fillHook, when set, is told how many instructions each Stream.Fill call
+// generates (see SetFillHook).
+var fillHook func(n int)
+
+// SetFillHook makes fn receive the number of instructions every later
+// Stream.Fill call generates, until SetFillHook(nil). It is for tests that
+// count how much of a stream a computation generated, directly or through
+// a Tape. fn runs on the reading goroutines, so it must be safe for
+// concurrent use; set the hook only while no stream is being read.
+func SetFillHook(fn func(n int)) { fillHook = fn }
 
 // gen writes instruction seq, whose code address is pc, into in.
 func (s *Stream) gen(in *Inst, seq, pc uint64) {

@@ -262,6 +262,8 @@ func TestValidateRejects(t *testing.T) {
 		{"no branch sites", func(p *Params) { p.BranchSites = 0 }},
 		{"no code", func(p *Params) { p.CodeBlocks = 0 }},
 		{"no stride", func(p *Params) { p.SeqStride = 0 }},
+		{"maxdep past a tape record", func(p *Params) { p.MaxDep = 1024 }},
+		{"working set past a tape record", func(p *Params) { p.WorkingSet = 1<<39 + 8 }},
 	}
 	for _, tc := range cases {
 		p := testParams()

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # benchsmoke.sh — machine-enforce the cycle loop's alloc-free invariant.
-# Runs BenchmarkCoreCycles and BenchmarkTraceFill (the block instruction
-# supply the cycle loop calls) three times each with allocation reporting
+# Runs BenchmarkCoreCycles, BenchmarkTraceFill and BenchmarkTapeFill (the
+# block instruction supply the cycle loop calls, generated and read from a
+# recorded tape) three times each with allocation reporting
 # and fails if any sample reports allocs/op > 0: steady-state simulation
 # must not allocate, and a regression here silently costs every experiment
 # sweep.
@@ -9,11 +10,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="$(go test -run '^$' -bench '^(BenchmarkCoreCycles|BenchmarkTraceFill)$' -benchtime 200000x -count 3 -benchmem .)"
+OUT="$(go test -run '^$' -bench '^(BenchmarkCoreCycles|BenchmarkTraceFill|BenchmarkTapeFill)$' -benchtime 200000x -count 3 -benchmem .)"
 echo "$OUT"
 
 echo "$OUT" | awk '
-/^Benchmark(CoreCycles|TraceFill)/ {
+/^Benchmark(CoreCycles|TraceFill|TapeFill)/ {
     sub(/-[0-9]+$/, "", $1)
     found[$1]++
     for (i = 1; i <= NF; i++) {
@@ -24,7 +25,7 @@ echo "$OUT" | awk '
     }
 }
 END {
-    n = split("BenchmarkCoreCycles BenchmarkTraceFill", names, " ")
+    n = split("BenchmarkCoreCycles BenchmarkTraceFill BenchmarkTapeFill", names, " ")
     for (k = 1; k <= n; k++) {
         if (found[names[k]] < 3) {
             printf "benchsmoke: expected 3 %s samples, saw %d\n", names[k], found[names[k]] > "/dev/stderr"
@@ -33,4 +34,4 @@ END {
     }
     exit bad
 }'
-echo "benchsmoke: BenchmarkCoreCycles and BenchmarkTraceFill are alloc-free across 3 samples each"
+echo "benchsmoke: BenchmarkCoreCycles, BenchmarkTraceFill and BenchmarkTapeFill are alloc-free across 3 samples each"
