@@ -129,7 +129,7 @@ func AblationFetchPolicy(ctx context.Context, sc Scale) ([]FetchPolicyRow, error
 
 		type run struct{ ws, ipc float64 }
 		runs, err := parallel.Map(scheds, parallel.Options{Context: ctx}, func(_ int, s schedule.Schedule) (run, error) {
-			res, err := symbiosRun(ctx, mix, cfg, sc.Slice, sc, s)
+			res, err := symbiosRun(ctx, mix, cfg, sc.Slice, sc, jobs, s)
 			if err != nil {
 				return run{}, err
 			}

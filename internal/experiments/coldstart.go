@@ -44,7 +44,7 @@ func ColdstartStudy(ctx context.Context, sc Scale, slices []uint64) ([]Coldstart
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: mix.SMTLevel, Z: mix.Swap}
 
 	return shardedMap(ctx, "coldstart", slices, parallel.Options{}, func(ctx context.Context, _ int, slice uint64) (ColdstartRow, error) {
-		res, err := symbiosRun(ctx, mix, cfg, slice, sc, s)
+		res, err := symbiosRun(ctx, mix, cfg, slice, sc, jobs, s)
 		if err != nil {
 			return ColdstartRow{}, err
 		}

@@ -233,7 +233,7 @@ func staticPredictorWS(ctx context.Context, mix workload.Mix, cfg arch.Config, s
 		key := pick.String()
 		ws, ok := wsBySched[key]
 		if !ok {
-			ws, err = symbiosWS(ctx, mix, cfg, slice, sc, pick, solo)
+			ws, err = symbiosWS(ctx, mix, cfg, slice, sc, jobs, pick, solo)
 			if err != nil {
 				return nil, err
 			}

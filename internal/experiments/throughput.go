@@ -64,9 +64,13 @@ func EvalMix(ctx context.Context, label string, sc Scale) (*MixEval, error) {
 // Every simulation of the evaluation — one solo calibration per job, the
 // warm-up→sample chain, one symbios run per schedule — is independent of
 // the others (solo rates are only the weighted-speedup denominator), so
-// they run as one fan-out over mixTasks; each task builds its own jobs and
-// fills only its own result slot, and the weighted speedups are computed
-// after the join.
+// they run as one fan-out over mixTasks; each task fills only its own
+// result slot, and the weighted speedups are computed after the join.
+//
+// The mix's jobs are built once, over recorded tapes of their streams
+// (workload.Job.Taped): every machine of the evaluation runs fresh
+// instances of them from the same start, so each instruction is generated
+// once for all of them. The tapes die with the evaluation.
 func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.Schedule, sc Scale) (*MixEval, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("experiments: %s: no schedules to evaluate", mix.Label)
@@ -75,21 +79,24 @@ func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.S
 	slice := sc.sliceFor(mix)
 	tr := obs.TracerFrom(ctx)
 
-	// calJobs is only read (spec, ID, thread count): calibrations rebuild
-	// their job, and every machine below builds its own.
-	calJobs, seeds, err := buildJobs(mix, sc.Seed)
+	// Calibrations only read the jobs (spec, ID, thread count):
+	// core.SoloRate rebuilds its job over plain streams.
+	jobs, seeds, err := buildJobs(mix, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
+	for i, j := range jobs {
+		jobs[i] = j.Taped()
+	}
 	ev := &MixEval{Mix: mix, Cfg: cfg, Scheds: scheds}
-	soloJob := make([][]float64, len(calJobs))
+	soloJob := make([][]float64, len(jobs))
 	runs := make([]core.RunResult, len(scheds))
 
-	err = parallel.ForEach(mixTasks(len(calJobs), scheds, slice, sc), parallel.Options{Context: ctx}, func(_ int, t mixTask) error {
+	err = parallel.ForEach(mixTasks(len(jobs), scheds, slice, sc), parallel.Options{Context: ctx}, func(_ int, t mixTask) error {
 		switch t.kind {
 		case taskCalibrate:
 			defer tr.Span("sos/calibrate", mix.Label)()
-			solo, err := core.SoloRate(ctx, cfg, calJobs[t.idx], seeds[t.idx], sc.CalibWarmup, sc.CalibMeasure)
+			solo, err := core.SoloRate(ctx, cfg, jobs[t.idx], seeds[t.idx], sc.CalibWarmup, sc.CalibMeasure)
 			if err != nil {
 				return fmt.Errorf("experiments: %s: %w", mix.Label, err)
 			}
@@ -97,7 +104,7 @@ func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.S
 		case taskSample:
 			// One machine, jobs progressing throughout (the overhead-free
 			// sample phase), warmed on the first schedule.
-			m, err := warmMachine(ctx, mix, cfg, slice, sc, scheds[0])
+			m, err := warmMachine(ctx, mix, cfg, slice, sc, jobs, scheds[0])
 			if err != nil {
 				return err
 			}
@@ -111,7 +118,7 @@ func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.S
 				ev.Samples[i] = core.NewSample(s, res)
 			}
 		case taskSymbios:
-			res, err := symbiosRun(ctx, mix, cfg, slice, sc, scheds[t.idx])
+			res, err := symbiosRun(ctx, mix, cfg, slice, sc, jobs, scheds[t.idx])
 			if err != nil {
 				return err
 			}
@@ -178,15 +185,15 @@ func EnumerateFor(m workload.Mix) ([]schedule.Schedule, error) {
 	return schedule.Enumerate(m.Tasks(), m.SMTLevel, m.Swap, 10_000)
 }
 
-// warmMachine builds the mix's jobs and a machine over them from the
-// evaluation's seed and warms it on s — the identical starting state every
-// measured run of an evaluation begins from.
-func warmMachine(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule) (*core.Machine, error) {
-	jobs, _, err := buildJobs(mix, sc.Seed)
-	if err != nil {
-		return nil, err
+// warmMachine builds a machine over fresh instances of jobs (the mix's
+// jobs at the evaluation's seed) and warms it on s — the identical starting
+// state every measured run of an evaluation begins from.
+func warmMachine(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, jobs []*workload.Job, s schedule.Schedule) (*core.Machine, error) {
+	fresh := make([]*workload.Job, len(jobs))
+	for i, j := range jobs {
+		fresh[i] = j.Fresh()
 	}
-	m, err := core.NewMachine(cfg, jobs, slice)
+	m, err := core.NewMachine(cfg, fresh, slice)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +202,9 @@ func warmMachine(ctx context.Context, mix workload.Mix, cfg arch.Config, slice u
 }
 
 // symbiosRun measures one schedule over a symbios phase on a fresh, warmed
-// machine.
-func symbiosRun(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule) (core.RunResult, error) {
-	m, err := warmMachine(ctx, mix, cfg, slice, sc, s)
+// machine over fresh instances of jobs.
+func symbiosRun(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, jobs []*workload.Job, s schedule.Schedule) (core.RunResult, error) {
+	m, err := warmMachine(ctx, mix, cfg, slice, sc, jobs, s)
 	if err != nil {
 		return core.RunResult{}, err
 	}
@@ -206,8 +213,8 @@ func symbiosRun(ctx context.Context, mix workload.Mix, cfg arch.Config, slice ui
 }
 
 // symbiosWS is symbiosRun reduced to the schedule's weighted speedup.
-func symbiosWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, s schedule.Schedule, solo []float64) (float64, error) {
-	res, err := symbiosRun(ctx, mix, cfg, slice, sc, s)
+func symbiosWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, jobs []*workload.Job, s schedule.Schedule, solo []float64) (float64, error) {
+	res, err := symbiosRun(ctx, mix, cfg, slice, sc, jobs, s)
 	if err != nil {
 		return 0, err
 	}

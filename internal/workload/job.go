@@ -58,6 +58,39 @@ func NewJob(spec Spec, id int, seed uint64) (*Job, error) {
 	return j, nil
 }
 
+// Fresh returns a new instance of j at the start of its streams: the same
+// spec, ID and instruction sources, with its own progress, committed counts
+// and barrier gate. Sources are pure in seq, so any number of instances may
+// share them, from several goroutines; each instance runs as a job built
+// from scratch would.
+func (j *Job) Fresh() *Job {
+	k := &Job{
+		Spec:      j.Spec,
+		ID:        j.ID,
+		sources:   append([]threadSource(nil), j.sources...),
+		Progress:  make([]uint64, len(j.sources)),
+		Committed: make([]uint64, len(j.sources)),
+		SoloIPC:   j.SoloIPC,
+	}
+	if j.gate != nil {
+		k.gate = NewBarrierGroup(len(j.sources))
+	}
+	return k
+}
+
+// Taped returns a fresh instance of j (see Fresh) whose threads read a
+// trace.Tape of each of j's streams. Instances of the taped job share the
+// tapes, so an instruction one of them generates is recorded for all.
+func (j *Job) Taped() *Job {
+	k := j.Fresh()
+	for t := range k.sources {
+		if s, ok := k.sources[t].base.(*trace.Stream); ok {
+			k.sources[t].base = trace.NewTape(s)
+		}
+	}
+	return k
+}
+
 // MustNewJob is NewJob for registry specs that are known valid.
 func MustNewJob(spec Spec, id int, seed uint64) *Job {
 	j, err := NewJob(spec, id, seed)
@@ -94,11 +127,18 @@ func (j *Job) TotalCommitted() uint64 {
 	return n
 }
 
+// stream is what a thread reads instructions from: a *trace.Stream, or a
+// *trace.Tape recording one.
+type stream interface {
+	At(seq uint64) trace.Inst
+	Fill(seq uint64, out []trace.Inst)
+}
+
 // threadSource wraps a trace stream, inserting a SYNC barrier marker every
 // syncEvery instructions. For SYNC the Inst.Seq field carries the barrier
 // ordinal, which is the protocol the cpu package expects.
 type threadSource struct {
-	base      *trace.Stream
+	base      stream
 	syncEvery uint64
 }
 
