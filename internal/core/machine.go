@@ -328,8 +328,11 @@ func (m *Machine) RunScheduleCtx(ctx context.Context, s schedule.Schedule, slice
 	return res, nil
 }
 
-// WarmSlices is the warm-up length every driver uses: the timeslices of
-// whole rotations of s, at sliceCycles each, that cover at least cycles.
+// WarmSlices is the warm-up length every driver uses: the timeslices of the
+// fewest whole rotations of s, at sliceCycles each, that run strictly longer
+// than cycles — one rotation more than fit in cycles, even when cycles is a
+// whole number of rotations. (Serve scale's 200k-cycle warm-up is five
+// 40k-cycle rotations of a Jsb(6,3,3) schedule, and runs six: 240k cycles.)
 func WarmSlices(s schedule.Schedule, sliceCycles, cycles uint64) int {
 	rot := s.CycleSlices()
 	return rot * (int(cycles/(uint64(rot)*sliceCycles)) + 1)
