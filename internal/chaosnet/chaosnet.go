@@ -1,8 +1,7 @@
 // Package chaosnet is a deterministic network fault layer for the fleet
 // tier. It injects the failures a real wire produces — added latency,
 // connection resets, truncated responses, bit-flipped body bytes,
-// slow-loris stalls, and timed blackhole partition windows — in two forms:
-// an http.RoundTripper wrapper (Transport) for in-process tests, and a TCP
+// slow-loris stalls, and timed blackhole partition windows — through a TCP
 // proxy (Proxy) the partition soak puts between a front and its sosd
 // backends.
 //
@@ -41,8 +40,7 @@ const (
 )
 
 // Config selects the fault mix. The zero value injects nothing (a
-// transparent wire). All probabilities are per stream unit: per request for
-// Transport, per accepted connection for Proxy.
+// transparent wire). All probabilities are per accepted connection.
 type Config struct {
 	// Seed derives every fault stream. Two layers with the same Seed and
 	// knobs produce the same schedule.
@@ -65,16 +63,15 @@ type Config struct {
 	CorruptWindow uint64
 
 	// TruncateP ends the response stream early, after a deterministic
-	// offset drawn in [0, TruncateWindow) bytes (<=0 selects 1024). The
-	// Transport truncates silently (EOF, no error) — the nastiest case,
-	// detectable only by length or digest; the Proxy closes the connection.
+	// offset drawn in [0, TruncateWindow) bytes (<=0 selects 1024): the
+	// proxy closes the connection there.
 	TruncateP      float64
 	TruncateWindow uint64
 
 	// StallP pauses the response stream for StallFor (<=0 selects 2s) after
 	// a deterministic offset drawn in [0, StallWindow) bytes (<=0 selects
-	// 256) — a slow-loris writer. The stall honors the request context, so
-	// a consumer with a read deadline escapes it.
+	// 256) — a slow-loris writer, which a consumer with a read deadline
+	// escapes.
 	StallP      float64
 	StallFor    time.Duration
 	StallWindow uint64
@@ -154,9 +151,8 @@ func (c Config) drawN(stream, idx, salt, n uint64) uint64 {
 }
 
 // Plan computes the fault plan for exchange idx of stream. Streams separate
-// independently faulted flows (Transport uses a hash of the backend host,
-// Proxy uses a per-proxy label), so adding a backend never reshuffles
-// another backend's schedule.
+// independently faulted flows (each Proxy uses its own label), so adding a
+// backend never reshuffles another backend's schedule.
 func (c Config) Plan(stream, idx uint64) Fault {
 	var f Fault
 	if c.LatencyP > 0 && c.draw(stream, idx, saltLatency) < c.LatencyP {
@@ -232,7 +228,7 @@ func (c Config) Partitioned(elapsed time.Duration) (bool, time.Duration) {
 	return false, 0
 }
 
-// Stats counts injected faults; both Transport and Proxy expose one.
+// Stats counts injected faults; a Proxy exposes one.
 type Stats struct {
 	Exchanges   uint64 `json:"exchanges"`
 	Latencies   uint64 `json:"latencies"`

@@ -14,6 +14,20 @@ import (
 	"symbios/internal/leakcheck"
 )
 
+// testBody is large enough that a corruption offset drawn in the default
+// window always lands inside it.
+var testBody = bytes.Repeat([]byte("symbios-fleet-response-"), 100) // 2300 bytes
+
+func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(integrity.Header, integrity.Digest(testBody))
+		w.Write(testBody)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // proxyFor stands a Proxy up in front of an httptest server and returns the
 // proxy's base URL.
 func proxyFor(t *testing.T, cfg Config, srv *httptest.Server) (*Proxy, string) {
