@@ -16,7 +16,7 @@ import (
 // RoundRobin returns the naive scheduler's schedule over x entries at SMT
 // level y: the identity circular order with a full swap every timeslice.
 // This is the oblivious baseline the paper compares against and the
-// degraded-mode schedule RunAdaptive falls back to when its predictor
+// degraded-mode schedule RunAdaptiveCtx falls back to when its predictor
 // inputs cannot be trusted.
 func RoundRobin(x, y int) (schedule.Schedule, error) {
 	order := make([]int, x)
@@ -43,7 +43,7 @@ type ChurnEvent struct {
 	ArriveSolo [][]float64
 }
 
-// AdaptiveOptions configures RunAdaptive. The zero value of every tuning
+// AdaptiveOptions configures RunAdaptiveCtx. The zero value of every tuning
 // field selects a sensible default, so callers set only what they study.
 type AdaptiveOptions struct {
 	// Samples, Predictor, SymbiosSlices, WarmupCycles and Seed mean exactly
@@ -84,7 +84,7 @@ type AdaptiveOptions struct {
 	// Churn scripts jobmix changes, applied in AtSlice order.
 	Churn []ChurnEvent
 	// Abort, when non-nil, is polled between windows and sample
-	// evaluations; a fired token makes RunAdaptive return
+	// evaluations; a fired token makes RunAdaptiveCtx return
 	// parallel.ErrCancelled promptly (used by sweeps to abort in-flight
 	// cells after a sibling failure). The token is a legacy adapter over
 	// context.Context — new call sites should pass a context to
@@ -127,7 +127,7 @@ type plan struct {
 	fallback bool
 }
 
-// adaptiveState carries RunAdaptive's mutable pieces through its helpers.
+// adaptiveState carries RunAdaptiveCtx's mutable pieces through its helpers.
 type adaptiveState struct {
 	ctx     context.Context // nil means unbounded
 	m       *Machine
@@ -157,21 +157,17 @@ func (a *adaptiveState) interrupted() error {
 	return nil
 }
 
-// RunAdaptive executes the hardened SOS pipeline on m: a sample phase that
-// retries transiently failed evaluations with bounded backoff, a round-robin
-// fallback when the predictor inputs are degenerate, and a monitored symbios
-// phase that re-enters sampling when the observed IPC deviates from the
-// prediction or the jobmix churns. solo, when non-nil, must hold each task's
-// solo offer rate and enables the weighted-speedup report; churn arrivals
-// extend it via ChurnEvent.ArriveSolo.
-func RunAdaptive(m *Machine, y, z int, solo []float64, opt AdaptiveOptions) (AdaptiveResult, error) {
-	return RunAdaptiveCtx(nil, m, y, z, solo, opt)
-}
-
-// RunAdaptiveCtx is RunAdaptive bounded by a context: cancellation and
-// deadlines are honoured at every timeslice, window and sample-evaluation
-// boundary, returning the context's error promptly with the machine left
-// consistent. A nil context behaves like RunAdaptive; the legacy
+// RunAdaptiveCtx executes the hardened SOS pipeline on m: a sample phase
+// that retries transiently failed evaluations with bounded backoff, a
+// round-robin fallback when the predictor inputs are degenerate, and a
+// monitored symbios phase that re-enters sampling when the observed IPC
+// deviates from the prediction or the jobmix churns. solo, when non-nil,
+// must hold each task's solo offer rate and enables the weighted-speedup
+// report; churn arrivals extend it via ChurnEvent.ArriveSolo.
+//
+// Cancellation and deadlines are honoured at every timeslice, window and
+// sample-evaluation boundary, returning the context's error promptly with
+// the machine left consistent. A nil context never expires; the legacy
 // AdaptiveOptions.Abort token is honoured alongside the context.
 func RunAdaptiveCtx(ctx context.Context, m *Machine, y, z int, solo []float64, opt AdaptiveOptions) (AdaptiveResult, error) {
 	if opt.Samples < 1 {

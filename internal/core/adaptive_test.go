@@ -68,7 +68,7 @@ func adaptiveSetup(t *testing.T, label string, seed uint64) (*Machine, workload.
 // positive weighted speedup.
 func TestRunAdaptiveClean(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
-	res, err := RunAdaptive(m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64,
 		WarmupCycles: 200_000, Seed: 9,
 	})
@@ -91,7 +91,7 @@ func TestRunAdaptiveClean(t *testing.T) {
 func TestRunAdaptiveRetriesTransientFailures(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m.SetCounterReader(&flakyReader{n: 7})
-	res, err := RunAdaptive(m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64,
 		WarmupCycles: 200_000, Seed: 9, MaxSampleRetries: 4,
 	})
@@ -113,7 +113,7 @@ func TestRunAdaptiveRetriesTransientFailures(t *testing.T) {
 func TestRunAdaptiveFallsBackOnDegenerateSamples(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m.SetCounterReader(zeroReader{})
-	res, err := RunAdaptive(m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 32, Seed: 9,
 	})
 	if err != nil {
@@ -137,7 +137,7 @@ func TestRunAdaptiveFallsBackOnDegenerateSamples(t *testing.T) {
 
 	m2, mix2, solo2 := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m2.SetCounterReader(zeroReader{})
-	_, err = RunAdaptive(m2, mix2.SMTLevel, mix2.Swap, solo2, AdaptiveOptions{
+	_, err = RunAdaptiveCtx(context.Background(), m2, mix2.SMTLevel, mix2.Swap, solo2, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 32, Seed: 9,
 		DisableFallback: true,
 	})
@@ -161,7 +161,7 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	}
 	arrival = workload.MustNewJob(spec, 100, 77) // fresh progress after calibration probe
 
-	res, err := RunAdaptive(m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
 		WarmupCycles: 100_000, Seed: 11,
 		Churn: []ChurnEvent{{
@@ -204,7 +204,7 @@ func TestRunAdaptiveAbort(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	var c parallel.Cancel
 	c.Cancel()
-	_, err := RunAdaptive(m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	_, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64, Seed: 9,
 		Abort: &c,
 	})

@@ -294,7 +294,7 @@ func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config
 
 // naiveChurnWS measures the oblivious round-robin baseline over the symbios
 // budget, applying the same churn script and the same cycle-weighted WS
-// accounting RunAdaptive uses. Round-robin reads no counters, so counter
+// accounting RunAdaptiveCtx uses. Round-robin reads no counters, so counter
 // faults cannot affect it — it is the floor an adaptive scheduler must not
 // sink below.
 func naiveChurnWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, symSlices int, churn []core.ChurnEvent, solo []float64) (float64, error) {
