@@ -74,7 +74,6 @@ func parseFlags(args []string, stderr io.Writer) (o options, ok bool) {
 		hedgeMin      = fs.Duration("hedge-min", 20*time.Millisecond, "hedge delay floor")
 		hedgeMax      = fs.Duration("hedge-max", 2*time.Second, "hedge delay ceiling (also the unwarmed delay)")
 		hedgeWarmup   = fs.Int("hedge-warmup", 20, "latency samples a request class needs before its tracked quantile is trusted")
-		noHedge       = fs.Bool("no-hedge", false, "disable latency-hedged duplicate requests")
 		hedgeRatio    = fs.Float64("hedge-budget-ratio", 0.1, "hedge credit earned per attempt, per backend")
 		hedgeCap      = fs.Float64("hedge-budget-cap", 10, "hedge credit ceiling per backend")
 
@@ -138,7 +137,6 @@ Flags:
 		HedgeMin:      *hedgeMin,
 		HedgeMax:      *hedgeMax,
 		HedgeWarmup:   *hedgeWarmup,
-		HedgeDisable:  *noHedge,
 
 		AttemptTimeout: *attemptTimeout,
 		FailoverBase:   *failoverBase,

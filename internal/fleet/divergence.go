@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"symbios/internal/integrity"
@@ -18,10 +19,11 @@ import (
 //
 // Evidence arrives on two paths:
 //
-//   - Hedge losers (CompareHedges): the dispatch loop hands a hedge's
-//     straggler to drainCompare instead of cancelling it, and compares its
-//     digest against the winner's. The compare is one hash; the drained
-//     loser is a whole second run of the request (DESIGN §13 prices it).
+//   - Hedge losers (CompareHedges): the dispatch machine keeps draining a
+//     hedge's straggler after it answers instead of cancelling it, and
+//     compareStraggler checks its digest against the winner's. The compare
+//     is one hash; the drained loser is a whole second run of the request
+//     (DESIGN §13 prices it).
 //   - Background audits (AuditRate): a deterministic low-rate draw re-asks
 //     a second replica after a request was answered and compares.
 //
@@ -45,8 +47,9 @@ import (
 type DivergenceConfig struct {
 	// CompareHedges lets a hedge loser run to completion and be digest-
 	// compared against the winner instead of being cancelled on the spot.
-	// Off by default: it trades a second complete run of every hedged
-	// request — a full evaluation, for a miss — for a divergence probe.
+	// The zero value is off; sosfront turns it on unless -no-hedge-compare.
+	// It trades a second complete run of every hedged request — a full
+	// evaluation, for a miss — for a divergence probe.
 	CompareHedges bool
 	// AuditRate is the per-answered-request probability of a background
 	// audit (0 disables auditing and, with it, quarantine readmission).
@@ -111,11 +114,9 @@ func (f *Front) audit(req *request, winner *Result) {
 
 	second := f.arbiter(winner.Backend)
 	if second != nil {
-		f.audits.Add(1)
 		f.obsAudits.Inc()
 		out := f.attempt(ctx, second, req, true)
 		if evidence(out) && integrity.Digest(out.res.Body) != wantDigest {
-			f.auditMismatches.Add(1)
 			f.obsAuditMiss.Inc()
 			f.arbitrate(ctx, req, winner, out.res)
 		}
@@ -131,17 +132,7 @@ func (f *Front) audit(req *request, winner *Result) {
 // placement set contains exactly the two disagreeing parties.
 func (f *Front) arbiter(exclude ...string) *backend {
 	for _, b := range f.backends {
-		if b.isQuarantined() || !b.isHealthy() {
-			continue
-		}
-		excluded := false
-		for _, e := range exclude {
-			if b.base == e {
-				excluded = true
-				break
-			}
-		}
-		if !excluded {
+		if !b.isQuarantined() && b.isHealthy() && !slices.Contains(exclude, b.base) {
 			return b
 		}
 	}
@@ -187,7 +178,6 @@ func (f *Front) observeDivergence(b *backend) {
 	if b == nil {
 		return
 	}
-	f.divergencesTotal.Add(1)
 	b.obsDiverges.Inc()
 	b.mu.Lock()
 	b.divergences++
@@ -202,9 +192,9 @@ func (f *Front) observeDivergence(b *backend) {
 	b.mu.Unlock()
 	if quarantineNow {
 		b.obsQuarantines.Inc()
-		f.logger.Printf("backend %s quarantined after %d divergence observations", b.base, n)
+		f.cfg.Logger.Printf("backend %s quarantined after %d divergence observations", b.base, n)
 	} else {
-		f.logger.Printf("backend %s divergence observation %d/%d", b.base, n, f.cfg.Divergence.QuarantineAfter)
+		f.cfg.Logger.Printf("backend %s divergence observation %d/%d", b.base, n, f.cfg.Divergence.QuarantineAfter)
 	}
 }
 
@@ -237,36 +227,22 @@ func (f *Front) readmitProbes(ctx context.Context, req *request, wantDigest stri
 		n := b.cleanProbes
 		b.mu.Unlock()
 		if readmit {
-			f.logger.Printf("backend %s readmitted from quarantine", b.base)
+			f.cfg.Logger.Printf("backend %s readmitted from quarantine", b.base)
 		} else {
-			f.logger.Printf("backend %s clean quarantine probe %d/%d", b.base, n, f.cfg.Divergence.ReadmitAfter)
+			f.cfg.Logger.Printf("backend %s clean quarantine probe %d/%d", b.base, n, f.cfg.Divergence.ReadmitAfter)
 		}
 	}
 }
 
-// drainCompare receives the results still in flight when a winner was
-// chosen, digest-compares every deterministic straggler answer against the
-// winner's, and only then releases the attempt and budget contexts it was
-// handed. Attempts always deliver exactly one result each (bounded by the
-// budget context's deadline), so the drain always terminates.
-func (f *Front) drainCompare(cancel, acancel context.CancelFunc, results <-chan attemptOut, remaining int, req *request, winner *Result) {
-	defer f.wg.Done()
-	defer func() {
-		acancel()
-		cancel()
-	}()
-	wantDigest := integrity.Digest(winner.Body)
-	authority := fullService(winner)
-	for i := 0; i < remaining; i++ {
-		out := <-results
-		if !authority || !evidence(out) || out.res.Backend == winner.Backend {
-			continue
-		}
-		if integrity.Digest(out.res.Body) == wantDigest {
-			continue
-		}
-		ctx, acancel2 := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
-		f.arbitrate(ctx, req, winner, out.res)
-		acancel2()
+// compareStraggler digest-compares a straggler's answer against the one
+// served and arbitrates a mismatch. Both must be full-service evidence from
+// different replicas; anything else is no verdict on anyone.
+func (f *Front) compareStraggler(req *request, winner *Result, out attemptOut) {
+	if !fullService(winner) || !evidence(out) || out.res.Backend == winner.Backend ||
+		integrity.Digest(out.res.Body) == integrity.Digest(winner.Body) {
+		return
 	}
+	ctx, cancel := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
+	defer cancel()
+	f.arbitrate(ctx, req, winner, out.res)
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,7 +20,6 @@ import (
 	"symbios/internal/integrity"
 	"symbios/internal/obs"
 	"symbios/internal/resilience"
-	"symbios/internal/rng"
 )
 
 // maxBodyBytes bounds a proxied request body, matching sosd's own request
@@ -60,13 +60,11 @@ type Config struct {
 	// hedging: after the tracked quantile of the request class's recent
 	// latencies (clamped to [HedgeMin, HedgeMax]; one window each for
 	// cached, rank and adaptive answers) a duplicate request is sent to the
-	// next replica and the first response wins. HedgeDisable turns hedging
-	// off.
+	// next replica and the first response wins.
 	HedgeQuantile float64
 	HedgeMin      time.Duration
 	HedgeMax      time.Duration
 	HedgeWarmup   int
-	HedgeDisable  bool
 
 	// Health tunes the active /readyz prober.
 	Health HealthConfig
@@ -96,9 +94,10 @@ type Config struct {
 	FailoverMax  time.Duration
 
 	// RequireDigest treats a backend reply without an X-Content-Digest
-	// header as a failure. Off by default so fronts can sit over backends
-	// that predate the envelope; a digest that is present but wrong is
-	// ALWAYS a failure regardless of this setting.
+	// header as a failure. The zero value is off, so a front can sit over
+	// backends that predate the envelope; sosfront turns it on unless
+	// -require-digest=false. A digest that is present but wrong is ALWAYS a
+	// failure regardless of this setting.
 	RequireDigest bool
 
 	// Divergence tunes replica divergence detection and quarantine.
@@ -137,9 +136,6 @@ type backend struct {
 	qReadmits    uint64
 	divergesSeen uint64 // lifetime divergence observations
 
-	requests atomic.Uint64
-	failures atomic.Uint64
-
 	// mode is the backend's last advertised brownout mode (the
 	// X-Brownout-Mode response header; 0 = full service). Placement
 	// prefers less-degraded replicas, so a browned-out backend sheds
@@ -170,6 +166,27 @@ func (b *backend) isQuarantined() bool {
 	return b.quarantined
 }
 
+// stats is the backend's /statz entry, its guarded state copied under one
+// lock, and its clean readmit probes, which only /v1/quarantine reports.
+func (b *backend) stats() (BackendStats, int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return BackendStats{
+		Backend:     b.base,
+		Healthy:     b.healthy,
+		Mode:        int(b.mode.Load()),
+		Ejections:   b.ejections,
+		Readmits:    b.readmits,
+		Requests:    b.obsRequests.Value(),
+		Failures:    b.obsFailures.Value(),
+		Quarantined: b.quarantined,
+		Divergences: b.divergesSeen,
+		Quarantines: b.quarantines,
+		QReadmits:   b.qReadmits,
+		Breaker:     b.breaker.Stats(),
+	}, b.cleanProbes
+}
+
 // Front is the fleet's shard-and-failover dispatcher.
 type Front struct {
 	cfg      Config
@@ -178,10 +195,7 @@ type Front struct {
 	byBase   map[string]*backend
 	flights  *flightGroup
 	hedge    *hedgeDelays
-	client   *http.Client
 	checker  *healthChecker
-	logger   *log.Logger
-	reg      *obs.Registry
 
 	// base parents every dispatch; Close cancels it so in-flight backend
 	// calls abort.
@@ -189,19 +203,10 @@ type Front struct {
 	hardStop context.CancelFunc
 	draining atomic.Bool
 
-	coalesced atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
-
-	// Integrity / divergence counters. wg tracks every background goroutine
-	// the divergence machinery spawns (hedge-loser drains, audits), so Close
-	// accounts for all of them.
-	wg               sync.WaitGroup
-	auditIdx         atomic.Uint64
-	integrityFails   atomic.Uint64
-	audits           atomic.Uint64
-	auditMismatches  atomic.Uint64
-	divergencesTotal atomic.Uint64
+	// wg tracks every background goroutine the divergence machinery spawns
+	// (hedge-loser drains, audits), so Close accounts for all of them.
+	wg       sync.WaitGroup
+	auditIdx atomic.Uint64
 
 	obsCoalesced *obs.Counter
 	obsHedges    *obs.Counter
@@ -220,45 +225,19 @@ func New(cfg Config) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 2
-	}
-	if cfg.Replicas > len(cfg.Backends) {
-		cfg.Replicas = len(cfg.Backends)
-	}
-	if cfg.DeadlineDef <= 0 {
-		cfg.DeadlineDef = 5 * time.Second
-	}
-	if cfg.DeadlineMax <= 0 {
-		cfg.DeadlineMax = 30 * time.Second
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 20 * time.Millisecond
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = 2 * time.Second
-	}
-	if cfg.FailoverBase <= 0 {
-		cfg.FailoverBase = 10 * time.Millisecond
-	}
-	if cfg.FailoverMax <= 0 {
-		cfg.FailoverMax = 250 * time.Millisecond
-	}
-	if cfg.Divergence.QuarantineAfter < 1 {
-		cfg.Divergence.QuarantineAfter = 3
-	}
-	if cfg.Divergence.ReadmitAfter < 1 {
-		cfg.Divergence.ReadmitAfter = 2
-	}
-	if cfg.Divergence.AuditTimeout <= 0 {
-		cfg.Divergence.AuditTimeout = 2 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = log.New(io.Discard, "", 0)
-	}
+	orDefault(&cfg.Replicas, 2)
+	cfg.Replicas = min(cfg.Replicas, len(cfg.Backends))
+	orDefault(&cfg.DeadlineDef, 5*time.Second)
+	orDefault(&cfg.DeadlineMax, 30*time.Second)
+	orDefault(&cfg.HedgeMin, 20*time.Millisecond)
+	orDefault(&cfg.HedgeMax, 2*time.Second)
+	orDefault(&cfg.FailoverBase, 10*time.Millisecond)
+	orDefault(&cfg.FailoverMax, 250*time.Millisecond)
+	orDefault(&cfg.Divergence.QuarantineAfter, 3)
+	orDefault(&cfg.Divergence.ReadmitAfter, 2)
+	orDefault(&cfg.Divergence.AuditTimeout, 2*time.Second)
+	cfg.Client = cmp.Or(cfg.Client, &http.Client{Timeout: 30 * time.Second})
+	cfg.Logger = cmp.Or(cfg.Logger, log.New(io.Discard, "", 0))
 	base, cancel := context.WithCancel(context.Background())
 	f := &Front{
 		cfg:      cfg,
@@ -266,9 +245,6 @@ func New(cfg Config) (*Front, error) {
 		byBase:   make(map[string]*backend, len(cfg.Backends)),
 		flights:  newFlightGroup(),
 		hedge:    newHedgeDelays(cfg.HedgeQuantile, cfg.HedgeMin, cfg.HedgeMax, cfg.HedgeWarmup),
-		client:   cfg.Client,
-		logger:   cfg.Logger,
-		reg:      cfg.Registry,
 		base:     base,
 		hardStop: cancel,
 	}
@@ -277,7 +253,7 @@ func New(cfg Config) (*Front, error) {
 		b := &backend{base: baseURL, healthy: true, budget: resilience.NewBudget(cfg.Budget)}
 		prev := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to resilience.State) {
-			f.logger.Printf("backend %s breaker: %s -> %s", baseURL, from, to)
+			f.cfg.Logger.Printf("backend %s breaker: %s -> %s", baseURL, from, to)
 			if prev != nil {
 				prev(from, to)
 			}
@@ -290,76 +266,65 @@ func New(cfg Config) (*Front, error) {
 	prevChange := hcfg.OnChange
 	hcfg.OnChange = func(backend string, healthy bool) {
 		if healthy {
-			f.logger.Printf("backend %s readmitted", backend)
+			f.cfg.Logger.Printf("backend %s readmitted", backend)
 		} else {
-			f.logger.Printf("backend %s ejected", backend)
+			f.cfg.Logger.Printf("backend %s ejected", backend)
 		}
 		if prevChange != nil {
 			prevChange(backend, healthy)
 		}
 	}
 	f.checker = newHealthChecker(hcfg, f.backends, cfg.Client)
-	f.registerObs()
+	f.registerObs(cmp.Or(cfg.Registry, obs.NewRegistry()))
 	return f, nil
 }
 
-// registerObs registers the fleet metric families, one series per backend.
-func (f *Front) registerObs() {
-	if f.reg == nil {
-		return
+// orDefault sets *v to def when it is not positive.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
+}
+
+// registerObs registers the fleet metric families, one series per backend,
+// in Config.Registry or a private one: /statz reads these same counters.
+func (f *Front) registerObs(reg *obs.Registry) {
 	for _, b := range f.backends {
 		l := obs.L("backend", b.base)
-		b.obsEjections = f.reg.Counter("fleet_backend_ejections_total",
+		b.obsEjections = reg.Counter("fleet_backend_ejections_total",
 			"Times the health checker ejected this backend.", l)
-		b.obsFailovers = f.reg.Counter("fleet_failovers_total",
+		b.obsFailovers = reg.Counter("fleet_failovers_total",
 			"Requests failed over away from this backend.", l)
-		b.obsHedgeWins = f.reg.Counter("fleet_hedge_wins_total",
+		b.obsHedgeWins = reg.Counter("fleet_hedge_wins_total",
 			"Hedged duplicates that beat the primary, by winning backend.", l)
-		b.obsRequests = f.reg.Counter("fleet_backend_requests_total",
+		b.obsRequests = reg.Counter("fleet_backend_requests_total",
 			"Schedule attempts sent to this backend.", l)
-		b.obsFailures = f.reg.Counter("fleet_backend_failures_total",
+		b.obsFailures = reg.Counter("fleet_backend_failures_total",
 			"Schedule attempts against this backend that failed (transport error or 5xx).", l)
-		b.obsIntegrity = f.reg.Counter("fleet_integrity_failures_total",
+		b.obsIntegrity = reg.Counter("fleet_integrity_failures_total",
 			"Backend replies rejected because the body failed its content-digest check.", l)
-		b.obsDiverges = f.reg.Counter("fleet_divergences_total",
+		b.obsDiverges = reg.Counter("fleet_divergences_total",
 			"Divergence observations against this backend (its answer disagreed with the fleet's).", l)
-		b.obsQuarantines = f.reg.Counter("fleet_quarantines_total",
+		b.obsQuarantines = reg.Counter("fleet_quarantines_total",
 			"Times this backend was quarantined for divergence.", l)
 	}
-	f.obsCoalesced = f.reg.Counter("fleet_coalesced_total",
+	f.obsCoalesced = reg.Counter("fleet_coalesced_total",
 		"Requests answered by another identical in-flight request (singleflight).")
-	f.obsHedges = f.reg.Counter("fleet_hedges_total",
+	f.obsHedges = reg.Counter("fleet_hedges_total",
 		"Hedged duplicate requests launched.")
-	f.obsAudits = f.reg.Counter("fleet_audits_total",
+	f.obsAudits = reg.Counter("fleet_audits_total",
 		"Background divergence audits performed (second replica re-asked).")
-	f.obsAuditMiss = f.reg.Counter("fleet_audit_mismatches_total",
+	f.obsAuditMiss = reg.Counter("fleet_audit_mismatches_total",
 		"Background audits whose second replica disagreed with the served answer.")
 	for c, lt := range f.hedge.byClass {
-		f.reg.GaugeFunc("fleet_hedge_delay_seconds",
+		reg.GaugeFunc("fleet_hedge_delay_seconds",
 			"Delay after which a request of this class is hedged (the class's tracked latency quantile, clamped).",
 			func() float64 { return lt.Delay().Seconds() }, obs.L("class", reqClassNames[c]))
 	}
-	f.reg.GaugeFunc("fleet_healthy_backends", "Backends currently considered healthy.",
-		func() float64 {
-			n := 0
-			for _, b := range f.backends {
-				if b.isHealthy() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	f.reg.GaugeFunc("fleet_quarantined_backends", "Backends currently quarantined for divergence.",
-		func() float64 {
-			n := 0
-			for _, b := range f.backends {
-				if b.isQuarantined() {
-					n++
-				}
-			}
-			return float64(n)
-		})
+	reg.GaugeFunc("fleet_healthy_backends", "Backends currently considered healthy.",
+		func() float64 { return float64(f.count((*backend).isHealthy)) })
+	reg.GaugeFunc("fleet_quarantined_backends", "Backends currently quarantined for divergence.",
+		func() float64 { return float64(f.count((*backend).isQuarantined)) })
 }
 
 // Start launches the health checker. Idempotent.
@@ -443,7 +408,7 @@ func ShardKey(body []byte) string {
 	return shardOf(body).key
 }
 
-// attemptClass partitions attempt outcomes for the dispatch loop.
+// attemptClass partitions attempt outcomes for the dispatch machine.
 type attemptClass int
 
 const (
@@ -506,182 +471,12 @@ func (f *Front) candidates(shardKey string) []*backend {
 func (f *Front) Dispatch(ctx context.Context, body []byte) (*Result, error) {
 	req := shardOf(body) // lenient: zero values route and clamp fine
 	res, shared, err := f.flights.Do(ctx, string(body), func() (*Result, error) {
-		dctx, cancel := resilience.WithBudget(f.base, req.deadline, f.cfg.DeadlineDef, f.cfg.DeadlineMax)
-		// cancel ownership passes to dispatch: it either releases the budget
-		// context itself or hands it to the hedge-loser drain goroutine,
-		// which must keep straggler attempts alive long enough to digest-
-		// compare their bodies against the winner's.
-		return f.dispatch(dctx, cancel, req)
+		return f.dispatch(req)
 	})
 	if shared {
-		f.coalesced.Add(1)
 		f.obsCoalesced.Inc()
 	}
 	return res, err
-}
-
-// dispatch runs the failover/hedge state machine against the key's replica
-// chain. At most one hedge is launched per request; every launched attempt
-// writes exactly one result into a buffered channel, so abandoned attempts
-// finish (and settle their breaker permits) without anyone listening.
-// dispatch owns cancel (the budget context's release): every return path
-// either calls it or hands it — together with the still-inflight attempt
-// results — to a drainCompare goroutine for hedge-loser divergence checks.
-func (f *Front) dispatch(ctx context.Context, cancel context.CancelFunc, req *request) (*Result, error) {
-	cands := f.candidates(req.key)
-	results := make(chan attemptOut, len(cands))
-	actx, acancel := context.WithCancel(ctx)
-	handoff := false
-	var backoffT *time.Timer
-	defer func() {
-		if backoffT != nil {
-			backoffT.Stop()
-		}
-		if !handoff {
-			acancel()
-			cancel()
-		}
-	}()
-
-	next, inflight := 0, 0
-	failovers := 0
-	// launchNext starts an attempt on the next untried candidate. Hedge
-	// launches are speculative, so they are charged to the target's hedge
-	// budget and skipped when it is dry; corrective launches always run.
-	launchNext := func(hedge bool) bool {
-		if next >= len(cands) {
-			return false
-		}
-		b := cands[next]
-		if hedge && !b.budget.TryWithdraw() {
-			// Budget dry: skip the hedge but leave the candidate untried —
-			// corrective failover must still be able to reach it.
-			return false
-		}
-		next++
-		inflight++
-		go func() { results <- f.attempt(actx, b, req, hedge) }()
-		return true
-	}
-	launchNext(false)
-
-	var hedgeC <-chan time.Time
-	if !f.cfg.HedgeDisable && len(cands) > 1 {
-		t := time.NewTimer(f.hedge.delay(req))
-		defer func() {
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
-			}
-		}()
-		hedgeC = t.C
-	}
-
-	// Corrective failover is paced by a full-jitter backoff, but the backoff
-	// must never delay an answer: it is armed as a timer case in the select
-	// loop below instead of slept inline, so a hedge winner landing in
-	// `results` mid-backoff is served immediately. failedQ remembers which
-	// backend each pending corrective launch is failing away from, for
-	// attribution; armFailover schedules the next launch when none is
-	// pending. The jitter factor is a pure function of (shard key, k),
-	// keeping chaos-soak timing replayable.
-	var (
-		failedQ  []*backend
-		backoffC <-chan time.Time
-	)
-	armFailover := func() {
-		if len(failedQ) == 0 || backoffC != nil {
-			return // nothing pending, or a launch is already scheduled
-		}
-		if next >= len(cands) {
-			failedQ = nil // no one left to try; nothing to pace
-			return
-		}
-		jitter := rng.Float01(rng.Hash2(hashString(req.key), uint64(failovers), saltFailover))
-		d := resilience.BackoffDelay(resilience.RetryConfig{
-			BaseDelay: f.cfg.FailoverBase,
-			MaxDelay:  f.cfg.FailoverMax,
-			Jitter:    func(int) float64 { return jitter },
-		}, failovers)
-		failovers++
-		if backoffT == nil {
-			backoffT = time.NewTimer(d)
-		} else {
-			backoffT.Reset(d)
-		}
-		backoffC = backoffT.C
-	}
-
-	var (
-		shedRes *Result
-		lastErr error
-	)
-	for inflight > 0 || backoffC != nil {
-		select {
-		case out := <-results:
-			inflight--
-			switch out.class {
-			case classGood:
-				if out.hedge {
-					f.hedgeWins.Add(1)
-					out.b.obsHedgeWins.Inc()
-				}
-				if f.cfg.Divergence.CompareHedges && inflight > 0 {
-					// Hand the straggler(s) to the drain goroutine: let them
-					// finish and digest-compare against the winner (a
-					// divergence probe, at the price of the loser's whole
-					// run) before releasing the budget context.
-					handoff = true
-					f.wg.Add(1)
-					go f.drainCompare(cancel, acancel, results, inflight, req, out.res)
-				} else {
-					acancel() // first deterministic answer wins; cancel the loser
-				}
-				f.maybeAudit(req, out.res)
-				return out.res, nil
-			case classShed:
-				if out.res != nil {
-					shedRes = out.res
-				}
-				failedQ = append(failedQ, out.b)
-				armFailover()
-			case classFail:
-				lastErr = out.err
-				failedQ = append(failedQ, out.b)
-				armFailover()
-			}
-		case <-backoffC:
-			backoffC = nil
-			from := failedQ[0]
-			failedQ = failedQ[1:]
-			if launchNext(false) {
-				from.obsFailovers.Inc()
-			}
-			armFailover()
-		case <-hedgeC:
-			hedgeC = nil // hedge at most once
-			if inflight > 0 && launchNext(true) {
-				f.hedges.Add(1)
-				f.obsHedges.Inc()
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	if shedRes != nil {
-		return shedRes, nil
-	}
-	if lastErr == nil {
-		return nil, fmt.Errorf("fleet: no replica available for %s", req.key)
-	}
-	// %v on purpose: lastErr often wraps an attempt-level timeout, and
-	// letting that chain escape would make errors.Is(err, DeadlineExceeded)
-	// misread "every replica failed" as "the request's own deadline died" —
-	// the handler would answer 504 with no Retry-After instead of a
-	// retryable 502.
-	return nil, fmt.Errorf("fleet: all %d replicas failed: %v", len(cands), lastErr)
 }
 
 // roundTrip is the one exchange with a backend on behalf of client traffic,
@@ -708,7 +503,7 @@ func (f *Front) roundTrip(ctx context.Context, b *backend, method, path string, 
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set("X-Client-ID", "sosfront")
-	resp, err := f.client.Do(req)
+	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +524,6 @@ func (f *Front) roundTrip(ctx context.Context, b *backend, method, path string, 
 	// unless RequireDigest, so fronts can sit over pre-envelope backends.
 	if cerr := integrity.Check(resp.Header.Get(integrity.Header), data); cerr != nil {
 		if !errors.Is(cerr, integrity.ErrMissing) || f.cfg.RequireDigest {
-			f.integrityFails.Add(1)
 			b.obsIntegrity.Inc()
 			return nil, cerr
 		}
@@ -763,7 +557,6 @@ func (f *Front) attempt(ctx context.Context, b *backend, req *request, hedge boo
 		// above the configured ratio.
 		b.budget.Deposit()
 	}
-	b.requests.Add(1)
 	b.obsRequests.Inc()
 
 	t0 := time.Now()
@@ -777,7 +570,6 @@ func (f *Front) attempt(ctx context.Context, b *backend, req *request, hedge boo
 			report(resilience.Skipped)
 		} else {
 			report(resilience.Failure)
-			b.failures.Add(1)
 			b.obsFailures.Inc()
 		}
 		return attemptOut{b: b, class: classFail, err: fmt.Errorf("backend %s: %w", b.base, err), hedge: hedge}
@@ -793,7 +585,6 @@ func (f *Front) attempt(ctx context.Context, b *backend, req *request, hedge boo
 		return attemptOut{b: b, class: classShed, res: res, hedge: hedge}
 	case res.Status >= 500:
 		report(resilience.Failure)
-		b.failures.Add(1)
 		b.obsFailures.Inc()
 		return attemptOut{b: b, class: classFail, res: res, hedge: hedge,
 			err: fmt.Errorf("backend %s: %d %s", b.base, res.Status, http.StatusText(res.Status))}
@@ -823,8 +614,7 @@ func relayHeaders(h http.Header) http.Header {
 // body the front writes itself, it is digest-stamped, so a strict verifier
 // can tell "the front spoke" from "a backend's envelope was stripped".
 func shedResult(err error, retryAfter time.Duration) *Result {
-	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	body = append(body, '\n')
+	body := errorBody(err.Error())
 	h := http.Header{}
 	h.Set("Content-Type", "application/json")
 	h.Set("Retry-After", retryAfterValue(retryAfter))
@@ -835,11 +625,7 @@ func shedResult(err error, retryAfter time.Duration) *Result {
 // retryAfterValue renders a duration as a Retry-After header value: whole
 // seconds, rounded up, at least 1.
 func retryAfterValue(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(max(1, int(math.Ceil(d.Seconds()))))
 }
 
 // BackendStats is one backend's /statz entry.
@@ -877,51 +663,33 @@ type Stats struct {
 // Stats snapshots the fleet state.
 func (f *Front) Stats() Stats {
 	st := Stats{
-		Coalesced:        f.coalesced.Load(),
-		Hedges:           f.hedges.Load(),
-		HedgeWins:        f.hedgeWins.Load(),
-		IntegrityFails:   f.integrityFails.Load(),
-		Audits:           f.audits.Load(),
-		AuditMismatches:  f.auditMismatches.Load(),
-		DivergencesTotal: f.divergencesTotal.Load(),
-		Draining:         f.draining.Load(),
-		HedgeDelayMS:     make(map[string]float64, numReqClasses),
+		Coalesced:       f.obsCoalesced.Value(),
+		Hedges:          f.obsHedges.Value(),
+		Audits:          f.obsAudits.Value(),
+		AuditMismatches: f.obsAuditMiss.Value(),
+		Draining:        f.draining.Load(),
+		HedgeDelayMS:    make(map[string]float64, numReqClasses),
 	}
 	for c, lt := range f.hedge.byClass {
 		st.HedgeDelayMS[reqClassNames[c]] = float64(lt.Delay()) / float64(time.Millisecond)
 	}
 	for _, b := range f.backends {
-		b.mu.Lock()
-		bs := BackendStats{
-			Backend:     b.base,
-			Healthy:     b.healthy,
-			Ejections:   b.ejections,
-			Readmits:    b.readmits,
-			Quarantined: b.quarantined,
-			Divergences: b.divergesSeen,
-			Quarantines: b.quarantines,
-			QReadmits:   b.qReadmits,
-		}
-		b.mu.Unlock()
-		bs.Mode = int(b.mode.Load())
-		bs.Requests = b.requests.Load()
-		bs.Failures = b.failures.Load()
-		bs.Breaker = b.breaker.Stats()
+		bs, _ := b.stats()
 		st.Backends = append(st.Backends, bs)
+		st.HedgeWins += b.obsHedgeWins.Value()
+		st.IntegrityFails += b.obsIntegrity.Value()
+		st.DivergencesTotal += b.obsDiverges.Value()
 	}
 	return st
 }
 
-// HealthyBackends counts backends currently admitted by the checker.
-func (f *Front) HealthyBackends() int {
+// count counts the backends is holds for.
+func (f *Front) count(is func(*backend) bool) int {
 	n := 0
 	for _, b := range f.backends {
-		if b.isHealthy() {
+		if is(b) {
 			n++
 		}
 	}
 	return n
 }
-
-// IsDraining reports the drain gate.
-func (f *Front) IsDraining() bool { return f.draining.Load() }

@@ -31,12 +31,13 @@ func (f *Front) Handler() http.Handler {
 // soaks, -require-digest) must be able to tell a front-synthesized answer from a
 // backend envelope a hop stripped.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(integrity.Header, integrity.Digest(body))
-	w.WriteHeader(status)
-	w.Write(body)
+	writeStamped(w, status, "application/json", errorBody(fmt.Sprintf(format, args...)))
+}
+
+// errorBody is the JSON error body the front writes itself.
+func errorBody(msg string) []byte {
+	body, _ := json.Marshal(map[string]string{"error": msg})
+	return append(body, '\n')
 }
 
 // handleSchedule reads the body and hands it to the dispatcher, relaying
@@ -88,7 +89,7 @@ func (f *Front) handleMixes(w http.ResponseWriter, r *http.Request) {
 	for _, b := range f.candidates("mixes") {
 		res, err := f.roundTrip(r.Context(), b, http.MethodGet, "/v1/mixes", nil)
 		if err != nil {
-			f.logger.Printf("backend %s: /v1/mixes: %v; trying next", b.base, err)
+			f.cfg.Logger.Printf("backend %s: /v1/mixes: %v; trying next", b.base, err)
 			continue
 		}
 		if res.Status != http.StatusOK {
@@ -121,26 +122,26 @@ func (f *Front) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Quarantined int     `json:"quarantined"`
 		Backends    []entry `json:"backends"`
-	}{Backends: []entry{}}
+	}{Quarantined: f.count((*backend).isQuarantined), Backends: []entry{}}
 	for _, b := range f.backends {
-		b.mu.Lock()
-		e := entry{
-			Backend:     b.base,
-			Quarantined: b.quarantined,
-			Divergences: b.divergesSeen,
-			CleanProbes: b.cleanProbes,
-			Quarantines: b.quarantines,
-			Readmits:    b.qReadmits,
-		}
-		b.mu.Unlock()
-		if e.Quarantined {
-			out.Quarantined++
-		}
-		out.Backends = append(out.Backends, e)
+		bs, clean := b.stats()
+		out.Backends = append(out.Backends, entry{
+			Backend:     bs.Backend,
+			Quarantined: bs.Quarantined,
+			Divergences: bs.Divergences,
+			CleanProbes: clean,
+			Quarantines: bs.Quarantines,
+			Readmits:    bs.QReadmits,
+		})
 	}
-	body, err := json.Marshal(out)
+	writeJSON(w, "quarantine state", out)
+}
+
+// writeJSON writes v, the named report, as a stamped JSON body.
+func writeJSON(w http.ResponseWriter, what string, v any) {
+	body, err := json.Marshal(v)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding quarantine state: %v", err)
+		httpError(w, http.StatusInternalServerError, "encoding %s: %v", what, err)
 		return
 	}
 	writeStamped(w, http.StatusOK, "application/json", append(body, '\n'))
@@ -166,7 +167,7 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	if f.HealthyBackends() == 0 {
+	if f.count((*backend).isHealthy) == 0 {
 		httpError(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
@@ -175,22 +176,17 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // handleStatz reports the fleet counters.
 func (f *Front) handleStatz(w http.ResponseWriter, r *http.Request) {
-	body, err := json.Marshal(f.Stats())
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding stats: %v", err)
-		return
-	}
-	writeStamped(w, http.StatusOK, "application/json", append(body, '\n'))
+	writeJSON(w, "stats", f.Stats())
 }
 
 // handleMetrics serves the Prometheus exposition.
 func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if f.reg == nil {
+	if f.cfg.Registry == nil {
 		httpError(w, http.StatusNotFound, "metrics disabled")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := f.reg.WritePrometheus(w); err != nil {
-		f.logger.Printf("metrics write: %v", err)
+	if err := f.cfg.Registry.WritePrometheus(w); err != nil {
+		f.cfg.Logger.Printf("metrics write: %v", err)
 	}
 }

@@ -48,18 +48,12 @@ type healthChecker struct {
 // newHealthChecker resolves defaults. Call run in a goroutine to start and
 // close stop to halt; done closes when the loop has fully exited.
 func newHealthChecker(cfg HealthConfig, backends []*backend, client *http.Client) *healthChecker {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
+	orDefault(&cfg.Interval, 500*time.Millisecond)
 	if cfg.Timeout <= 0 || cfg.Timeout > cfg.Interval {
 		cfg.Timeout = cfg.Interval
 	}
-	if cfg.EjectAfter < 1 {
-		cfg.EjectAfter = 3
-	}
-	if cfg.ReadmitAfter < 1 {
-		cfg.ReadmitAfter = 2
-	}
+	orDefault(&cfg.EjectAfter, 3)
+	orDefault(&cfg.ReadmitAfter, 2)
 	hc := &healthChecker{
 		cfg:      cfg,
 		backends: backends,
@@ -127,7 +121,7 @@ func (hc *healthChecker) round() {
 
 // apply folds one probe outcome into the backend's health state.
 func (hc *healthChecker) apply(b *backend, ok bool) {
-	var changed *bool
+	flipped := false // b.healthy became ok
 	b.mu.Lock()
 	if ok {
 		b.consecFail = 0
@@ -135,8 +129,7 @@ func (hc *healthChecker) apply(b *backend, ok bool) {
 		if !b.healthy && b.consecOK >= hc.cfg.ReadmitAfter {
 			b.healthy = true
 			b.readmits++
-			v := true
-			changed = &v
+			flipped = true
 		}
 	} else {
 		b.consecOK = 0
@@ -144,17 +137,14 @@ func (hc *healthChecker) apply(b *backend, ok bool) {
 		if b.healthy && b.consecFail >= hc.cfg.EjectAfter {
 			b.healthy = false
 			b.ejections++
-			v := false
-			changed = &v
+			flipped = true
 		}
 	}
 	b.mu.Unlock()
-	if changed != nil {
-		if b.obsEjections != nil && !*changed {
-			b.obsEjections.Inc()
-		}
-		if cb := hc.cfg.OnChange; cb != nil {
-			cb(b.base, *changed)
-		}
+	if flipped && !ok {
+		b.obsEjections.Inc()
+	}
+	if cb := hc.cfg.OnChange; flipped && cb != nil {
+		cb(b.base, ok)
 	}
 }

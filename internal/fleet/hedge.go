@@ -111,31 +111,23 @@ type latencyTracker struct {
 	warmup   int // observations required before the estimate is trusted
 }
 
-// newLatencyTracker clamps the hedge delay to [min, max] and reports max
-// until warmup observations have accumulated (hedging on no evidence would
-// just double the load). quantile outside (0,1) selects 0.95.
-func newLatencyTracker(window int, quantile float64, min, max time.Duration, warmup int) *latencyTracker {
-	if window < 16 {
-		window = 16
-	}
+// newLatencyTracker clamps the hedge delay to [lo, hi] and reports hi until
+// warmup observations have accumulated (hedging on no evidence would just
+// double the load). quantile outside (0,1) selects 0.95.
+func newLatencyTracker(window int, quantile float64, lo, hi time.Duration, warmup int) *latencyTracker {
+	window = max(window, 16)
 	if quantile <= 0 || quantile >= 1 {
 		quantile = 0.95
 	}
-	if min <= 0 {
-		min = 10 * time.Millisecond
-	}
-	if max < min {
-		max = min
-	}
-	if warmup < 1 {
-		warmup = 20
-	}
+	orDefault(&lo, 10*time.Millisecond)
+	hi = max(hi, lo)
+	orDefault(&warmup, 20)
 	return &latencyTracker{
 		ring:     make([]time.Duration, window),
 		sorted:   make([]time.Duration, 0, window),
 		quantile: quantile,
-		min:      min,
-		max:      max,
+		min:      lo,
+		max:      hi,
 		warmup:   warmup,
 	}
 }
@@ -160,10 +152,7 @@ func (lt *latencyTracker) Observe(d time.Duration) {
 	if len(s) < lt.warmup {
 		return
 	}
-	idx := int(lt.quantile * float64(len(s)))
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
+	idx := min(int(lt.quantile*float64(len(s))), len(s)-1)
 	lt.delay.Store(int64(min(max(s[idx], lt.min), lt.max)))
 }
 

@@ -54,9 +54,7 @@ func NewRing(backends []string, vnodes int) (*Ring, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("fleet: ring needs at least one backend")
 	}
-	if vnodes < 1 {
-		vnodes = 64
-	}
+	orDefault(&vnodes, 64)
 	seen := make(map[string]bool, len(backends))
 	r := &Ring{
 		backends: append([]string(nil), backends...),
@@ -86,11 +84,6 @@ func NewRing(backends []string, vnodes int) (*Ring, error) {
 		return r.points[a].backend < r.points[b].backend
 	})
 	return r, nil
-}
-
-// Backends returns the member set, in construction order.
-func (r *Ring) Backends() []string {
-	return append([]string(nil), r.backends...)
 }
 
 // Lookup returns up to n distinct backends for key, primary first, walking
