@@ -321,7 +321,7 @@ func BenchmarkSOSRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Run(m, mix.SMTLevel, mix.Swap, nil, core.Options{
+		res, err := core.Run(context.Background(), m, mix.SMTLevel, mix.Swap, nil, core.Options{
 			Samples:       10,
 			Predictor:     core.PredScore,
 			SymbiosSlices: 40,

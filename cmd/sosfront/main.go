@@ -187,6 +187,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
+	// Signals are caught before the address line is printed, so a supervisor
+	// that signals as soon as it reads the line gets a drain, not a kill.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		logger.Printf("listen: %v", err)
@@ -202,10 +208,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case sig := <-sigs:

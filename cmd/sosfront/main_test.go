@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -46,6 +48,59 @@ func TestRealMainExitCodes(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.wantStderr) {
 			t.Errorf("%s: stderr %q lacks %q", tc.name, stderr.String(), tc.wantStderr)
 		}
+	}
+}
+
+// signalOnLine sends the process SIGTERM from inside the Write that carries
+// the address line — before the logger call that printed it returns — the
+// way a supervisor that signals as soon as it reads the line races the
+// front's start-up at worst. Every write is kept for the assertions.
+type signalOnLine struct {
+	mu   sync.Mutex
+	logs strings.Builder
+	sent bool
+}
+
+func (w *signalOnLine) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.logs.Write(p)
+	if !w.sent && strings.Contains(string(p), "listening on") {
+		w.sent = true
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
+}
+
+func (w *signalOnLine) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.logs.String()
+}
+
+// TestRealMainDrainsSignalAtAddressLine: the front subscribes to signals
+// before it prints the address line, so a SIGTERM sent the moment the line
+// appears drains it cleanly instead of killing it (and this test binary)
+// undrained.
+func TestRealMainDrainsSignalAtAddressLine(t *testing.T) {
+	backend := scheduleStandIn(t, honest)
+	logs := &signalOnLine{}
+	exit := make(chan int, 1)
+	go func() {
+		exit <- realMain([]string{"-backends", backend, "-addr", "127.0.0.1:0", "-drain", "5s"}, io.Discard, logs)
+	}()
+	select {
+	case code := <-exit:
+		if code != exitOK {
+			t.Fatalf("exit %d after SIGTERM, want %d:\n%s", code, exitOK, logs)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("front still running 30s after SIGTERM:\n%s", logs)
+	}
+	if !strings.Contains(logs.String(), "drained cleanly") {
+		t.Errorf("no clean drain logged:\n%s", logs)
 	}
 }
 

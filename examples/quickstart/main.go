@@ -33,7 +33,8 @@ func main() {
 	for i := range seeds {
 		seeds[i] = rng.Hash2(seed, uint64(i), 0x3017)
 	}
-	solo, err := core.SoloRates(context.Background(), cfg, jobs, seeds, 1_000_000, 400_000)
+	ctx := context.Background()
+	solo, err := core.SoloRates(ctx, cfg, jobs, seeds, 1_000_000, 400_000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Run(m, mix.SMTLevel, mix.Swap, solo, core.Options{
+	res, err := core.Run(ctx, m, mix.SMTLevel, mix.Swap, solo, core.Options{
 		Samples:       10,
 		Predictor:     core.PredScore,
 		SymbiosSlices: 60,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,9 +23,10 @@ func main() {
 	const level = 3
 	cfg := arch.Default21264(level)
 	qs := experiments.QuickQueueScale()
+	ctx := context.Background()
 
 	fmt.Printf("calibrating solo rates for the job generator...\n")
-	solo, err := queueing.CalibrateSolo(cfg, qs.CalibWarmup, qs.CalibMeasure)
+	solo, err := queueing.CalibrateSolo(ctx, cfg, qs.CalibWarmup, qs.CalibMeasure)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,11 +42,11 @@ func main() {
 	fmt.Printf("generated %d arrivals over %d cycles (mean interarrival %.0f, mean job %.0f cycles)\n",
 		len(script.Arrivals), qs.Horizon, interarrival, qs.MeanJobCycles)
 
-	naive, err := queueing.RunNaive(cfg, qs.Slice, script, qs.Horizon)
+	naive, err := queueing.RunNaive(ctx, cfg, qs.Slice, script, qs.Horizon)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sos, err := queueing.RunSOS(cfg, qs.Slice, script, qs.Horizon, queueing.DefaultSOSOptions(script))
+	sos, err := queueing.RunSOS(ctx, cfg, qs.Slice, script, qs.Horizon, queueing.DefaultSOSOptions(script))
 	if err != nil {
 		log.Fatal(err)
 	}

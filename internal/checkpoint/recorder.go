@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 )
 
@@ -22,8 +23,22 @@ type Recorder struct {
 	path    string
 	every   int
 	snap    *Snapshot
-	pending int // shards recorded since the last successful write
-	hits    int // lookups served from the snapshot
+	pending int    // shards recorded since the last copy taken for a write
+	hits    int    // lookups served from the snapshot
+	copies  uint64 // snapshot copies taken for writing
+
+	// Snapshots are encoded and written under wmu, not mu, so a lookup
+	// never waits on an encode, fsync or rename.
+	wmu     sync.Mutex
+	written uint64                               // number of the newest copy on disk
+	write   func(path string, s *Snapshot) error // Write; tests substitute it
+}
+
+// snapshotCopy is a numbered copy of the snapshot, taken under mu and
+// written outside it.
+type snapshotCopy struct {
+	snap *Snapshot
+	n    uint64
 }
 
 // NewRecorder starts a fresh recording to path (overwriting any previous
@@ -37,6 +52,7 @@ func NewRecorder(path string, meta Meta, every int) *Recorder {
 		path:  path,
 		every: every,
 		snap:  &Snapshot{Meta: meta, Shards: map[string]json.RawMessage{}},
+		write: Write,
 	}
 }
 
@@ -58,7 +74,7 @@ func Resume(loadPath, writePath string, meta Meta, every int) (*Recorder, error)
 	if every < 1 {
 		every = 1
 	}
-	return &Recorder{path: writePath, every: every, snap: snap}, nil
+	return &Recorder{path: writePath, every: every, snap: snap, write: Write}, nil
 }
 
 // Lookup decodes the recorded result for key into v and reports whether the
@@ -84,10 +100,10 @@ func (r *Recorder) Lookup(key string, v any) (bool, error) {
 }
 
 // Record stores the JSON encoding of v as shard key and flushes the
-// snapshot if the interval has elapsed. Re-recording an existing key (a
-// resumed shard that recomputed anyway) is allowed only if the value is
-// byte-identical — anything else is a determinism violation worth failing
-// loudly over.
+// snapshot if the interval has elapsed, returning once that flush is on
+// disk. Re-recording an existing key (a resumed shard that recomputed
+// anyway) is allowed only if the value is byte-identical — anything else is
+// a determinism violation worth failing loudly over.
 func (r *Recorder) Record(key string, v any) error {
 	if r == nil {
 		return nil
@@ -97,8 +113,8 @@ func (r *Recorder) Record(key string, v any) error {
 		return fmt.Errorf("checkpoint: encoding shard %q: %w", key, err)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if prev, ok := r.snap.Shards[key]; ok {
+		r.mu.Unlock()
 		if string(prev) != string(raw) {
 			return fmt.Errorf("checkpoint: shard %q recomputed to a different value; resumed run is not deterministic", key)
 		}
@@ -106,10 +122,13 @@ func (r *Recorder) Record(key string, v any) error {
 	}
 	r.snap.Shards[key] = raw
 	r.pending++
-	if r.pending >= r.every {
-		return r.flushLocked()
+	if r.pending < r.every {
+		r.mu.Unlock()
+		return nil
 	}
-	return nil
+	c := r.copyLocked()
+	r.mu.Unlock()
+	return r.persist(c)
 }
 
 // Flush writes the snapshot now, regardless of the interval. It is the
@@ -120,16 +139,32 @@ func (r *Recorder) Flush() error {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flushLocked()
+	c := r.copyLocked()
+	r.mu.Unlock()
+	return r.persist(c)
 }
 
-// flushLocked writes the snapshot; callers hold r.mu.
-func (r *Recorder) flushLocked() error {
-	if err := Write(r.path, r.snap); err != nil {
+// copyLocked takes the next numbered snapshot copy; callers hold r.mu.
+// Recorded shard bytes are never modified, so the copy shares them.
+func (r *Recorder) copyLocked() snapshotCopy {
+	r.copies++
+	r.pending = 0
+	return snapshotCopy{snap: &Snapshot{Meta: r.snap.Meta, Shards: maps.Clone(r.snap.Shards)}, n: r.copies}
+}
+
+// persist writes c unless a newer copy is already on disk: shards are only
+// ever added, so that file holds every shard c does, and writing c would
+// rename an older snapshot over it.
+func (r *Recorder) persist(c snapshotCopy) error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	if c.n <= r.written {
+		return nil
+	}
+	if err := r.write(r.path, c.snap); err != nil {
 		return err
 	}
-	r.pending = 0
+	r.written = c.n
 	return nil
 }
 
@@ -192,12 +227,13 @@ func (r *Recorder) Merge(snap *Snapshot) (int, error) {
 		return 0, nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if snap.Meta != r.snap.Meta {
+		r.mu.Unlock()
 		return 0, fmt.Errorf("%w: sibling %+v, local %+v", ErrMetaMismatch, snap.Meta, r.snap.Meta)
 	}
 	for k, v := range snap.Shards {
 		if prev, ok := r.snap.Shards[k]; ok && string(prev) != string(v) {
+			r.mu.Unlock()
 			return 0, fmt.Errorf("checkpoint: merge shard %q disagrees with local recording; refusing sibling cache", k)
 		}
 	}
@@ -210,12 +246,12 @@ func (r *Recorder) Merge(snap *Snapshot) (int, error) {
 		added++
 	}
 	if added == 0 {
+		r.mu.Unlock()
 		return 0, nil
 	}
-	if err := r.flushLocked(); err != nil {
-		return added, err
-	}
-	return added, nil
+	c := r.copyLocked()
+	r.mu.Unlock()
+	return added, r.persist(c)
 }
 
 // Shards returns the number of completed shards currently recorded

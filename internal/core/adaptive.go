@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"symbios/internal/obs"
-	"symbios/internal/parallel"
 	"symbios/internal/rng"
 	"symbios/internal/schedule"
 	"symbios/internal/workload"
@@ -83,13 +82,6 @@ type AdaptiveOptions struct {
 	DisableFallback bool
 	// Churn scripts jobmix changes, applied in AtSlice order.
 	Churn []ChurnEvent
-	// Abort, when non-nil, is polled between windows and sample
-	// evaluations; a fired token makes RunAdaptiveCtx return
-	// parallel.ErrCancelled promptly (used by sweeps to abort in-flight
-	// cells after a sibling failure). The token is a legacy adapter over
-	// context.Context — new call sites should pass a context to
-	// RunAdaptiveCtx instead; both are honoured when set together.
-	Abort *parallel.Cancel
 }
 
 // AdaptiveResult reports a hardened SOS run.
@@ -129,7 +121,7 @@ type plan struct {
 
 // adaptiveState carries RunAdaptiveCtx's mutable pieces through its helpers.
 type adaptiveState struct {
-	ctx     context.Context // nil means unbounded
+	ctx     context.Context
 	m       *Machine
 	y, z    int
 	opt     AdaptiveOptions
@@ -139,22 +131,6 @@ type adaptiveState struct {
 	res     *AdaptiveResult
 	warmed  bool
 	tr      *obs.Tracer // from the context; nil is a free no-op
-}
-
-// interrupted reports why the run must stop early: the context's error when
-// it is cancelled or past its deadline (so deadline-exceeded stays
-// distinguishable), parallel.ErrCancelled when the legacy token fired, nil
-// otherwise.
-func (a *adaptiveState) interrupted() error {
-	if a.ctx != nil {
-		if err := a.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if a.opt.Abort != nil && a.opt.Abort.Cancelled() {
-		return parallel.ErrCancelled
-	}
-	return nil
 }
 
 // RunAdaptiveCtx executes the hardened SOS pipeline on m: a sample phase
@@ -167,8 +143,7 @@ func (a *adaptiveState) interrupted() error {
 //
 // Cancellation and deadlines are honoured at every timeslice, window and
 // sample-evaluation boundary, returning the context's error promptly with
-// the machine left consistent. A nil context never expires; the legacy
-// AdaptiveOptions.Abort token is honoured alongside the context.
+// the machine left consistent.
 func RunAdaptiveCtx(ctx context.Context, m *Machine, y, z int, solo []float64, opt AdaptiveOptions) (AdaptiveResult, error) {
 	if opt.Samples < 1 {
 		return AdaptiveResult{}, fmt.Errorf("core: Samples must be >= 1")
@@ -231,7 +206,7 @@ func RunAdaptiveCtx(ctx context.Context, m *Machine, y, z int, solo []float64, o
 		nextChurn int
 	)
 	for done < opt.SymbiosSlices {
-		if err := a.interrupted(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		w := a.windowSlices(p.sched, opt.SymbiosSlices-done)
@@ -360,7 +335,7 @@ func (a *adaptiveState) samplePlan() (plan, error) {
 	endSample := a.tr.Span("sos/sample", "")
 	var samples []Sample
 	for _, s := range scheds {
-		if err := a.interrupted(); err != nil {
+		if err := a.ctx.Err(); err != nil {
 			endSample()
 			return plan{}, err
 		}
@@ -396,7 +371,7 @@ func (a *adaptiveState) samplePlan() (plan, error) {
 func (a *adaptiveState) evalWithRetry(s schedule.Schedule) (Sample, bool, error) {
 	backoff := a.opt.BackoffSlices
 	for attempt := 0; ; attempt++ {
-		if err := a.interrupted(); err != nil {
+		if err := a.ctx.Err(); err != nil {
 			return Sample{}, false, err
 		}
 		run, err := a.m.RunScheduleCtx(a.ctx, s, s.CycleSlices())

@@ -8,7 +8,6 @@ import (
 
 	"symbios/internal/arch"
 	"symbios/internal/counters"
-	"symbios/internal/parallel"
 	"symbios/internal/rng"
 	"symbios/internal/workload"
 )
@@ -198,18 +197,25 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveAbort: a pre-fired cancel token aborts the run promptly
-// with ErrCancelled.
+// TestRunAdaptiveAbort: a context cancelled mid-run (here after 40 polls)
+// aborts the run at the first refused poll with the context's error and
+// leaves the machine with no task attached.
 func TestRunAdaptiveAbort(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
-	var c parallel.Cancel
-	c.Cancel()
-	_, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	ctx := &pollCtx{Context: context.Background(), after: 40}
+	_, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64, Seed: 9,
-		Abort: &c,
 	})
-	if !errors.Is(err, parallel.ErrCancelled) {
-		t.Fatalf("err=%v, want ErrCancelled", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if got := ctx.polls.Load(); got != 41 {
+		t.Errorf("%d context polls, want 41: the run must stop at the first refused poll", got)
+	}
+	for ctxID := 0; ctxID < m.Core.Config().Contexts; ctxID++ {
+		if m.Core.Occupied(ctxID) {
+			t.Fatalf("hardware context %d still occupied after the abort", ctxID)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func SoloRates(ctx context.Context, cfg arch.Config, jobs []*workload.Job, seeds
 	if len(jobs) != len(seeds) {
 		return nil, fmt.Errorf("core: %d jobs but %d seeds", len(jobs), len(seeds))
 	}
-	perJob, err := parallel.Map(jobs, parallel.Options{Context: ctx}, func(i int, j *workload.Job) ([]float64, error) {
+	perJob, err := parallel.Map(ctx, jobs, parallel.Options{}, func(i int, j *workload.Job) ([]float64, error) {
 		return SoloRate(ctx, cfg, j, seeds[i], warmup, measure)
 	})
 	if err != nil {
@@ -84,14 +84,11 @@ func SoloRate(ctx context.Context, cfg arch.Config, j *workload.Job, seed, warmu
 	return rates, nil
 }
 
-// runPolled advances c by cycles, polling ctx every soloPoll cycles. A nil
-// context is unbounded, as in RunScheduleCtx.
+// runPolled advances c by cycles, polling ctx every soloPoll cycles.
 func runPolled(ctx context.Context, c *cpu.Core, cycles uint64) error {
 	for cycles > 0 {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		n := cycles
 		if n > soloPoll {

@@ -28,7 +28,8 @@ func TestRunScheduleCtxCancelled(t *testing.T) {
 }
 
 // TestRunScheduleCtxIdenticalWhenUnaborted: the context poll must never
-// change results — an un-aborted run is bit-identical with or without one.
+// change results — an un-aborted run is bit-identical under a context that
+// can never be cancelled and one that could be but is not.
 func TestRunScheduleCtxIdenticalWhenUnaborted(t *testing.T) {
 	run := func(ctx context.Context) RunResult {
 		m, mix, _ := adaptiveSetup(t, "Jsb(4,2,2)", 3)
@@ -42,8 +43,10 @@ func TestRunScheduleCtxIdenticalWhenUnaborted(t *testing.T) {
 		}
 		return res
 	}
-	a := run(nil)
-	b := run(context.Background())
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := run(context.Background())
+	b := run(live)
 	if a.Cycles != b.Cycles || a.Counters != b.Counters {
 		t.Fatalf("context poll changed results: %+v vs %+v", a, b)
 	}
@@ -55,9 +58,8 @@ func TestRunScheduleCtxIdenticalWhenUnaborted(t *testing.T) {
 }
 
 // TestRunAdaptiveCtxDeadline: an already-expired deadline aborts the
-// adaptive pipeline with context.DeadlineExceeded (not a masked
-// ErrCancelled), so callers can distinguish budget exhaustion from a
-// user abort.
+// adaptive pipeline with context.DeadlineExceeded, so callers can
+// distinguish budget exhaustion from a user abort.
 func TestRunAdaptiveCtxDeadline(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -29,9 +29,9 @@ import (
 // each timeslice and returns the delta as the scheduler observes it —
 // possibly noisy, stale, clipped or stuck (internal/faults implements the
 // fault models). Returning an error wrapping ErrCounterRead marks the read
-// transiently failed; RunSchedule drops that interval's observation, tallies
-// it in RunResult.ReadFailures and keeps executing, so a hardened driver can
-// decide whether the run's measurement is still trustworthy.
+// transiently failed; RunScheduleCtx drops that interval's observation,
+// tallies it in RunResult.ReadFailures and keeps executing, so a hardened
+// driver can decide whether the run's measurement is still trustworthy.
 //
 // The reader corrupts only the scheduler's view: task progress, committed
 // instruction accounting and the weighted-speedup inputs always use the true
@@ -41,8 +41,8 @@ type CounterReader interface {
 }
 
 // ErrCounterRead marks a transient counter read failure injected by a
-// CounterReader. RunSchedule matches it with errors.Is to distinguish a lost
-// observation (tolerated, counted) from a reader bug (aborts the run).
+// CounterReader. RunScheduleCtx matches it with errors.Is to distinguish a
+// lost observation (tolerated, counted) from a reader bug (aborts the run).
 var ErrCounterRead = errors.New("core: transient counter read failure")
 
 // Task is one schedulable entry: a software thread of a job. On an SMT
@@ -192,7 +192,7 @@ type RunResult struct {
 
 // attach puts task ti on a free context. It reports an error — rather than
 // crashing — when no context is free, so malformed (possibly fault-injected)
-// schedules surface as diagnosable failures from RunSchedule.
+// schedules surface as diagnosable failures from RunScheduleCtx.
 func (m *Machine) attach(ti int) error {
 	if m.taskCtx[ti] >= 0 {
 		return nil
@@ -225,20 +225,17 @@ func (m *Machine) detach(ti int, acc []uint64) {
 	m.taskCtx[ti] = -1
 }
 
-// RunSchedule executes s for the given number of timeslices, starting from
-// the schedule's initial running set, and returns the aggregated result.
-// slices is typically a multiple of s.CycleSlices() so every task receives
-// equal CPU time. All tasks are detached (their progress saved) on return.
-func (m *Machine) RunSchedule(s schedule.Schedule, slices int) (RunResult, error) {
-	return m.RunScheduleCtx(nil, s, slices)
-}
-
-// RunScheduleCtx is RunSchedule bounded by a context: the context is polled
-// at every timeslice boundary and a cancelled or deadline-exceeded context
-// aborts the run promptly, returning the context's error with all task
-// progress saved (the machine stays consistent and reusable). A nil context
-// behaves like RunSchedule. The poll never changes results: an un-aborted
-// run is bit-identical with or without a context.
+// RunScheduleCtx executes s for the given number of timeslices, starting
+// from the schedule's initial running set, and returns the aggregated
+// result. slices is typically a multiple of s.CycleSlices() so every task
+// receives equal CPU time. All tasks are detached (their progress saved) on
+// return.
+//
+// ctx is polled at every timeslice boundary: a cancelled or
+// deadline-exceeded context aborts the run promptly, returning the context's
+// error with all task progress saved (the machine stays consistent and
+// reusable). The poll never changes results: an un-aborted run is
+// bit-identical under any context.
 func (m *Machine) RunScheduleCtx(ctx context.Context, s schedule.Schedule, slices int) (RunResult, error) {
 	if err := s.Validate(); err != nil {
 		return RunResult{}, err
@@ -260,11 +257,9 @@ func (m *Machine) RunScheduleCtx(ctx context.Context, s schedule.Schedule, slice
 	start := m.Core.Snapshot()
 	prev := start
 	for slice := 0; slice < slices; slice++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				m.DetachAll()
-				return RunResult{}, err
-			}
+		if err := ctx.Err(); err != nil {
+			m.DetachAll()
+			return RunResult{}, err
 		}
 		for _, ti := range running {
 			if err := m.attach(ti); err != nil {
@@ -340,7 +335,7 @@ func WarmSlices(s schedule.Schedule, sliceCycles, cycles uint64) int {
 
 // Warm runs WarmSlices of s, unrecorded, bringing the memory system to
 // steady state ("we begin simulation with each benchmark partially
-// executed"). A nil context is unbounded.
+// executed"), bounded by ctx as RunScheduleCtx is.
 func (m *Machine) Warm(ctx context.Context, s schedule.Schedule, cycles uint64) error {
 	_, err := m.RunScheduleCtx(ctx, s, WarmSlices(s, m.SliceCycles, cycles))
 	return err

@@ -51,7 +51,7 @@ func TestMachineTaskOrder(t *testing.T) {
 func TestRunScheduleFairness(t *testing.T) {
 	m, mix := mustMachine(t, "Jsb(6,3,3)", 2, 20_000)
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: mix.SMTLevel, Z: mix.Swap}
-	res, err := m.RunSchedule(s, 4*s.CycleSlices())
+	res, err := m.RunScheduleCtx(context.Background(), s, 4*s.CycleSlices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,14 @@ func TestRunScheduleFairness(t *testing.T) {
 func TestRunScheduleResume(t *testing.T) {
 	m, mix := mustMachine(t, "Jsb(6,3,3)", 3, 20_000)
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: mix.SMTLevel, Z: mix.Swap}
-	if _, err := m.RunSchedule(s, 2); err != nil {
+	if _, err := m.RunScheduleCtx(context.Background(), s, 2); err != nil {
 		t.Fatal(err)
 	}
 	prog := append([]uint64(nil), m.Tasks()[0].Job.Progress[0])
 	if prog[0] == 0 {
 		t.Fatal("no progress recorded after first run")
 	}
-	if _, err := m.RunSchedule(s, 2); err != nil {
+	if _, err := m.RunScheduleCtx(context.Background(), s, 2); err != nil {
 		t.Fatal(err)
 	}
 	if m.Tasks()[0].Job.Progress[0] <= prog[0] {
@@ -102,13 +102,13 @@ func TestRunScheduleResume(t *testing.T) {
 // TestRunScheduleRejects: mismatched schedules are refused.
 func TestRunScheduleRejects(t *testing.T) {
 	m, _ := mustMachine(t, "Jsb(6,3,3)", 4, 20_000)
-	if _, err := m.RunSchedule(schedule.Schedule{Order: []int{0, 1, 2}, Y: 3, Z: 3}, 2); err == nil {
+	if _, err := m.RunScheduleCtx(context.Background(), schedule.Schedule{Order: []int{0, 1, 2}, Y: 3, Z: 3}, 2); err == nil {
 		t.Error("schedule over wrong X accepted")
 	}
-	if _, err := m.RunSchedule(schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: 2, Z: 2}, 2); err == nil {
+	if _, err := m.RunScheduleCtx(context.Background(), schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: 2, Z: 2}, 2); err == nil {
 		t.Error("schedule with Y != contexts accepted")
 	}
-	if _, err := m.RunSchedule(schedule.Schedule{Order: []int{0, 0, 2, 3, 4, 5}, Y: 3, Z: 3}, 2); err == nil {
+	if _, err := m.RunScheduleCtx(context.Background(), schedule.Schedule{Order: []int{0, 0, 2, 3, 4, 5}, Y: 3, Z: 3}, 2); err == nil {
 		t.Error("invalid permutation accepted")
 	}
 }
@@ -182,7 +182,7 @@ func TestSOSRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m, mix.SMTLevel, mix.Swap, solo, Options{
+	res, err := Run(context.Background(), m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples:       10,
 		Predictor:     PredScore,
 		SymbiosSlices: 20,
@@ -212,10 +212,10 @@ func TestSOSRunEndToEnd(t *testing.T) {
 // TestRunOptionValidation: bad options are rejected.
 func TestRunOptionValidation(t *testing.T) {
 	m, mix := mustMachine(t, "Jsb(6,3,3)", 5, 20_000)
-	if _, err := Run(m, mix.SMTLevel, mix.Swap, nil, Options{Samples: 0, SymbiosSlices: 2}); err == nil {
+	if _, err := Run(context.Background(), m, mix.SMTLevel, mix.Swap, nil, Options{Samples: 0, SymbiosSlices: 2}); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := Run(m, mix.SMTLevel, mix.Swap, nil, Options{Samples: 1, SymbiosSlices: 0}); err == nil {
+	if _, err := Run(context.Background(), m, mix.SMTLevel, mix.Swap, nil, Options{Samples: 1, SymbiosSlices: 0}); err == nil {
 		t.Error("zero symbios accepted")
 	}
 }

@@ -27,7 +27,7 @@ func TestSimMetricsAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	slices := 2 * s.CycleSlices()
-	run, err := m.RunSchedule(s, slices)
+	run, err := m.RunScheduleCtx(context.Background(), s, slices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSimMetricsReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunSchedule(s, 2*s.CycleSlices())
+		res, err := m.RunScheduleCtx(context.Background(), s, 2*s.CycleSlices())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"symbios/internal/metrics"
@@ -27,10 +28,6 @@ type Options struct {
 	WarmupCycles uint64
 	// Seed drives schedule sampling.
 	Seed uint64
-	// Tracer, when non-nil, receives phase spans (sos/warmup, sos/sample,
-	// sos/optimize, sos/symbios). Observability only — a tracer never
-	// changes what Run computes.
-	Tracer *obs.Tracer
 }
 
 // Result reports a full SOS run.
@@ -49,21 +46,28 @@ type Result struct {
 	WeightedSpeedup float64
 }
 
-// SamplePhase evaluates each candidate schedule for one full rotation (the
-// minimum interval over which every task receives equal CPU time) and
-// returns the recorded samples. Jobs make normal progress throughout —
-// sampling is overhead-free.
-func SamplePhase(m *Machine, scheds []schedule.Schedule) ([]Sample, error) {
+// SamplePhase evaluates each candidate schedule for rounds full rotations
+// (a rotation is the minimum interval over which every task receives equal
+// CPU time) on m and returns the recorded samples in candidate order. Jobs
+// make normal progress throughout — sampling is overhead-free — so the phase
+// is inherently sequential: every candidate is observed on this one machine.
+// A sample whose counter reads failed would rank on partial counts, so any
+// lost read fails the phase with an error wrapping ErrCounterRead for the
+// caller's retry layer. ctx bounds the phase as it bounds RunScheduleCtx.
+func SamplePhase(ctx context.Context, m *Machine, scheds []schedule.Schedule, rounds int) ([]Sample, error) {
 	if len(scheds) == 0 {
 		return nil, fmt.Errorf("core: no schedules to sample")
 	}
 	samples := make([]Sample, 0, len(scheds))
 	for _, s := range scheds {
-		res, err := m.RunSchedule(s, s.CycleSlices())
+		run, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*rounds)
 		if err != nil {
 			return nil, err
 		}
-		samples = append(samples, NewSample(s, res))
+		if run.ReadFailures > 0 {
+			return nil, fmt.Errorf("sample of %s lost %d counter reads: %w", s, run.ReadFailures, ErrCounterRead)
+		}
+		samples = append(samples, NewSample(s, run))
 	}
 	return samples, nil
 }
@@ -71,8 +75,11 @@ func SamplePhase(m *Machine, scheds []schedule.Schedule) ([]Sample, error) {
 // Run executes the complete SOS pipeline on m: sample opt.Samples random
 // distinct schedules, choose one with opt.Predictor, then run it for
 // opt.SymbiosSlices. soloIPC, when non-nil, must hold each task's solo
-// offer rate (see SoloRates) and enables the weighted-speedup report.
-func Run(m *Machine, y, z int, soloIPC []float64, opt Options) (Result, error) {
+// offer rate (see SoloRates) and enables the weighted-speedup report. ctx
+// bounds every phase, and the tracer it carries (obs.WithTracer), if any,
+// receives the phase spans sos/warmup, sos/sample, sos/optimize and
+// sos/symbios.
+func Run(ctx context.Context, m *Machine, y, z int, soloIPC []float64, opt Options) (Result, error) {
 	if opt.Samples < 1 {
 		return Result{}, fmt.Errorf("core: Samples must be >= 1")
 	}
@@ -91,17 +98,18 @@ func Run(m *Machine, y, z int, soloIPC []float64, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("core: schedule sampling produced no candidates for X=%d Y=%d Z=%d", m.NumTasks(), y, z)
 	}
 
+	tr := obs.TracerFrom(ctx)
 	if opt.WarmupCycles > 0 {
-		endWarm := opt.Tracer.Span("sos/warmup", "")
-		err := m.Warm(nil, scheds[0], opt.WarmupCycles)
+		endWarm := tr.Span("sos/warmup", "")
+		err := m.Warm(ctx, scheds[0], opt.WarmupCycles)
 		endWarm()
 		if err != nil {
 			return Result{}, err
 		}
 	}
 
-	endSample := opt.Tracer.Span("sos/sample", "")
-	samples, err := SamplePhase(m, scheds)
+	endSample := tr.Span("sos/sample", "")
+	samples, err := SamplePhase(ctx, m, scheds, 1)
 	endSample()
 	if err != nil {
 		return Result{}, err
@@ -111,13 +119,13 @@ func Run(m *Machine, y, z int, soloIPC []float64, opt Options) (Result, error) {
 		sampleCycles += uint64(s.CycleSlices()) * m.SliceCycles
 	}
 
-	endOpt := opt.Tracer.Span("sos/optimize", "")
+	endOpt := tr.Span("sos/optimize", "")
 	idx := Pick(samples, opt.Predictor)
 	chosen := samples[idx].Sched
 	endOpt()
 
-	endSym := opt.Tracer.Span("sos/symbios", "")
-	sym, err := m.RunSchedule(chosen, opt.SymbiosSlices)
+	endSym := tr.Span("sos/symbios", "")
+	sym, err := m.RunScheduleCtx(ctx, chosen, opt.SymbiosSlices)
 	endSym()
 	if err != nil {
 		return Result{}, err

@@ -52,10 +52,10 @@ func TestScheduleSpread(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm up one rotation, then measure ten rotations.
-		if _, err := m.RunSchedule(s, s.CycleSlices()); err != nil {
+		if _, err := m.RunScheduleCtx(context.Background(), s, s.CycleSlices()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunSchedule(s, 10*s.CycleSlices())
+		res, err := m.RunScheduleCtx(context.Background(), s, 10*s.CycleSlices())
 		if err != nil {
 			t.Fatal(err)
 		}

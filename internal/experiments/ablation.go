@@ -41,7 +41,7 @@ func AblationSampleCount(ctx context.Context, label string, sc Scale, counts []i
 	}
 	// EvalMix bypasses the process cache, so each count is an independent
 	// work item (its sample draw depends only on the Scale).
-	return shardedMap(ctx, "ablation-samples", counts, parallel.Options{}, func(ctx context.Context, _ int, n int) (SampleCountRow, error) {
+	return shardedMap(ctx, "ablation-samples", counts, func(ctx context.Context, _ int, n int) (SampleCountRow, error) {
 		s := sc
 		s.MaxSamples = n
 		ev, err := EvalMix(ctx, label, s)
@@ -75,7 +75,7 @@ func AblationSeeds(ctx context.Context, label string, sc Scale, seeds []uint64) 
 	if seeds == nil {
 		seeds = []uint64{1, 2, 3, 4, 5}
 	}
-	return shardedMap(ctx, "ablation-seeds", seeds, parallel.Options{}, func(ctx context.Context, _ int, seed uint64) (SeedRow, error) {
+	return shardedMap(ctx, "ablation-seeds", seeds, func(ctx context.Context, _ int, seed uint64) (SeedRow, error) {
 		s := sc
 		s.Seed = seed
 		ev, err := EvalMix(ctx, label, s)
@@ -114,7 +114,7 @@ func AblationFetchPolicy(ctx context.Context, sc Scale) ([]FetchPolicyRow, error
 		return nil, err
 	}
 	policies := []arch.FetchPolicy{arch.FetchICOUNT, arch.FetchRoundRobin}
-	return shardedMap(ctx, "ablation-fetch", policies, parallel.Options{}, func(ctx context.Context, _ int, policy arch.FetchPolicy) (FetchPolicyRow, error) {
+	return shardedMap(ctx, "ablation-fetch", policies, func(ctx context.Context, _ int, policy arch.FetchPolicy) (FetchPolicyRow, error) {
 		cfg := arch.Default21264(mix.SMTLevel)
 		cfg.FetchPolicy = policy
 
@@ -128,7 +128,7 @@ func AblationFetchPolicy(ctx context.Context, sc Scale) ([]FetchPolicyRow, error
 		}
 
 		type run struct{ ws, ipc float64 }
-		runs, err := parallel.Map(scheds, parallel.Options{Context: ctx}, func(_ int, s schedule.Schedule) (run, error) {
+		runs, err := parallel.Map(ctx, scheds, parallel.Options{}, func(_ int, s schedule.Schedule) (run, error) {
 			res, err := symbiosRun(ctx, mix, cfg, sc.Slice, sc, jobs, s)
 			if err != nil {
 				return run{}, err

@@ -13,7 +13,6 @@ import (
 
 	"symbios/internal/checkpoint"
 	"symbios/internal/faults"
-	"symbios/internal/parallel"
 )
 
 // The crash-injection tests prove the tentpole invariant: killing a sweep at
@@ -179,7 +178,7 @@ func TestShardedMapWatchdogBrackets(t *testing.T) {
 	defer wd.Stop()
 	ctx := checkpoint.WithWatchdog(context.Background(), wd)
 	items := []int{0, 1, 2, 3}
-	_, err := shardedMap(ctx, "wdtest", items, parallel.Options{}, func(_ context.Context, _ int, v int) (int, error) {
+	_, err := shardedMap(ctx, "wdtest", items, func(_ context.Context, _ int, v int) (int, error) {
 		mu.Lock()
 		seen++
 		mu.Unlock()

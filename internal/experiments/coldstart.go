@@ -6,7 +6,6 @@ import (
 	"symbios/internal/arch"
 	"symbios/internal/core"
 	"symbios/internal/metrics"
-	"symbios/internal/parallel"
 	"symbios/internal/schedule"
 	"symbios/internal/workload"
 )
@@ -43,7 +42,7 @@ func ColdstartStudy(ctx context.Context, sc Scale, slices []uint64) ([]Coldstart
 	}
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3, 4, 5}, Y: mix.SMTLevel, Z: mix.Swap}
 
-	return shardedMap(ctx, "coldstart", slices, parallel.Options{}, func(ctx context.Context, _ int, slice uint64) (ColdstartRow, error) {
+	return shardedMap(ctx, "coldstart", slices, func(ctx context.Context, _ int, slice uint64) (ColdstartRow, error) {
 		res, err := symbiosRun(ctx, mix, cfg, slice, sc, jobs, s)
 		if err != nil {
 			return ColdstartRow{}, err

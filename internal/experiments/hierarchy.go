@@ -113,7 +113,7 @@ func jobWS(jobs []*workload.Job, committed []uint64, cycles uint64, soloAgg []fl
 // Each level's rng stream derives from (seed, level), so the levels are
 // independent work items. Each SMT level is a resumable checkpoint shard.
 func Figure4(ctx context.Context, sc Scale) ([]Figure4Row, error) {
-	return shardedMap(ctx, "fig4", []int{2, 3, 4, 6}, parallel.Options{}, func(ctx context.Context, _ int, level int) (Figure4Row, error) {
+	return shardedMap(ctx, "fig4", []int{2, 3, 4, 6}, func(ctx context.Context, _ int, level int) (Figure4Row, error) {
 		return hierLevel(ctx, level, sc)
 	})
 }
@@ -162,7 +162,7 @@ func hierLevel(ctx context.Context, level int, sc Scale) (Figure4Row, error) {
 	// Phase 2 (parallel): evaluate each configuration — solo calibration
 	// plus its schedule runs, every run on freshly built jobs — and flatten
 	// the per-configuration candidate groups in configuration order.
-	groups, err := parallel.Map(work, parallel.Options{Context: ctx}, func(_ int, w hierWork) ([]hierCandidate, error) {
+	groups, err := parallel.Map(ctx, work, parallel.Options{}, func(_ int, w hierWork) ([]hierCandidate, error) {
 		// Per-job solo aggregate rates for this configuration.
 		jobs, seeds, err := buildSpecJobs(w.specs, sc.Seed)
 		if err != nil {
@@ -181,7 +181,7 @@ func hierLevel(ctx context.Context, level int, sc Scale) (Figure4Row, error) {
 			}
 		}
 
-		return parallel.Map(w.scheds, parallel.Options{Context: ctx}, func(_ int, s schedule.Schedule) (hierCandidate, error) {
+		return parallel.Map(ctx, w.scheds, parallel.Options{}, func(_ int, s schedule.Schedule) (hierCandidate, error) {
 			jobs, _, err := buildSpecJobs(w.specs, sc.Seed)
 			if err != nil {
 				return hierCandidate{}, err

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"symbios/internal/core"
-	"symbios/internal/parallel"
 	"symbios/internal/rng"
 	"symbios/internal/schedule"
 	"symbios/internal/workload"
@@ -38,7 +37,7 @@ func ThroughputVsLevel(ctx context.Context, sc Scale, levels []int) ([]LevelRow,
 	}
 	// Each level derives its own rng stream from (seed, level), so the
 	// levels are independent work items.
-	return shardedMap(ctx, "levels", levels, parallel.Options{}, func(ctx context.Context, _ int, level int) (LevelRow, error) {
+	return shardedMap(ctx, "levels", levels, func(ctx context.Context, _ int, level int) (LevelRow, error) {
 		if 12%level != 0 {
 			return LevelRow{}, fmt.Errorf("experiments: level %d does not divide 12 jobs evenly", level)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"symbios/internal/arch"
-	"symbios/internal/parallel"
 	"symbios/internal/queueing"
 	"symbios/internal/rng"
 )
@@ -54,10 +53,10 @@ func openLoadDists(kind string, interarrival, jobCycles float64) (inter, jobs qu
 
 // openLoadCompare runs naive, plain SOS and backlog-aware SOS on one
 // scripted open system at SMT level 3.
-func openLoadCompare(pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
+func openLoadCompare(ctx context.Context, pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
 	const level = 3
 	cfg := arch.Default21264(level)
-	solo, err := queueing.CalibrateSolo(cfg, qs.CalibWarmup, qs.CalibMeasure)
+	solo, err := queueing.CalibrateSolo(ctx, cfg, qs.CalibWarmup, qs.CalibMeasure)
 	if err != nil {
 		return nil, err
 	}
@@ -92,18 +91,18 @@ func openLoadCompare(pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
 		}
 	}
 
-	naive, err := queueing.RunNaive(cfg, qs.Slice, script, qs.Horizon)
+	naive, err := queueing.RunNaive(ctx, cfg, qs.Slice, script, qs.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	opt := queueing.DefaultSOSOptions(script)
-	sos, err := queueing.RunSOS(cfg, qs.Slice, script, qs.Horizon, opt)
+	sos, err := queueing.RunSOS(ctx, cfg, qs.Slice, script, qs.Horizon, opt)
 	if err != nil {
 		return nil, err
 	}
 	opt.BacklogFactor = 1.5
 	opt.BacklogSamples = 2
-	backlog, err := queueing.RunSOS(cfg, qs.Slice, script, qs.Horizon, opt)
+	backlog, err := queueing.RunSOS(ctx, cfg, qs.Slice, script, qs.Horizon, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +122,8 @@ func OpenLoad(ctx context.Context, qs QueueScale, factors []float64) ([]OpenLoad
 			points = append(points, openLoadPoint{Dist: d, Factor: f})
 		}
 	}
-	rows, err := shardedMap(ctx, "openload", points, parallel.Options{}, func(_ context.Context, _ int, pt openLoadPoint) ([]OpenLoadRow, error) {
-		return openLoadCompare(pt, qs)
+	rows, err := shardedMap(ctx, "openload", points, func(ctx context.Context, _ int, pt openLoadPoint) ([]OpenLoadRow, error) {
+		return openLoadCompare(ctx, pt, qs)
 	})
 	if err != nil {
 		return nil, err

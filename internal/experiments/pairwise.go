@@ -6,7 +6,6 @@ import (
 
 	"symbios/internal/arch"
 	"symbios/internal/cpu"
-	"symbios/internal/parallel"
 	"symbios/internal/rng"
 	"symbios/internal/workload"
 )
@@ -35,7 +34,7 @@ func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error)
 
 	// Solo rates, one calibration per benchmark; each runs on its own
 	// machine, so the calibrations fan out.
-	solo, err := shardedMap(ctx, "pairwise-solo", names, parallel.Options{}, func(_ context.Context, i int, name string) (float64, error) {
+	solo, err := shardedMap(ctx, "pairwise-solo", names, func(_ context.Context, i int, name string) (float64, error) {
 		spec, err := workload.Lookup(name)
 		if err != nil {
 			return 0, err
@@ -65,7 +64,7 @@ func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error)
 			cells = append(cells, pairCell{i, j})
 		}
 	}
-	wss, err := shardedMap(ctx, "pairwise/cell", cells, parallel.Options{}, func(_ context.Context, _ int, cl pairCell) (float64, error) {
+	wss, err := shardedMap(ctx, "pairwise/cell", cells, func(_ context.Context, _ int, cl pairCell) (float64, error) {
 		return pairWS(cfg, names, solo, cl, sc)
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func TestHierarchicalLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation")
 	}
-	row, err := hierLevel(nil, 2, QuickScale())
+	row, err := hierLevel(context.Background(), 2, QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"symbios/internal/arch"
-	"symbios/internal/parallel"
 	"symbios/internal/queueing"
 	"symbios/internal/rng"
 )
@@ -66,13 +65,14 @@ func QuickQueueScale() QueueScale {
 // ResponseCompare runs naive and SOS schedulers on one scripted system.
 // lambdaFactor scales the offered arrival rate (1.0 sits near 90% of the
 // machine's solo-job-equivalent capacity, which settles the system around
-// N ~= 2 x SMT level; above 1.0 the load is heavier).
-func ResponseCompare(level int, qs QueueScale, lambdaFactor float64) (ResponseRow, error) {
+// N ~= 2 x SMT level; above 1.0 the load is heavier). ctx bounds the
+// calibration and both runs, at timeslice granularity.
+func ResponseCompare(ctx context.Context, level int, qs QueueScale, lambdaFactor float64) (ResponseRow, error) {
 	if level < 1 {
 		return ResponseRow{}, fmt.Errorf("experiments: SMT level %d", level)
 	}
 	cfg := arch.Default21264(level)
-	solo, err := queueing.CalibrateSolo(cfg, qs.CalibWarmup, qs.CalibMeasure)
+	solo, err := queueing.CalibrateSolo(ctx, cfg, qs.CalibWarmup, qs.CalibMeasure)
 	if err != nil {
 		return ResponseRow{}, err
 	}
@@ -90,12 +90,12 @@ func ResponseCompare(level int, qs QueueScale, lambdaFactor float64) (ResponseRo
 		return ResponseRow{}, err
 	}
 
-	naive, err := queueing.RunNaive(cfg, qs.Slice, script, qs.Horizon)
+	naive, err := queueing.RunNaive(ctx, cfg, qs.Slice, script, qs.Horizon)
 	if err != nil {
 		return ResponseRow{}, err
 	}
 	opt := queueing.DefaultSOSOptions(script)
-	sos, err := queueing.RunSOS(cfg, qs.Slice, script, qs.Horizon, opt)
+	sos, err := queueing.RunSOS(ctx, cfg, qs.Slice, script, qs.Horizon, opt)
 	if err != nil {
 		return ResponseRow{}, err
 	}
@@ -120,8 +120,8 @@ func ResponseCompare(level int, qs QueueScale, lambdaFactor float64) (ResponseRo
 // (seed, level) hash), so the levels fan out across workers. Each SMT
 // level is a resumable checkpoint shard.
 func Figure5(ctx context.Context, qs QueueScale) ([]ResponseRow, error) {
-	return shardedMap(ctx, "fig5", []int{2, 3, 4, 6}, parallel.Options{}, func(_ context.Context, _ int, level int) (ResponseRow, error) {
-		return ResponseCompare(level, qs, 1.0)
+	return shardedMap(ctx, "fig5", []int{2, 3, 4, 6}, func(ctx context.Context, _ int, level int) (ResponseRow, error) {
+		return ResponseCompare(ctx, level, qs, 1.0)
 	})
 }
 
@@ -132,7 +132,7 @@ func Figure6(ctx context.Context, qs QueueScale, factors []float64) ([]ResponseR
 	if factors == nil {
 		factors = []float64{0.6, 0.8, 1.0, 1.2}
 	}
-	return shardedMap(ctx, "fig6", factors, parallel.Options{}, func(_ context.Context, _ int, f float64) (ResponseRow, error) {
-		return ResponseCompare(3, qs, f)
+	return shardedMap(ctx, "fig6", factors, func(ctx context.Context, _ int, f float64) (ResponseRow, error) {
+		return ResponseCompare(ctx, 3, qs, f)
 	})
 }

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestResponseCompare reproduces the Section 9 comparison at test scale on
 // one SMT level: SOS must deliver a response time no worse than a few
@@ -10,7 +13,7 @@ func TestResponseCompare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-cycle simulation")
 	}
-	row, err := ResponseCompare(3, QuickQueueScale(), 1.0)
+	row, err := ResponseCompare(context.Background(), 3, QuickQueueScale(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"symbios/internal/arch"
 	"symbios/internal/core"
 	"symbios/internal/faults"
-	"symbios/internal/parallel"
 	"symbios/internal/rng"
 	"symbios/internal/schedule"
 	"symbios/internal/workload"
@@ -80,7 +79,7 @@ func DefaultChurn() []faults.ChurnSpec {
 // Robustness runs the full sweep: every mix label under every fault level.
 // Cells are independent simulations seeded from (sc.Seed, cell index) and fan
 // out across workers with bit-identical results at any worker count; a cell
-// failure fires a shared cancel token so in-flight adaptive runs abort
+// failure cancels the sweep's context so in-flight sibling cells abort
 // instead of finishing work the sweep will discard. Each cell is a resumable
 // checkpoint shard: a context carrying a checkpoint.Recorder replays
 // completed cells and recomputes only the interrupted ones, byte-identically.
@@ -104,14 +103,23 @@ func Robustness(ctx context.Context, sc Scale, labels []string, levels []faults.
 			cells = append(cells, cell{l, fc})
 		}
 	}
-	var abort parallel.Cancel
-	return shardedMap(ctx, "robustness", cells, parallel.Options{Cancel: &abort}, func(ctx context.Context, i int, c cell) (RobustnessRow, error) {
-		return robustnessCell(ctx, c.label, c.fc, churn, sc, rng.Hash2(sc.Seed, uint64(i), saltRobustCell), &abort)
+	ctx, abort := context.WithCancel(ctx)
+	defer abort()
+	return shardedMap(ctx, "robustness", cells, func(ctx context.Context, i int, c cell) (RobustnessRow, error) {
+		row, err := runRobustnessCell(ctx, c.label, c.fc, churn, sc, rng.Hash2(sc.Seed, uint64(i), saltRobustCell))
+		if err != nil {
+			abort()
+		}
+		return row, err
 	})
 }
 
+// runRobustnessCell is the cell Robustness runs: robustnessCell, replaced
+// by tests that need a cell to fail or block on cue.
+var runRobustnessCell = robustnessCell
+
 // robustnessCell evaluates one (mix, fault level) pair.
-func robustnessCell(ctx context.Context, label string, fc faults.Config, churn []faults.ChurnSpec, sc Scale, cellSeed uint64, abort *parallel.Cancel) (RobustnessRow, error) {
+func robustnessCell(ctx context.Context, label string, fc faults.Config, churn []faults.ChurnSpec, sc Scale, cellSeed uint64) (RobustnessRow, error) {
 	mix, err := workload.MixByLabel(label)
 	if err != nil {
 		return RobustnessRow{}, err
@@ -174,7 +182,6 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 		WarmupCycles:  sc.WarmupCycles,
 		Seed:          rng.Hash2(cellSeed, 4, saltRobustSched),
 		Churn:         adChurn,
-		Abort:         abort,
 	})
 	if err != nil {
 		return RobustnessRow{}, fmt.Errorf("experiments: %s under %s: %w", label, fc, err)

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"symbios/internal/faults"
+	"symbios/internal/parallel"
 )
 
 // quickRobustScale shrinks the budgets: these tests prove robustness
@@ -94,5 +97,35 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, fanned) {
 		t.Fatalf("robustness rows differ between workers=1 and workers=8:\n%+v\nvs\n%+v", serial, fanned)
+	}
+}
+
+// TestRobustnessFailureAbortsSiblings: a failing cell cancels the sweep's
+// context, so an in-flight sibling that waits on it returns at once, and the
+// sweep reports the failing cell's own error — not the sibling's abort,
+// though the sibling has the lower index.
+func TestRobustnessFailureAbortsSiblings(t *testing.T) {
+	defer parallel.SetDefaultWorkers(parallel.SetDefaultWorkers(2))
+	defer func(prev func(context.Context, string, faults.Config, []faults.ChurnSpec, Scale, uint64) (RobustnessRow, error)) {
+		runRobustnessCell = prev
+	}(runRobustnessCell)
+	boom := errors.New("boom")
+	started := make(chan struct{})
+	runRobustnessCell = func(ctx context.Context, label string, _ faults.Config, _ []faults.ChurnSpec, _ Scale, _ uint64) (RobustnessRow, error) {
+		if label != "Jsb(4,2,2)" {
+			<-started
+			return RobustnessRow{}, boom
+		}
+		close(started)
+		select {
+		case <-ctx.Done():
+			return RobustnessRow{}, ctx.Err()
+		case <-time.After(time.Minute):
+			return RobustnessRow{}, errors.New("sibling cell was not aborted")
+		}
+	}
+	_, err := Robustness(context.Background(), QuickScale(), []string{"Jsb(4,2,2)", "Jsb(6,3,3)"}, []faults.Config{{}}, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err=%v, want the failing cell's error", err)
 	}
 }

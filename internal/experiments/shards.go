@@ -36,15 +36,11 @@ func shardKey(exp string, i int) string { return fmt.Sprintf("%s/%05d", exp, i) 
 // survives a JSON round-trip unchanged (struct-of-scalars rows qualify;
 // anything holding pointers or unexported state does not — plumb only the
 // context for those).
-func shardedMap[T, R any](ctx context.Context, exp string, items []T, opts parallel.Options, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func shardedMap[T, R any](ctx context.Context, exp string, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	rec := checkpoint.RecorderFrom(ctx)
 	wd := checkpoint.WatchdogFrom(ctx)
 	tr := obs.TracerFrom(ctx)
-	opts.Context = ctx
-	out, err := parallel.Map(items, opts, func(i int, item T) (R, error) {
+	out, err := parallel.Map(ctx, items, parallel.Options{}, func(i int, item T) (R, error) {
 		key := shardKey(exp, i)
 		var r R
 		hit, lerr := rec.Lookup(key, &r)

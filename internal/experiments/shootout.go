@@ -30,7 +30,7 @@ func PredictorShootout(ctx context.Context, sc Scale, labels []string) ([]Shooto
 	if labels == nil {
 		labels = []string{"Jsb(6,3,3)", "Jsb(8,4,4)", "Jsb(5,2,2)"}
 	}
-	evs, err := parallel.Map(labels, parallel.Options{Context: ctx}, func(_ int, l string) (*MixEval, error) {
+	evs, err := parallel.Map(ctx, labels, parallel.Options{}, func(_ int, l string) (*MixEval, error) {
 		return EvalMixCached(ctx, l, sc)
 	})
 	if err != nil {

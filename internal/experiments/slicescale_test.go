@@ -42,7 +42,7 @@ func TestSliceScaling(t *testing.T) {
 		if err := m.Warm(context.Background(), s, 2_000_000); err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunSchedule(s, 8*s.CycleSlices())
+		res, err := m.RunScheduleCtx(context.Background(), s, 8*s.CycleSlices())
 		if err != nil {
 			t.Fatal(err)
 		}

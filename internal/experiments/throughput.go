@@ -92,7 +92,7 @@ func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.S
 	soloJob := make([][]float64, len(jobs))
 	runs := make([]core.RunResult, len(scheds))
 
-	err = parallel.ForEach(mixTasks(len(jobs), scheds, slice, sc), parallel.Options{Context: ctx}, func(_ int, t mixTask) error {
+	err = parallel.ForEach(ctx, mixTasks(len(jobs), scheds, slice, sc), parallel.Options{}, func(_ int, t mixTask) error {
 		switch t.kind {
 		case taskCalibrate:
 			defer tr.Span("sos/calibrate", mix.Label)()
@@ -109,14 +109,8 @@ func EvalMixSchedules(ctx context.Context, mix workload.Mix, scheds []schedule.S
 				return err
 			}
 			defer tr.Span("sos/sample", mix.Label)()
-			ev.Samples = make([]core.Sample, len(scheds))
-			for i, s := range scheds {
-				res, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*sc.SampleRounds)
-				if err != nil {
-					return err
-				}
-				ev.Samples[i] = core.NewSample(s, res)
-			}
+			ev.Samples, err = core.SamplePhase(ctx, m, scheds, sc.SampleRounds)
+			return err
 		case taskSymbios:
 			res, err := symbiosRun(ctx, mix, cfg, slice, sc, jobs, scheds[t.idx])
 			if err != nil {
@@ -254,7 +248,7 @@ func Figure1(ctx context.Context, sc Scale, labels []string) ([]Figure1Row, erro
 	if labels == nil {
 		labels = workload.FigureMixes
 	}
-	return shardedMap(ctx, "fig1", labels, parallel.Options{}, func(ctx context.Context, _ int, l string) (Figure1Row, error) {
+	return shardedMap(ctx, "fig1", labels, func(ctx context.Context, _ int, l string) (Figure1Row, error) {
 		ev, err := EvalMixCached(ctx, l, sc)
 		if err != nil {
 			return Figure1Row{}, err
@@ -356,7 +350,7 @@ func Figure3(ctx context.Context, sc Scale, labels []string) ([]Figure3Row, erro
 	if labels == nil {
 		labels = workload.FigureMixes
 	}
-	return shardedMap(ctx, "fig3", labels, parallel.Options{}, func(ctx context.Context, _ int, l string) (Figure3Row, error) {
+	return shardedMap(ctx, "fig3", labels, func(ctx context.Context, _ int, l string) (Figure3Row, error) {
 		ev, err := EvalMixCached(ctx, l, sc)
 		if err != nil {
 			return Figure3Row{}, err

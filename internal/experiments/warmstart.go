@@ -37,8 +37,8 @@ var warmstartTriples = [][3]string{
 // variant isolates the second effect. Each triple is a resumable checkpoint
 // shard.
 func WarmstartStudy(ctx context.Context, sc Scale) ([]WarmstartRow, error) {
-	return shardedMap(ctx, "warmstart", warmstartTriples[:], parallel.Options{}, func(ctx context.Context, _ int, tr [3]string) (WarmstartRow, error) {
-		evs, err := parallel.Map(tr[:], parallel.Options{Context: ctx}, func(_ int, label string) (*MixEval, error) {
+	return shardedMap(ctx, "warmstart", warmstartTriples[:], func(ctx context.Context, _ int, tr [3]string) (WarmstartRow, error) {
+		evs, err := parallel.Map(ctx, tr[:], parallel.Options{}, func(_ int, label string) (*MixEval, error) {
 			return EvalMixCached(ctx, label, sc)
 		})
 		if err != nil {

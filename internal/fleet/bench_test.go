@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"symbios/internal/integrity"
 )
 
 // sinkDelay keeps the measured read from being optimised away.
@@ -67,4 +72,77 @@ func BenchmarkFrontDispatchCached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// cannedHit is a transport that answers every request in memory with the
+// same digest-stamped X-Cache: hit, as a sosd holding the body in its cache
+// would — no listener, no connection, no server goroutine. The header map
+// is shared, read-only, by every response.
+type cannedHit struct {
+	header http.Header
+	body   []byte
+}
+
+func newCannedHit(body []byte) cannedHit {
+	h := http.Header{}
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cache", "hit")
+	h.Set(integrity.Header, integrity.Digest(body))
+	return cannedHit{header: h, body: body}
+}
+
+func (c cannedHit) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     c.header,
+		Body:       io.NopCloser(bytes.NewReader(c.body)),
+		Request:    req,
+	}, nil
+}
+
+// BenchmarkFrontDispatchCachedInMemory is BenchmarkFrontDispatchCached with
+// the backends taken out: Config.Client's transport answers every attempt
+// in memory with a canned, digest-stamped hit, so allocs/op and B/op are the
+// front's own work plus the canned response's, which canned-allocs/op
+// reports on its own.
+func BenchmarkFrontDispatchCachedInMemory(b *testing.B) {
+	body := scheduleBody(7)
+	hit := newCannedHit([]byte(`{"ok":1}`))
+	f := newTestFront(b, nil, func(cfg *Config) {
+		cfg.Backends = []string{"http://a.invalid", "http://b.invalid"}
+		cfg.Client = &http.Client{Transport: hit, Timeout: 10 * time.Second}
+		cfg.HedgeQuantile = 0.95
+		cfg.HedgeMin = 20 * time.Millisecond
+		cfg.HedgeMax = 2 * time.Second
+		cfg.HedgeWarmup = 20
+	})
+	ctx := context.Background()
+	for i := 0; i < hedgeWindow; i++ {
+		if _, err := f.Dispatch(ctx, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := f.Dispatch(ctx, body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Status != http.StatusOK || res.Header.Get("X-Cache") != "hit" {
+			b.Fatalf("dispatch answered %d, X-Cache %q; want a 200 hit", res.Status, res.Header.Get("X-Cache"))
+		}
+	}
+	b.StopTimer()
+	req, err := http.NewRequest(http.MethodPost, "http://a.invalid/v1/schedule", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(testing.AllocsPerRun(100, func() {
+		resp, _ := hit.RoundTrip(req)
+		resp.Body.Close()
+	}), "canned-allocs/op")
 }

@@ -209,9 +209,12 @@ func cacheAwareHandler(cached *sync.Map, missLatency time.Duration) http.Handler
 // wrong: 99 % repeat bodies answered from cache in well under a millisecond
 // beside distinct bodies that take a 60 ms evaluation. Pooled, the hits drag
 // the tracked quantile to the floor and every miss is hedged (evaluated
-// twice); by class, a miss waits out the rank window's own quantile, so after
-// warm-up only the tail of the misses is hedged — while a repeat body whose
-// primary stalls is still hedged at the cached delay, misses flowing or not.
+// twice); by class, every miss after warm-up arms the rank window's own
+// quantile, which is at least the miss latency because that window holds
+// only misses — while a repeat body whose primary stalls is still hedged at
+// the cached delay, misses flowing or not. The test asserts the armed delay,
+// not how many hedges fired: that count depends on wall-clock latency and
+// so on host load.
 func TestFrontHedgesByClass(t *testing.T) {
 	leakcheck.Check(t)
 	const (
@@ -246,27 +249,21 @@ func TestFrontHedgesByClass(t *testing.T) {
 		}
 		return res
 	}
-	var hedgesAtWarm uint64
 	for m := 0; m < misses; m++ {
-		if m == warmMisses {
-			hedgesAtWarm = f.Stats().Hedges
-		}
 		for h := 0; h < hitsPerMiss; h++ {
 			if res := dispatch(repeats[h%2]); res.Header.Get("X-Cache") != "hit" {
 				t.Fatalf("repeat body answered X-Cache %q, want hit", res.Header.Get("X-Cache"))
 			}
 		}
 		// Distinct bodies: seeds far from anything bodyWithPrimary scanned.
-		if res := dispatch(scheduleBody(1_000_000 + uint64(m))); res.Header.Get("X-Cache") != "miss" {
+		miss := scheduleBody(1_000_000 + uint64(m))
+		// The pooled tracker armed every miss at the hits' few ms.
+		if d := f.hedge.delay(shardOf(miss)); m >= warmMisses && d < missLatency {
+			t.Fatalf("miss %d arms its hedge at %s, before the %s a miss takes", m, d, missLatency)
+		}
+		if res := dispatch(miss); res.Header.Get("X-Cache") != "miss" {
 			t.Fatalf("distinct body answered X-Cache %q, want miss", res.Header.Get("X-Cache"))
 		}
-	}
-	hedged := f.Stats().Hedges - hedgesAtWarm
-	// 1-HedgeQuantile of the counted misses is one; the slack absorbs a
-	// window this young (its quantile is still its maximum) on a noisy box.
-	// The pooled tracker hedged all twenty.
-	if counted := uint64(misses - warmMisses); hedged > counted/3 {
-		t.Fatalf("%d of %d warmed-up misses were hedged; by class at most the tail should be", hedged, counted)
 	}
 	cachedDelay, rankDelay := f.hedge.byClass[reqCached].Delay(), f.hedge.byClass[reqRank].Delay()
 	if cachedDelay >= missLatency/2 || rankDelay < missLatency {
@@ -301,13 +298,16 @@ func TestFrontHedgesByClass(t *testing.T) {
 // stay apart: a prediction only chooses which window arms the timer, and an
 // observation is filed under what the answer proved. A seen body the backend
 // has since evicted is predicted cached but observed into rank; an adaptive
-// body never arms from (or lands in) the rank window.
+// body never arms from (or lands in) the rank window. Each request has one
+// candidate, so no hedge can launch and add an observation: the window
+// counts below hold whatever the host's latency.
 func TestFrontHedgeClassMisprediction(t *testing.T) {
 	leakcheck.Check(t)
 	var cached sync.Map
 	a := newFakeBackend(t, cacheAwareHandler(&cached, 0))
 	b := newFakeBackend(t, cacheAwareHandler(&cached, 0))
 	f := newTestFront(t, []*fakeBackend{a, b}, func(cfg *Config) {
+		cfg.Replicas = 1
 		cfg.HedgeMin = time.Millisecond
 		cfg.HedgeMax = time.Hour
 		cfg.HedgeWarmup = 5
@@ -326,16 +326,16 @@ func TestFrontHedgeClassMisprediction(t *testing.T) {
 		return n
 	}
 
-	// Warm the rank window with fast distinct misses: rank now hedges within
-	// a few milliseconds.
+	// Warm the rank window with fast distinct misses: rank now arms at a
+	// loopback round trip, not HedgeMax.
 	for seed := uint64(0); seed < 5; seed++ {
 		dispatch(scheduleBody(seed))
 	}
 	if got := counts(); got != [numReqClasses]int{reqRank: 5} {
 		t.Fatalf("after 5 rank misses the windows hold %v, want 5 in rank only", got)
 	}
-	if d := f.hedge.byClass[reqRank].Delay(); d > 25*time.Millisecond {
-		t.Fatalf("warmed rank delay = %s, want a loopback round trip's few ms", d)
+	if d := f.hedge.byClass[reqRank].Delay(); d >= time.Hour {
+		t.Fatalf("rank delay = %s after 5 misses, want the warmed window's quantile", d)
 	}
 
 	// An adaptive body arms from its own, still unwarmed, window — so a 50 ms
@@ -349,9 +349,6 @@ func TestFrontHedgeClassMisprediction(t *testing.T) {
 	a.set(slow)
 	b.set(slow)
 	dispatch(adaptive)
-	if st := f.Stats(); st.Hedges != 0 {
-		t.Fatalf("adaptive request was hedged %d times off the rank window", st.Hedges)
-	}
 	if got := counts(); got != [numReqClasses]int{reqRank: 5, reqAdaptive: 1} {
 		t.Fatalf("after the adaptive answer the windows hold %v, want it filed under adaptive", got)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestMain fails the package if any test leaks a goroutine — the worker
-// pools and cancellation watchers here must always be joined.
+// pools here must always be joined.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.MainRun(m.Run))
 }

@@ -16,12 +16,11 @@
 //     with another — the call sites draw any shared random sequences
 //     before fanning out.
 //
-// Cancellation and deadlines ride on context.Context: Options.Context
-// aborts a fan-out when it is cancelled or its deadline passes, and the
-// legacy Cancel token is a thin adapter over a context so older call
-// sites keep working. A context abort and an item failure can race; the
-// reported error then carries both (errors.Is matches ErrCancelled and
-// the context error).
+// Cancellation and deadlines ride on the context every call takes first: no
+// new item is claimed once it is cancelled or its deadline passes, and work
+// items that poll the same context abort mid-computation. An abort is
+// never a root cause: a real item error outranks any context error, and a
+// pure abort reports the context's error.
 //
 // The worker count defaults to GOMAXPROCS, may be overridden globally via
 // SetDefaultWorkers (cmd/sosbench's -workers flag) or the SYMBIOS_WORKERS
@@ -48,69 +47,7 @@ type Options struct {
 	// GOMAXPROCS); negative is an error guarded by a panic, since it
 	// indicates a harness bug rather than a runtime condition.
 	Workers int
-
-	// Context, when non-nil, bounds the fan-out: no new items are claimed
-	// once it is cancelled or its deadline passes, and the returned error
-	// matches both ErrCancelled and the context's error with errors.Is.
-	// When a Cancel token is also set, a context abort fires the token so
-	// in-flight items that poll it abort mid-computation.
-	Context context.Context
-
-	// Cancel, when non-nil, aborts the fan-out cooperatively: no new items
-	// are claimed once the token fires, and the token is also triggered by
-	// the first item failure so that work items which poll it (long
-	// simulations, adaptive resample rounds) can abort mid-flight. When the
-	// call ends with no item error but a fired token, ForEach/Map report
-	// ErrCancelled.
-	Cancel *Cancel
 }
-
-// Cancel is a cooperative cancellation token shared between a fan-out call
-// and its work items. It is a thin adapter over a context.Context — Context
-// exposes the underlying context for code that has migrated — and the zero
-// value is ready to use.
-type Cancel struct {
-	once sync.Once
-	ctx  context.Context
-	stop context.CancelFunc
-}
-
-// lazy initialises the underlying context on first use, so the zero value
-// keeps working.
-func (c *Cancel) lazy() {
-	c.once.Do(func() {
-		c.ctx, c.stop = context.WithCancel(context.Background())
-	})
-}
-
-// Cancel fires the token. It is safe to call from any goroutine, repeatedly.
-func (c *Cancel) Cancel() {
-	c.lazy()
-	c.stop()
-}
-
-// Cancelled reports whether the token has fired. Work items running long
-// computations should poll it at natural checkpoints and return ErrCancelled.
-func (c *Cancel) Cancelled() bool {
-	c.lazy()
-	return c.ctx.Err() != nil
-}
-
-// Context returns the context backing the token: done exactly when the token
-// has fired. It lets token-based call sites hand a real context to
-// context-aware code (Machine.RunScheduleCtx, ForEach Options.Context).
-func (c *Cancel) Context() context.Context {
-	c.lazy()
-	return c.ctx
-}
-
-// ErrCancelled is returned by ForEach/Map when the fan-out was aborted — via
-// Options.Cancel or Options.Context — without any item reporting a real error
-// of its own, and should be returned by work items that observe a fired
-// token. When the abort came from the context, the returned error also
-// matches the context's error (context.Canceled or
-// context.DeadlineExceeded) with errors.Is.
-var ErrCancelled = errors.New("parallel: cancelled")
 
 // PanicError is a worker panic re-raised on the calling goroutine, annotated
 // with the input index of the item whose function panicked (the original
@@ -180,11 +117,12 @@ func (o Options) workers(n int) int {
 // mutable state. On error, Map returns the error of the lowest-indexed
 // failing item (a deterministic choice at any worker count) and the
 // result slice is invalid. Items dispatched after the first observed
-// failure are skipped, so an early error does not pay for the full
-// sweep; items already in flight run to completion.
-func Map[T, R any](items []T, opts Options, fn func(i int, item T) (R, error)) ([]R, error) {
+// failure, or once ctx is done, are skipped, so an early error does not pay
+// for the full sweep; items already in flight run to completion unless
+// they poll ctx themselves.
+func Map[T, R any](ctx context.Context, items []T, opts Options, fn func(i int, item T) (R, error)) ([]R, error) {
 	results := make([]R, len(items))
-	err := ForEach(items, opts, func(i int, item T) error {
+	err := ForEach(ctx, items, opts, func(i int, item T) error {
 		r, err := fn(i, item)
 		if err != nil {
 			return err
@@ -198,12 +136,10 @@ func Map[T, R any](items []T, opts Options, fn func(i int, item T) (R, error)) (
 	return results, nil
 }
 
-// isAbortError reports whether err is a cancellation side effect (a fired
-// token or an aborted context) rather than a root-cause item failure.
+// isAbortError reports whether err is a context abort — a side effect of a
+// cancellation or deadline — rather than a root-cause item failure.
 func isAbortError(err error) bool {
-	return errors.Is(err, ErrCancelled) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // ForEach is Map without collected results: fn runs once per item, with
@@ -212,64 +148,20 @@ func isAbortError(err error) bool {
 // index (the lowest-indexed panic when several workers panic); without the
 // recovery a worker panic would kill the process with no indication of which
 // item died.
-func ForEach[T any](items []T, opts Options, fn func(i int, item T) error) error {
+func ForEach[T any](ctx context.Context, items []T, opts Options, fn func(i int, item T) error) error {
 	n := len(items)
 	if n == 0 {
 		return nil
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// A context abort must reach in-flight items that poll only the legacy
-	// token, so the token shadows the context for the duration of the call.
-	if opts.Cancel != nil && ctx.Done() != nil {
-		unwatch := make(chan struct{})
-		var watch sync.WaitGroup
-		watch.Add(1)
-		go func() {
-			defer watch.Done()
-			select {
-			case <-ctx.Done():
-				opts.Cancel.Cancel()
-			case <-unwatch:
-			}
-		}()
-		defer func() {
-			close(unwatch)
-			watch.Wait()
-		}()
-	}
-	// aborted reports whether new items may no longer be claimed.
-	aborted := func() bool {
-		if ctx.Err() != nil {
-			return true
-		}
-		return opts.Cancel != nil && opts.Cancel.Cancelled()
-	}
-	// finish folds the abort state into the fan-out's error: a real item
-	// error wins outright; an abort with no (or only side-effect) item
-	// errors reports ErrCancelled, additionally carrying the context error
-	// so deadline-exceeded stays distinguishable when cancellation races a
-	// worker failure.
+	// finish folds the context into the fan-out's error: a real item error
+	// wins outright; with none, an aborted context reports its own error, so
+	// deadline-exceeded stays distinguishable when an item's abort error
+	// races the deadline.
 	finish := func(itemErr error) error {
-		ctxErr := ctx.Err()
-		if itemErr != nil && !isAbortError(itemErr) {
-			return itemErr
+		if ctxErr := ctx.Err(); ctxErr != nil && (itemErr == nil || isAbortError(itemErr)) {
+			return ctxErr
 		}
-		if ctxErr != nil {
-			if itemErr != nil && errors.Is(itemErr, ctxErr) {
-				return itemErr
-			}
-			return fmt.Errorf("%w (%w)", ErrCancelled, ctxErr)
-		}
-		if itemErr != nil {
-			return itemErr
-		}
-		if opts.Cancel != nil && opts.Cancel.Cancelled() {
-			return ErrCancelled
-		}
-		return nil
+		return itemErr
 	}
 	// call runs one item, converting a panic into a *PanicError.
 	call := func(i int) (err error, pe *PanicError) {
@@ -283,7 +175,7 @@ func ForEach[T any](items []T, opts Options, fn func(i int, item T) error) error
 	w := opts.workers(n)
 	if w == 1 {
 		for i := range items {
-			if aborted() {
+			if ctx.Err() != nil {
 				return finish(nil)
 			}
 			err, pe := call(i)
@@ -291,9 +183,6 @@ func ForEach[T any](items []T, opts Options, fn func(i int, item T) error) error
 				panic(pe)
 			}
 			if err != nil {
-				if opts.Cancel != nil {
-					opts.Cancel.Cancel()
-				}
 				return finish(err)
 			}
 		}
@@ -311,15 +200,11 @@ func ForEach[T any](items []T, opts Options, fn func(i int, item T) error) error
 	)
 	record := func(i int, err error) {
 		failed.Store(true)
-		if opts.Cancel != nil {
-			opts.Cancel.Cancel()
-		}
 		mu.Lock()
-		// A cancellation error is a side effect of some other item's
-		// failure, never the root cause: any real error displaces a
-		// recorded abort error regardless of index, and among errors of
-		// the same kind the lowest input index wins, so the reported
-		// error stays deterministic.
+		// An abort error is a side effect of a cancellation, never the root
+		// cause: any real error displaces a recorded abort error regardless
+		// of index, and among errors of the same kind the lowest input index
+		// wins, so the reported error stays deterministic.
 		better := errIdx < 0
 		if !better {
 			haveAbort := isAbortError(firstEr)
@@ -337,18 +222,12 @@ func ForEach[T any](items []T, opts Options, fn func(i int, item T) error) error
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if aborted() {
+				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
 				err, pe := call(i)
 				if pe != nil {
 					failed.Store(true)
-					if opts.Cancel != nil {
-						opts.Cancel.Cancel()
-					}
 					mu.Lock()
 					if panicked == nil || pe.Index < panicked.Index {
 						panicked = pe

@@ -11,12 +11,15 @@ import (
 	"time"
 )
 
+// bg is the never-cancelled context of the tests that do not abort.
+var bg = context.Background()
+
 // TestMapOrdering checks results land in input order at several worker
 // counts, including counts exceeding the item count.
 func TestMapOrdering(t *testing.T) {
 	items := Indices(100)
 	for _, w := range []int{1, 2, 3, 8, 200} {
-		got, err := Map(items, Options{Workers: w}, func(i, v int) (int, error) {
+		got, err := Map(bg, items, Options{Workers: w}, func(i, v int) (int, error) {
 			return v * v, nil
 		})
 		if err != nil {
@@ -37,12 +40,12 @@ func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
 	fn := func(i, v int) (string, error) {
 		return fmt.Sprintf("item-%03d", v*7), nil
 	}
-	serial, err := Map(items, Options{Workers: 1}, fn)
+	serial, err := Map(bg, items, Options{Workers: 1}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		par, err := Map(items, Options{Workers: w}, fn)
+		par, err := Map(bg, items, Options{Workers: w}, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +60,7 @@ func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestFirstErrorByIndex(t *testing.T) {
 	items := Indices(32)
 	for _, w := range []int{1, 4, 32} {
-		_, err := Map(items, Options{Workers: w}, func(i, v int) (int, error) {
+		_, err := Map(bg, items, Options{Workers: w}, func(i, v int) (int, error) {
 			if v == 7 || v == 21 {
 				return 0, fmt.Errorf("boom at %d", v)
 			}
@@ -82,7 +85,7 @@ func TestFirstErrorByIndex(t *testing.T) {
 func TestErrorStopsDispatch(t *testing.T) {
 	var ran atomic.Int64
 	sentinel := errors.New("stop")
-	err := ForEach(Indices(1000), Options{Workers: 1}, func(i, v int) error {
+	err := ForEach(bg, Indices(1000), Options{Workers: 1}, func(i, v int) error {
 		ran.Add(1)
 		if v == 3 {
 			return sentinel
@@ -99,11 +102,11 @@ func TestErrorStopsDispatch(t *testing.T) {
 
 // TestEmpty checks the degenerate cases.
 func TestEmpty(t *testing.T) {
-	got, err := Map(nil, Options{}, func(i, v int) (int, error) { return 0, nil })
+	got, err := Map(bg, nil, Options{}, func(i, v int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	if err := ForEach([]int{}, Options{Workers: 5}, func(i, v int) error { return nil }); err != nil {
+	if err := ForEach(bg, []int{}, Options{Workers: 5}, func(i, v int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +173,7 @@ func TestForEachRecoversWorkerPanic(t *testing.T) {
 					t.Errorf("workers=%d: PanicError carries no stack", workers)
 				}
 			}()
-			_ = ForEach(Indices(8), Options{Workers: workers}, func(i, _ int) error {
+			_ = ForEach(bg, Indices(8), Options{Workers: workers}, func(i, _ int) error {
 				if i == 3 {
 					panic("boom")
 				}
@@ -195,7 +198,7 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 			}()
 			var gate sync.WaitGroup
 			gate.Add(2)
-			_ = ForEach(items, Options{Workers: 2}, func(i, _ int) error {
+			_ = ForEach(bg, items, Options{Workers: 2}, func(i, _ int) error {
 				if i < 2 {
 					// Both workers panic together, so either order is
 					// possible at the recover site without the index rule.
@@ -209,21 +212,22 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 	}
 }
 
-// TestCancelStopsFanout checks the cooperative token: once fired, no new
-// items are claimed and the call reports ErrCancelled.
+// TestCancelStopsFanout checks a mid-run cancellation at both dispatch
+// paths: once the context is cancelled no new items are claimed and the call
+// reports the context's error.
 func TestCancelStopsFanout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		var c Cancel
+		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForEach(Indices(100), Options{Workers: workers, Cancel: &c}, func(i, _ int) error {
-			ran.Add(1)
-			if ran.Load() >= 3 {
-				c.Cancel()
+		err := ForEach(ctx, Indices(100), Options{Workers: workers}, func(i, _ int) error {
+			if ran.Add(1) >= 3 {
+				cancel()
 			}
 			return nil
 		})
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("workers=%d: err=%v, want ErrCancelled", workers, err)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 		}
 		if n := ran.Load(); n >= 100 {
 			t.Fatalf("workers=%d: all %d items ran despite cancellation", workers, n)
@@ -231,87 +235,68 @@ func TestCancelStopsFanout(t *testing.T) {
 	}
 }
 
-// TestErrorFiresCancelToken checks that the first item failure triggers the
-// supplied token (so in-flight long-running items can abort), and that the
-// reported error is the real failure, not a secondary ErrCancelled even
-// from a lower index.
+// TestErrorFiresCancelToken checks the sibling-abort pattern a caller builds
+// from a derived context: the failing item cancels it, an in-flight sibling
+// that polls it aborts, and the reported error is the real failure, not the
+// sibling's abort error even though the sibling has the lower index.
 func TestErrorFiresCancelToken(t *testing.T) {
 	boom := errors.New("boom")
-	var c Cancel
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	started := make(chan struct{})
-	err := ForEach(Indices(2), Options{Workers: 2, Cancel: &c}, func(i, _ int) error {
+	err := ForEach(ctx, Indices(2), Options{Workers: 2}, func(i, _ int) error {
 		if i == 0 {
-			// Item 0 waits for item 1's failure to fire the token, then
-			// reports the cancellation — the side effect, not the cause.
 			<-started
-			for !c.Cancelled() {
-			}
-			return ErrCancelled
+			<-ctx.Done()
+			return fmt.Errorf("item 0: %w", ctx.Err())
 		}
 		close(started)
+		cancel()
 		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want the root-cause error", err)
 	}
-	if !c.Cancelled() {
-		t.Fatal("item failure did not fire the cancel token")
-	}
 }
 
-// TestSerialPathCancelAndPanic covers the workers=1 degenerate loop: a
-// pre-fired token short-circuits, and panics still carry the item index.
+// TestSerialPathCancelAndPanic covers the workers=1 loop: it polls the
+// context before every item, so a cancellation raised by item i stops the
+// loop exactly after it, and a panic after a cancel is never reached.
 func TestSerialPathCancelAndPanic(t *testing.T) {
-	var c Cancel
-	c.Cancel()
-	err := ForEach(Indices(5), Options{Workers: 1, Cancel: &c}, func(i, _ int) error {
-		t.Fatal("item ran under a pre-fired token")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran int
+	err := ForEach(ctx, Indices(5), Options{Workers: 1}, func(i, _ int) error {
+		ran++
+		if i == 2 {
+			cancel()
+		}
+		if i > 2 {
+			panic("item ran after the context was cancelled")
+		}
 		return nil
 	})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err=%v, want ErrCancelled", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if ran != 3 {
+		t.Fatalf("ran %d items, want 3", ran)
 	}
 }
 
-// TestCancelIsContextAdapter checks the token's context view: not done
-// before firing, done after, with context.Canceled as the error.
-func TestCancelIsContextAdapter(t *testing.T) {
-	var c Cancel
-	ctx := c.Context()
-	select {
-	case <-ctx.Done():
-		t.Fatal("fresh token's context is already done")
-	default:
-	}
-	if c.Cancelled() {
-		t.Fatal("fresh token reports cancelled")
-	}
-	c.Cancel()
-	c.Cancel() // repeat fire must be safe
-	select {
-	case <-ctx.Done():
-	default:
-		t.Fatal("fired token's context is not done")
-	}
-	if !errors.Is(ctx.Err(), context.Canceled) {
-		t.Fatalf("ctx.Err()=%v, want context.Canceled", ctx.Err())
-	}
-}
-
-// TestContextAbortsFanout checks Options.Context at both dispatch paths: a
-// pre-cancelled context runs nothing and the error matches both ErrCancelled
-// and the context error.
+// TestContextAbortsFanout checks both dispatch paths: a pre-cancelled
+// context runs nothing and the error is the context's.
 func TestContextAbortsFanout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(Indices(50), Options{Workers: workers, Context: ctx}, func(i, _ int) error {
+		err := ForEach(ctx, Indices(50), Options{Workers: workers}, func(i, _ int) error {
 			ran.Add(1)
 			return nil
 		})
-		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err=%v, want ErrCancelled and context.Canceled", workers, err)
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err=%v, want context.Canceled", workers, err)
 		}
 		if n := ran.Load(); n != 0 {
 			t.Fatalf("workers=%d: %d items ran under a cancelled context", workers, n)
@@ -324,56 +309,28 @@ func TestContextAbortsFanout(t *testing.T) {
 func TestContextDeadlineSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := ForEach(Indices(10_000), Options{Workers: 2, Context: ctx}, func(i, _ int) error {
+	err := ForEach(ctx, Indices(10_000), Options{Workers: 2}, func(i, _ int) error {
 		time.Sleep(200 * time.Microsecond)
 		return nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
 	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err=%v, must still match ErrCancelled for legacy callers", err)
-	}
 }
 
-// TestContextFiresCancelToken checks the bridge: when both a context and a
-// token are supplied, a context abort fires the token so in-flight items
-// that poll only the token abort mid-computation.
-func TestContextFiresCancelToken(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var c Cancel
-	entered := make(chan struct{})
-	err := ForEach(Indices(1), Options{Workers: 1, Context: ctx, Cancel: &c}, func(i, _ int) error {
-		close(entered)
-		cancel()
-		for !c.Cancelled() {
-		}
-		return ErrCancelled
-	})
-	<-entered
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want ErrCancelled and context.Canceled", err)
-	}
-}
-
-// TestContextErrorNotMaskedByRacingWorkerFailure is the satellite fix: when
-// a worker reports ErrCancelled (a side effect of the abort) in a race with
-// the context's own deadline, the returned error must still expose the
-// context error — previously the bare item ErrCancelled won and the
-// deadline was invisible.
+// TestContextErrorNotMaskedByRacingWorkerFailure: when a worker reports an
+// abort error of its own (here context.Canceled, a side effect) in a race
+// with the fan-out context's deadline, the returned error is the context's,
+// so the deadline stays visible.
 func TestContextErrorNotMaskedByRacingWorkerFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := ForEach(Indices(4), Options{Workers: 2, Context: ctx}, func(i, _ int) error {
+	err := ForEach(ctx, Indices(4), Options{Workers: 2}, func(i, _ int) error {
 		<-ctx.Done()
-		return ErrCancelled // side effect, not root cause
+		return context.Canceled // side effect, not root cause
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want context.DeadlineExceeded to surface", err)
-	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err=%v, want ErrCancelled to remain matchable", err)
 	}
 }
 
@@ -383,13 +340,13 @@ func TestRealErrorBeatsContextAbort(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := ForEach(Indices(2), Options{Workers: 2, Context: ctx}, func(i, _ int) error {
+	err := ForEach(ctx, Indices(2), Options{Workers: 2}, func(i, _ int) error {
 		if i == 0 {
 			cancel()
 			return boom
 		}
 		<-ctx.Done()
-		return ErrCancelled
+		return ctx.Err()
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want the root-cause item error", err)

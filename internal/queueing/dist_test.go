@@ -97,7 +97,7 @@ func TestResponseDistributionDeterminismAcrossWorkers(t *testing.T) {
 		t.Skip("multi-million-cycle simulation")
 	}
 	cfg := arch.Default21264(2)
-	solo, err := CalibrateSolo(cfg, 300_000, 200_000)
+	solo, err := CalibrateSolo(bg, cfg, 300_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestResponseDistributionDeterminismAcrossWorkers(t *testing.T) {
 		opt := DefaultSOSOptions(script)
 		opt.Samples = 3
 		runBoth := func() (Result, Result) {
-			nv, err := RunNaive(cfg, 50_000, script, horizon)
+			nv, err := RunNaive(bg, cfg, 50_000, script, horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := RunSOS(cfg, 50_000, script, horizon, opt)
+			ss, err := RunSOS(bg, cfg, 50_000, script, horizon, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestBacklogAwareSampling(t *testing.T) {
 		t.Skip("multi-million-cycle simulation")
 	}
 	cfg := arch.Default21264(2)
-	solo, err := CalibrateSolo(cfg, 300_000, 200_000)
+	solo, err := CalibrateSolo(bg, cfg, 300_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBacklogAwareSampling(t *testing.T) {
 	opt.Samples = 4
 	opt.BacklogFactor = 1.5
 	opt.BacklogSamples = 2
-	a, err := RunSOS(cfg, 50_000, script, horizon, opt)
+	a, err := RunSOS(bg, cfg, 50_000, script, horizon, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBacklogAwareSampling(t *testing.T) {
 	if a.Completed+a.LeftoverInSystem != a.Admitted {
 		t.Errorf("conservation: %d + %d != %d", a.Completed, a.LeftoverInSystem, a.Admitted)
 	}
-	b, err := RunSOS(cfg, 50_000, script, horizon, opt)
+	b, err := RunSOS(bg, cfg, 50_000, script, horizon, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

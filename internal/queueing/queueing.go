@@ -104,8 +104,9 @@ func GenerateScriptDist(seed uint64, interarrival, jobCycles Dist, horizon uint6
 	return s, nil
 }
 
-// CalibrateSolo measures the solo IPC of every generator benchmark once.
-func CalibrateSolo(cfg arch.Config, warmup, measure uint64) (map[string]float64, error) {
+// CalibrateSolo measures the solo IPC of every generator benchmark once,
+// bounded by ctx.
+func CalibrateSolo(ctx context.Context, cfg arch.Config, warmup, measure uint64) (map[string]float64, error) {
 	out := make(map[string]float64, len(singleThreadedBenchmarks))
 	for i, name := range singleThreadedBenchmarks {
 		spec := workload.MustLookup(name)
@@ -113,7 +114,7 @@ func CalibrateSolo(cfg arch.Config, warmup, measure uint64) (map[string]float64,
 		if err != nil {
 			return nil, err
 		}
-		rates, err := core.SoloRate(context.TODO(), cfg, job, rng.Hash2(0xCA11B, uint64(i), 7), warmup, measure)
+		rates, err := core.SoloRate(ctx, cfg, job, rng.Hash2(0xCA11B, uint64(i), 7), warmup, measure)
 		if err != nil {
 			return nil, err
 		}
@@ -312,14 +313,18 @@ func (r *runner) sortedIDs() []int {
 
 // RunNaive executes the control-group scheduler: jobs are coscheduled in
 // tuples equal to the SMT level, in the order they arrived, round-robin,
-// for horizon cycles.
-func RunNaive(cfg arch.Config, slice uint64, script Script, horizon uint64) (Result, error) {
+// for horizon cycles. ctx is polled once per timeslice; a cancelled or
+// deadline-exceeded context aborts the run with the context's error.
+func RunNaive(ctx context.Context, cfg arch.Config, slice uint64, script Script, horizon uint64) (Result, error) {
 	r, err := newRunner(cfg, slice, script)
 	if err != nil {
 		return Result{}, err
 	}
 	var rr []int // round-robin queue of job ids
 	for r.now < horizon {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		if n := r.admit(); n > 0 {
 			rr = appendNew(rr, r.jobs, n)
 		}
@@ -406,8 +411,9 @@ func DefaultSOSOptions(script Script) SOSOptions {
 // trigger a new sample phase: a job arrival, a job departure, or the
 // expiration of the symbiosis timer; if a timer-triggered resample confirms
 // the previous prediction, the symbiosis interval doubles (exponential
-// backoff), reverting to the default on any jobmix change.
-func RunSOS(cfg arch.Config, slice uint64, script Script, horizon uint64, opt SOSOptions) (Result, error) {
+// backoff), reverting to the default on any jobmix change. ctx is polled
+// once per timeslice, as in RunNaive.
+func RunSOS(ctx context.Context, cfg arch.Config, slice uint64, script Script, horizon uint64, opt SOSOptions) (Result, error) {
 	r, err := newRunner(cfg, slice, script)
 	if err != nil {
 		return Result{}, err
@@ -479,6 +485,9 @@ func RunSOS(cfg arch.Config, slice uint64, script Script, horizon uint64, opt SO
 	}
 
 	for r.now < horizon {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
 		arrived := r.admit()
 		x := len(r.jobs)
 		y := cfg.Contexts

@@ -1,12 +1,17 @@
 package queueing
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"symbios/internal/arch"
 	"symbios/internal/core"
 )
+
+// bg is the never-cancelled context of the runs that do not abort.
+var bg = context.Background()
 
 // fakeSolo gives every generator benchmark a fixed rate, so script tests
 // need no simulation.
@@ -93,7 +98,7 @@ func TestNaiveConservation(t *testing.T) {
 		t.Skip("multi-million-cycle simulation")
 	}
 	cfg := arch.Default21264(2)
-	solo, err := CalibrateSolo(cfg, 300_000, 200_000)
+	solo, err := CalibrateSolo(bg, cfg, 300_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestNaiveConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunNaive(cfg, 50_000, script, horizon)
+	res, err := RunNaive(bg, cfg, 50_000, script, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,7 @@ func TestSOSConservationAndDeterminism(t *testing.T) {
 		t.Skip("multi-million-cycle simulation")
 	}
 	cfg := arch.Default21264(2)
-	solo, err := CalibrateSolo(cfg, 300_000, 200_000)
+	solo, err := CalibrateSolo(bg, cfg, 300_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestSOSConservationAndDeterminism(t *testing.T) {
 	opt := DefaultSOSOptions(script)
 	opt.Samples = 3
 	run := func() Result {
-		res, err := RunSOS(cfg, 50_000, script, horizon, opt)
+		res, err := RunSOS(bg, cfg, 50_000, script, horizon, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +171,10 @@ func TestSOSConservationAndDeterminism(t *testing.T) {
 func TestSOSOptionErrors(t *testing.T) {
 	cfg := arch.Default21264(2)
 	script := Script{MeanInterarrival: 1000, MeanJobCycles: 1000}
-	if _, err := RunSOS(cfg, 1000, script, 1000, SOSOptions{Samples: 0, Predictor: core.PredScore, SymbiosInterval: 100}); err == nil {
+	if _, err := RunSOS(bg, cfg, 1000, script, 1000, SOSOptions{Samples: 0, Predictor: core.PredScore, SymbiosInterval: 100}); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := RunNaive(cfg, 0, script, 1000); err == nil {
+	if _, err := RunNaive(bg, cfg, 0, script, 1000); err == nil {
 		t.Error("zero slice accepted")
 	}
 }
@@ -190,7 +195,7 @@ func TestCalibrateSolo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	solo, err := CalibrateSolo(arch.Default21264(2), 200_000, 100_000)
+	solo, err := CalibrateSolo(bg, arch.Default21264(2), 200_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +230,7 @@ func TestSOSBackoff(t *testing.T) {
 		SymbiosInterval: 200_000,
 		Seed:            4,
 	}
-	res, err := RunSOS(cfg, 25_000, script, 6_000_000, opt)
+	res, err := RunSOS(bg, cfg, 25_000, script, 6_000_000, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +268,7 @@ func TestDriftDetection(t *testing.T) {
 		SymbiosInterval: 2_000_000,
 		Seed:            4,
 	}
-	off, err := RunSOS(cfg, 25_000, script, 5_000_000, base)
+	off, err := RunSOS(bg, cfg, 25_000, script, 5_000_000, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +278,7 @@ func TestDriftDetection(t *testing.T) {
 	trigger := base
 	trigger.DriftThreshold = 0.005
 	trigger.DriftWindow = 2
-	on, err := RunSOS(cfg, 25_000, script, 5_000_000, trigger)
+	on, err := RunSOS(bg, cfg, 25_000, script, 5_000_000, trigger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +288,62 @@ func TestDriftDetection(t *testing.T) {
 	if on.SamplePhases <= off.SamplePhases {
 		t.Errorf("drift detection did not raise sampling frequency: %d vs %d",
 			on.SamplePhases, off.SamplePhases)
+	}
+}
+
+// pollCtx answers its first after Err polls with nil and every later one
+// with cancellation, counting them: a deterministic stand-in for a deadline
+// firing mid-run.
+type pollCtx struct {
+	context.Context
+	after, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunsStopWithinOneTimeslice: both schedulers poll their context once
+// per timeslice. An expired context returns its error before any slice
+// runs — calibration included — and one that expires after three polls
+// stops the run at the fourth, though the horizon is hours of simulation
+// away.
+func TestRunsStopWithinOneTimeslice(t *testing.T) {
+	cfg := arch.Default21264(2)
+	script, err := GenerateScript(5, 20_000, 400_000, 2_000_000, fakeSolo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slice, horizon = 50_000, 1 << 50
+	runs := map[string]func(context.Context) error{
+		"naive": func(ctx context.Context) error {
+			_, err := RunNaive(ctx, cfg, slice, script, horizon)
+			return err
+		},
+		"sos": func(ctx context.Context) error {
+			_, err := RunSOS(ctx, cfg, slice, script, horizon, DefaultSOSOptions(script))
+			return err
+		},
+	}
+	dead, cancel := context.WithTimeout(bg, -1)
+	defer cancel()
+	for name, run := range runs {
+		if err := run(dead); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s under an expired context: err=%v, want context.DeadlineExceeded", name, err)
+		}
+		ctx := &pollCtx{Context: bg, after: 3}
+		if err := run(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err=%v, want context.Canceled", name, err)
+		}
+		if ctx.polls != 4 {
+			t.Errorf("%s: %d context polls, want 4: three slices run, the fourth refused", name, ctx.polls)
+		}
+	}
+	if _, err := CalibrateSolo(dead, cfg, horizon, horizon); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("CalibrateSolo under an expired context: err=%v, want context.DeadlineExceeded", err)
 	}
 }

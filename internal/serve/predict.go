@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"symbios/internal/arch"
 	"symbios/internal/core"
@@ -106,22 +105,11 @@ func (e *evaluator) rankOn(ctx context.Context, m *core.Machine, req ScheduleReq
 	if err := m.Warm(ctx, scheds[0], e.scale.WarmupCycles); err != nil {
 		return nil, err
 	}
-	// The sample phase is inherently sequential: every candidate schedule
-	// must be observed on this one machine, whose jobs keep progressing
-	// across samples (the paper's overhead-free sample phase).
-	samples := make([]core.Sample, 0, len(scheds))
-	for _, s := range scheds {
-		run, err := m.RunScheduleCtx(ctx, s, s.CycleSlices()*e.scale.SampleRounds)
-		if err != nil {
-			return nil, err
-		}
-		if run.ReadFailures > 0 {
-			// A sample built on failed counter reads would rank on garbage;
-			// surface the transient so the retry layer can redo the request.
-			return nil, fmt.Errorf("sample of %s lost %d counter reads: %w",
-				s, run.ReadFailures, core.ErrCounterRead)
-		}
-		samples = append(samples, core.NewSample(s, run))
+	// A lost counter read fails the phase with core.ErrCounterRead, which
+	// the retry layer redoes.
+	samples, err := core.SamplePhase(ctx, m, scheds, e.scale.SampleRounds)
+	if err != nil {
+		return nil, err
 	}
 	order := core.Rank(samples, pred)
 	resp := &ScheduleResponse{

@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# ctxcheck.sh — fail if a simulation could run without a real context.
+#
+# A context.Context is the only way to stop a simulation: deadlines, the
+# stall watchdog and a failed sibling cell all cancel one, and every entry
+# point polls it at least once per timeslice. A context.TODO() or a literal
+# nil context cuts that chain — and a nil one panics at the first poll — so
+# non-test code under internal/, cmd/ and examples/ may contain neither
+# context.TODO() nor a nil first argument to RunScheduleCtx, Warm,
+# SoloRate(s), RunAdaptiveCtx, core.Run, SamplePhase or parallel.Map /
+# ForEach. The check greps source lines; it runs nothing.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+patterns=(
+    'context\.TODO\(\)'
+    '\b(RunScheduleCtx|Warm|SoloRates?|RunAdaptiveCtx|SamplePhase)\(\s*nil\s*[,)]'
+    '(\bcore\.|(^|[^.[:alnum:]_]))Run\(\s*nil\s*[,)]'
+    '(\bparallel\.|(^|[^.[:alnum:]_]))(Map|ForEach)\(\s*nil\s*[,)]'
+)
+bad=0
+for p in "${patterns[@]}"; do
+    if hits="$(grep -rnE --include='*.go' --exclude='*_test.go' "$p" internal cmd examples)"; then
+        echo "ctxcheck: a simulation is handed no real context:" >&2
+        echo "$hits" >&2
+        bad=1
+    fi
+done
+if [ "$bad" -ne 0 ]; then
+    exit 1
+fi
+echo "ctxcheck: every simulation gets a real context"
