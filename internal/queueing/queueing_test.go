@@ -248,49 +248,6 @@ func TestSOSBackoff(t *testing.T) {
 	}
 }
 
-// TestDriftDetection: with a hair-trigger drift threshold, natural
-// slice-to-slice IPC variation forces drift resamples; with detection
-// disabled there are none.
-func TestDriftDetection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-million-cycle simulation")
-	}
-	cfg := arch.Default21264(2)
-	script := Script{MeanInterarrival: 100_000, MeanJobCycles: 1_000_000}
-	for i := 0; i < 5; i++ {
-		script.Arrivals = append(script.Arrivals, Arrival{
-			At: uint64(i), Benchmark: singleThreadedBenchmarks[i], Work: 1 << 40,
-		})
-	}
-	base := SOSOptions{
-		Samples:         3,
-		Predictor:       core.PredScore,
-		SymbiosInterval: 2_000_000,
-		Seed:            4,
-	}
-	off, err := RunSOS(bg, cfg, 25_000, script, 5_000_000, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.DriftResamples != 0 {
-		t.Errorf("drift resamples with detection disabled: %d", off.DriftResamples)
-	}
-	trigger := base
-	trigger.DriftThreshold = 0.005
-	trigger.DriftWindow = 2
-	on, err := RunSOS(bg, cfg, 25_000, script, 5_000_000, trigger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.DriftResamples == 0 {
-		t.Error("hair-trigger drift threshold never fired")
-	}
-	if on.SamplePhases <= off.SamplePhases {
-		t.Errorf("drift detection did not raise sampling frequency: %d vs %d",
-			on.SamplePhases, off.SamplePhases)
-	}
-}
-
 // pollCtx answers its first after Err polls with nil and every later one
 // with cancellation, counting them: a deterministic stand-in for a deadline
 // firing mid-run.

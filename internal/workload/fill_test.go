@@ -31,25 +31,11 @@ func checkFill(t testing.TB, name string, src bothShapes, seq uint64, n int) {
 	}
 }
 
-// phasedForTest straddles two boundaries close enough that one buffer can
-// cross both.
-func phasedForTest(t testing.TB, first, second uint64) *PhasedSource {
-	t.Helper()
-	ps, err := NewPhasedSource(
-		[]trace.Params{MustLookup("EP").Params, MustLookup("GO").Params, MustLookup("MG").Params},
-		[]uint64{first, second}, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
-}
-
 // TestFillMatchesAt: block supply is the same function as At — for every
-// registered benchmark (each thread, SYNC markers included), a thread source
-// with markers every few instructions, and a phased source crossing its
-// boundaries — at start seqs that include 0, the dependence start-up range
-// (seq < MaxDep), every marker/boundary neighbourhood and random far
-// positions, for lengths 1–64.
+// registered benchmark (each thread, SYNC markers included) and a thread
+// source with markers every few instructions — at start seqs that include
+// 0, the dependence start-up range (seq < MaxDep), every marker
+// neighbourhood and random far positions, for lengths 1–64.
 func TestFillMatchesAt(t *testing.T) {
 	type named struct {
 		name   string
@@ -70,7 +56,6 @@ func TestFillMatchesAt(t *testing.T) {
 	for _, every := range []uint64{1, 2, 5, 16, 17, 64} {
 		srcs = append(srcs, named{fmt.Sprintf("sync%d", every), threadSource{base: base, syncEvery: every}, []uint64{every, 10 * every}})
 	}
-	srcs = append(srcs, named{"phased", phasedForTest(t, 100, 130), []uint64{100, 130}})
 
 	r := rng.New(20)
 	for _, s := range srcs {
@@ -92,15 +77,15 @@ func TestFillMatchesAt(t *testing.T) {
 }
 
 // FuzzFillMatchesAt lets the fuzzer pick the benchmark, the start, the
-// length, the marker spacing and the phase boundaries.
+// length and the marker spacing.
 func FuzzFillMatchesAt(f *testing.F) {
-	f.Add(uint8(0), uint64(0), uint8(16), uint16(0), uint16(10), uint16(3))
-	f.Add(uint8(3), uint64(399), uint8(64), uint16(400), uint16(1), uint16(1))
-	f.Add(uint8(7), uint64(1)<<40, uint8(1), uint16(5), uint16(65535), uint16(9))
+	f.Add(uint8(0), uint64(0), uint8(16), uint16(0))
+	f.Add(uint8(3), uint64(399), uint8(64), uint16(400))
+	f.Add(uint8(7), uint64(1)<<40, uint8(1), uint16(5))
 	names := Names()
-	f.Fuzz(func(t *testing.T, spec uint8, seq uint64, n uint8, every, first, gap uint16) {
+	f.Fuzz(func(t *testing.T, spec uint8, seq uint64, n uint8, every uint16) {
 		length := 1 + int(n)%64
-		seq >>= seq >> 62 // keep seq+i and the boundaries below from wrapping
+		seq >>= seq >> 62 // keep seq+i from wrapping
 		params := MustLookup(names[int(spec)%len(names)]).Params
 		base, err := trace.NewStream(params, uint64(spec)+1, uint64(every))
 		if err != nil {
@@ -108,9 +93,6 @@ func FuzzFillMatchesAt(f *testing.F) {
 		}
 		checkFill(t, "stream", base, seq, length)
 		checkFill(t, "thread", threadSource{base: base, syncEvery: uint64(every)}, seq, length)
-		// Two boundaries inside or just past the run.
-		b1 := seq + 1 + uint64(first%80)
-		checkFill(t, "phased", phasedForTest(t, b1, b1+1+uint64(gap%80)), seq, length)
 	})
 }
 

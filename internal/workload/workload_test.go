@@ -282,50 +282,3 @@ func TestAntagonistsValid(t *testing.T) {
 		t.Error("unknown antagonist found")
 	}
 }
-
-// TestPhasedSource: the profile switches exactly at the configured stream
-// position, the source is pure, and construction validates its inputs.
-func TestPhasedSource(t *testing.T) {
-	fpOnly := MustLookup("EP").Params
-	intOnly := MustLookup("GO").Params
-	ps, err := NewPhasedSource([]trace.Params{fpOnly, intOnly}, []uint64{10_000}, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Phases() != 2 {
-		t.Fatalf("%d phases", ps.Phases())
-	}
-	countFP := func(lo, hi uint64) int {
-		n := 0
-		for s := lo; s < hi; s++ {
-			if ps.At(s).Op.IsFP() {
-				n++
-			}
-		}
-		return n
-	}
-	before := countFP(0, 5000)
-	after := countFP(15_000, 20_000)
-	if before < 2000 {
-		t.Errorf("phase 1 fp count %d; EP profile should be fp-heavy", before)
-	}
-	if after > 200 {
-		t.Errorf("phase 2 fp count %d; GO profile has no fp", after)
-	}
-	// Purity across the boundary.
-	for _, s := range []uint64{9_999, 10_000, 10_001} {
-		if ps.At(s) != ps.At(s) {
-			t.Fatalf("impure at %d", s)
-		}
-	}
-	// Validation.
-	if _, err := NewPhasedSource(nil, nil, 1, 1); err == nil {
-		t.Error("empty profile list accepted")
-	}
-	if _, err := NewPhasedSource([]trace.Params{fpOnly, intOnly}, nil, 1, 1); err == nil {
-		t.Error("missing switch points accepted")
-	}
-	if _, err := NewPhasedSource([]trace.Params{fpOnly, intOnly, fpOnly}, []uint64{50, 40}, 1, 1); err == nil {
-		t.Error("non-ascending switch points accepted")
-	}
-}
