@@ -596,9 +596,11 @@ func printOpenLoad(rows []experiments.OpenLoadRow) {
 }
 
 func printResponse(rows []experiments.ResponseRow) {
-	fmt.Printf("%-10s %14s %12s %12s %12s %8s\n", "SMT level", "interarrival", "naive RT", "SOS RT", "improve%", "N~")
+	fmt.Printf("%-10s %14s %12s %12s %12s %8s | %9s %6s %6s %7s %9s\n", "SMT level", "interarrival", "naive RT", "SOS RT", "improve%", "N~",
+		"no-choice", "idle", "sample", "symbios", "abandoned")
 	for _, r := range rows {
-		fmt.Printf("%-10d %14.0f %12.0f %12.0f %12.1f %8.1f\n",
-			r.SMTLevel, r.Lambda, r.NaiveResponse, r.SOSResponse, r.ImprovementPct, r.MeanJobsInSystem)
+		fmt.Printf("%-10d %14.0f %12.0f %12.0f %12.1f %8.1f | %9d %6d %6d %7d %9d\n",
+			r.SMTLevel, r.Lambda, r.NaiveResponse, r.SOSResponse, r.ImprovementPct, r.MeanJobsInSystem,
+			r.NoChoiceSlices, r.IdleSlices, r.SampleSlices, r.SymbiosSlices, r.AbandonedPhases)
 	}
 }

@@ -21,6 +21,10 @@ type ResponseRow struct {
 	NaiveCompleted   int
 	SOSCompleted     int
 	MeanJobsInSystem float64 // under SOS, for Little's-law sanity checks
+
+	// SOS's slices by kind and its abandoned sample phases (queueing.Result).
+	NoChoiceSlices, IdleSlices, SampleSlices, SymbiosSlices int
+	AbandonedPhases                                         int
 }
 
 // QueueScale sets the open-system experiment budgets.
@@ -108,6 +112,11 @@ func ResponseCompare(ctx context.Context, level int, qs QueueScale, lambdaFactor
 		NaiveCompleted:   naive.Completed,
 		SOSCompleted:     sos.Completed,
 		MeanJobsInSystem: sos.MeanInSystem,
+		NoChoiceSlices:   sos.NoChoiceSlices,
+		IdleSlices:       sos.IdleSlices,
+		SampleSlices:     sos.SampleSlices,
+		SymbiosSlices:    sos.SymbiosSlices,
+		AbandonedPhases:  sos.AbandonedPhases,
 	}
 	if naive.MeanResponse > 0 {
 		row.ImprovementPct = 100 * (naive.MeanResponse - sos.MeanResponse) / naive.MeanResponse

@@ -156,10 +156,33 @@ type Result struct {
 	// ShrunkPhases counts sample phases that ran with a reduced candidate
 	// count because the backlog exceeded SOSOptions.BacklogFactor x contexts.
 	ShrunkPhases int
+
+	// Slices by kind. Every slice of the run is one of the four, so they
+	// add up to Cycles / slice: idle with nothing resident, no choice with
+	// every resident job fitting the contexts, sample measuring a candidate
+	// schedule (SOS only), and symbios running the schedule in force (SOS's
+	// pick, or the naive round robin).
+	IdleSlices, NoChoiceSlices, SampleSlices, SymbiosSlices int
+	// AbandonedPhases counts sample phases whose partial samples a jobmix
+	// change discarded (SOS only).
+	AbandonedPhases int
 }
 
 // count tallies what one step did.
 func (r *Result) count(a acts) {
+	switch a.kind {
+	case idleSlice:
+		r.IdleSlices++
+	case noChoiceSlice:
+		r.NoChoiceSlices++
+	case sampleSlice:
+		r.SampleSlices++
+	case symbiosSlice:
+		r.SymbiosSlices++
+	}
+	if a.abandoned {
+		r.AbandonedPhases++
+	}
 	if a.shrunk {
 		r.ShrunkPhases++
 	}

@@ -127,6 +127,16 @@ func TestNaiveConservation(t *testing.T) {
 	if res.Cycles < horizon {
 		t.Errorf("stopped early at %d", res.Cycles)
 	}
+	checkSlices(t, res, 50_000)
+}
+
+// checkSlices: the slice counts by kind add up to the run's slices.
+func checkSlices(t *testing.T, res Result, slice uint64) {
+	t.Helper()
+	if n := res.IdleSlices + res.NoChoiceSlices + res.SampleSlices + res.SymbiosSlices; uint64(n)*slice != res.Cycles {
+		t.Errorf("%d idle + %d no-choice + %d sample + %d symbios slices of %d cycles, run %d cycles",
+			res.IdleSlices, res.NoChoiceSlices, res.SampleSlices, res.SymbiosSlices, slice, res.Cycles)
+	}
 }
 
 // TestSOSConservationAndDeterminism: the SOS scheduler preserves jobs and
@@ -161,6 +171,7 @@ func TestSOSConservationAndDeterminism(t *testing.T) {
 	if a.Completed == 0 {
 		t.Fatal("SOS completed nothing")
 	}
+	checkSlices(t, a, 50_000)
 	b := run()
 	if a != b {
 		t.Errorf("SOS runs diverged: %+v vs %+v", a, b)
