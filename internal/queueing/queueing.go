@@ -10,8 +10,11 @@
 //     timeslice;
 //   - SOS resamples schedules whenever a job arrives, departs, or the
 //     symbiosis timer expires, picks the best by the Score predictor, and
-//     runs it; when a resample confirms the previous prediction and nothing
-//     else changed, the symbiosis interval backs off exponentially.
+//     runs it; when a resample confirms the previous prediction, the
+//     symbiosis interval backs off exponentially, and a jobmix change
+//     resets it.
+//
+// Both are pure step functions over one slice driver (step.go).
 //
 // The figure of merit is mean response time (completion minus arrival),
 // which in a stable system is the right metric: throughput cannot exceed

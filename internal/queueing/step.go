@@ -46,15 +46,16 @@ type acts struct {
 	interval                  uint64
 }
 
-// kind classifies a slice over x resident jobs on y contexts.
-func kind(x, y int, contended sliceKind) sliceKind {
+// kind classifies a slice over x resident jobs on y contexts; SOS tells a
+// contended slice's sampling from its symbios.
+func kind(x, y int) sliceKind {
 	switch {
 	case x == 0:
 		return idleSlice
 	case x <= y:
 		return noChoiceSlice
 	}
-	return contended
+	return symbiosSlice
 }
 
 // naiveState is the control scheduler: the resident jobs in a round-robin
@@ -66,18 +67,11 @@ type naiveState struct {
 
 func (s naiveState) step(e sliceEvent) (naiveState, acts) {
 	rr := append(without(s.rr, e.departed), e.admitted...)
-	a := acts{kind: kind(len(rr), s.contexts, symbiosSlice)}
+	a := acts{kind: kind(len(rr), s.contexts)}
 	y := min(s.contexts, len(rr))
 	a.run = rr[:y:y]
 	s.rr = append(slices.Clone(rr[y:]), a.run...)
 	return s, a
-}
-
-// sosConfig is what every state of one SOS run shares and none changes.
-type sosConfig struct {
-	contexts int
-	slice    uint64
-	opt      SOSOptions
 }
 
 // sosState is everything SOS decides by. While sampling, cands[:len(samples)]
@@ -87,7 +81,9 @@ type sosConfig struct {
 // timer counts down the interval in force. running and queue rotate the
 // schedule in force, swap-all, FIFO.
 type sosState struct {
-	*sosConfig
+	contexts       int // fixed for the run, as are slice and opt
+	slice          uint64
+	opt            SOSOptions
 	jobs           []int // resident job ids, ascending
 	rs             rng.Stream
 	sampling       bool
@@ -104,10 +100,12 @@ type sosState struct {
 
 func newSOS(contexts int, slice uint64, opt SOSOptions) sosState {
 	return sosState{
-		sosConfig: &sosConfig{contexts: contexts, slice: slice, opt: opt},
-		rs:        *rng.New(opt.Seed),
-		sampling:  true,
-		backoff:   opt.SymbiosInterval,
+		contexts: contexts,
+		slice:    slice,
+		opt:      opt,
+		rs:       *rng.New(opt.Seed),
+		sampling: true,
+		backoff:  opt.SymbiosInterval,
 	}
 }
 
@@ -141,15 +139,15 @@ func (s sosState) step(e sliceEvent) (sosState, acts) {
 	}
 	s.jobs = append(without(s.jobs, e.departed), e.admitted...)
 
-	switch a.kind = kind(len(s.jobs), s.contexts, sampleSlice); a.kind {
+	switch a.kind = kind(len(s.jobs), s.contexts); a.kind {
 	case noChoiceSlice:
 		a.run = s.jobs
-	case sampleSlice:
+	case symbiosSlice:
 		if s.sampling && s.rotLeft == 0 {
 			s = s.nextRotation(&a)
 		}
-		if !s.sampling {
-			a.kind = symbiosSlice
+		if s.sampling {
+			a.kind = sampleSlice
 		}
 		a.run = s.running
 	}
