@@ -23,18 +23,22 @@ trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/sosbench" ./cmd/sosbench
 REF=""
 
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+
 for w in $WORKERS; do
     echo "== crash test: -exp $EXP -workers $w =="
     base="$TMP/base-$w.json"
     ckpt="$TMP/crash-$w.ckpt"
     resumed="$TMP/resume-$w.json"
 
-    # Uninterrupted baseline.
+    # Uninterrupted baseline, timed.
+    t0=$(now_ms)
     "$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" -workers "$w" \
         -json "$base" >/dev/null
-    [ -n "$REF" ] || REF="$base"
+    base_ms=$(( $(now_ms) - t0 ))
 
     # Checkpointed run, SIGKILLed as soon as the snapshot holds a shard.
+    t0=$(now_ms)
     "$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" -workers "$w" \
         -checkpoint "$ckpt" -checkpoint-every 1 >/dev/null 2>&1 &
     pid=$!
@@ -46,6 +50,12 @@ for w in $WORKERS; do
         fi
         sleep 0.1
     done
+    first_ms=$(( $(now_ms) - t0 ))
+    if [ -z "$REF" ]; then
+        # The deadline pass below runs at this worker count and is timed
+        # from this pass.
+        REF="$base" DL_WORKERS="$w" DL_FIRST="$first_ms" DL_BASE="$base_ms"
+    fi
     kill -9 "$pid" 2>/dev/null || true
     wait "$pid" 2>/dev/null && status=0 || status=$?
     if [ "$status" -ne 137 ]; then
@@ -72,24 +82,37 @@ for w in $WORKERS; do
     echo "ok: workers=$w resumed byte-identical after SIGKILL"
 done
 
-# A deadline abort must exit 3 and leave a snapshot a later run can resume.
-echo "== deadline test: -deadline 20s =="
+# A deadline abort must exit 3 and leave a snapshot that holds at least one
+# shard, which a later run resumes from. The deadline lands halfway between
+# the first shard and the end of the run, as the first pass measured them,
+# so that it falls after one shard and before the last even on a loaded host.
+dl_ms=$(( (DL_FIRST + DL_BASE) / 2 ))
+echo "== deadline test: -deadline ${dl_ms}ms (first shard at ${DL_FIRST}ms, whole run ${DL_BASE}ms, workers $DL_WORKERS) =="
 dl="$TMP/deadline.ckpt"
 dlout="$TMP/deadline.json"
 set +e
-"$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" \
-    -deadline 20s -checkpoint "$dl" >/dev/null 2>&1
+"$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" -workers "$DL_WORKERS" \
+    -deadline "${dl_ms}ms" -checkpoint "$dl" >/dev/null 2>&1
 status=$?
 set -e
 if [ "$status" -ne 3 ]; then
     echo "FAIL: deadline abort exited $status, want 3" >&2
     exit 1
 fi
-"$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" \
-    -resume "$dl" -json "$dlout" >/dev/null
+if ! grep -q "$EXP/" "$dl"; then
+    echo "FAIL: the deadline snapshot holds no $EXP/ shard; the resume would be a rerun from scratch" >&2
+    exit 1
+fi
+out="$("$TMP/sosbench" -exp "$EXP" -scale quick -mix "$MIX" -workers "$DL_WORKERS" \
+    -resume "$dl" -json "$dlout" 2>&1)"
+shards="$(printf '%s\n' "$out" | sed -n 's/.*resuming from .* (\([0-9]*\) shards recorded).*/\1/p')"
+if [ -z "$shards" ] || [ "$shards" -lt 1 ]; then
+    echo "FAIL: the resume did not report a snapshot with at least one shard (got '${shards}')" >&2
+    exit 1
+fi
 if ! cmp "$REF" "$dlout"; then
     echo "FAIL: deadline-resumed JSON differs from the baseline" >&2
     exit 1
 fi
-echo "ok: deadline abort left a valid resumable snapshot"
+echo "ok: deadline abort left a resumable snapshot of $shards shards"
 echo "PASS"
