@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -70,8 +72,11 @@ func TestRobustnessReportsDegradedActivity(t *testing.T) {
 
 // TestRobustnessDeterministicAcrossWorkers: the full sweep — fault injection,
 // churn, adaptive retries and all — must be bit-identical at workers=1 and
-// workers=8. This is the satellite requirement that every fault mode obey the
-// parallel determinism contract.
+// workers=8, and the serial rows must equal testdata/golden_robustness.json.
+// This is the satellite requirement that every fault mode obey the parallel
+// determinism contract. Regenerate the golden with:
+//
+//	go test ./internal/experiments -run TestRobustnessDeterministicAcrossWorkers -update-golden
 func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	sc := quickRobustScale()
 	sc.SymbiosCycles = 800_000
@@ -91,6 +96,7 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	if err1 != nil {
 		t.Fatal(err1)
 	}
+	checkRobustnessGolden(t, serial)
 	withWorkers(t, 8, func() { fanned, err8 = Robustness(context.Background(), sc, labels, levels, DefaultChurn()) })
 	if err8 != nil {
 		t.Fatal(err8)
@@ -127,5 +133,35 @@ func TestRobustnessFailureAbortsSiblings(t *testing.T) {
 	_, err := Robustness(context.Background(), QuickScale(), []string{"Jsb(4,2,2)", "Jsb(6,3,3)"}, []faults.Config{{}}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want the failing cell's error", err)
+	}
+}
+
+const robustGoldenPath = "testdata/golden_robustness.json"
+
+// checkRobustnessGolden compares rows with the pinned robustness rows, or
+// rewrites them under -update-golden.
+func checkRobustnessGolden(t *testing.T, rows []RobustnessRow) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(rows, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(robustGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", robustGoldenPath)
+		return
+	}
+	data, err := os.ReadFile(robustGoldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update-golden on trusted code): %v", err)
+	}
+	var want []RobustnessRow
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("robustness rows diverged from %s:\n got %+v\nwant %+v", robustGoldenPath, rows, want)
 	}
 }
