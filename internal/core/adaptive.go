@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"symbios/internal/obs"
 	"symbios/internal/rng"
@@ -42,47 +44,29 @@ type ChurnEvent struct {
 	ArriveSolo [][]float64
 }
 
-// AdaptiveOptions configures RunAdaptiveCtx. The zero value of every tuning
-// field selects a sensible default, so callers set only what they study.
-type AdaptiveOptions struct {
-	// Samples, Predictor, SymbiosSlices, WarmupCycles and Seed mean exactly
-	// what they do in Options.
-	Samples       int
-	Predictor     Predictor
-	SymbiosSlices int
-	WarmupCycles  uint64
-	Seed          uint64
+// AdaptiveOptions is Options under the name RunAdaptiveCtx's callers know.
+type AdaptiveOptions = Options
 
-	// MaxSampleRetries bounds how many times a sample evaluation whose
-	// counter reads failed transiently (ErrCounterRead) is retried before
-	// the sample is skipped. Zero selects the default of 2; negative
-	// disables retries.
-	MaxSampleRetries int
-	// BackoffSlices is the number of round-robin timeslices run between
-	// retries, doubling per attempt (bounded backoff that still makes fair
-	// forward progress). Zero selects the default of 1.
-	BackoffSlices int
-	// MonitorWindows splits the symbios phase into this many monitoring
-	// windows; after each window the observed IPC is compared against the
-	// sample phase's prediction. Zero selects the default of 8.
-	MonitorWindows int
-	// AnomalyTolerance is the relative IPC *shortfall* below the prediction
-	// that triggers re-entry into the sample phase (the paper's periodic
-	// resample, made event-driven): observed < (1-tol)·predicted. Beating
-	// the prediction is not degradation — short sample rotations understate
-	// steady-state IPC — so only shortfalls resample. Zero selects the
-	// default of 0.3.
-	AnomalyTolerance float64
-	// MaxResamples bounds sample-phase re-entries (anomaly- or
-	// churn-triggered); once exhausted, disruptions degrade to the
-	// round-robin fallback. Zero selects the default of 3.
-	MaxResamples int
-	// DisableFallback turns the round-robin fallback into a hard error, for
-	// ablating the degraded mode.
-	DisableFallback bool
-	// Churn scripts jobmix changes, applied in AtSlice order.
-	Churn []ChurnEvent
-}
+// The hardened controller's policy.
+const (
+	// sampleRetries is how often a candidate whose measurement lost
+	// counter reads is measured again before it is skipped.
+	sampleRetries = 2
+	// backoffSlices is the round robin run before a candidate's first
+	// retry; it doubles per retry, so the machine makes fair progress while
+	// the fault passes.
+	backoffSlices = 1
+	// monitorWindows splits the symbios phase into monitoring windows.
+	monitorWindows = 8
+	// anomalyTolerance is the IPC shortfall below the pick's sample IPC
+	// that resamples: observed < (1-tolerance)·predicted. Beating the
+	// prediction is not degradation — short sample rotations understate
+	// steady-state IPC — so only shortfalls resample.
+	anomalyTolerance = 0.3
+	// maxResamples bounds re-entries into the sample phase; once it is
+	// spent, every disruption falls back to round robin.
+	maxResamples = 3
+)
 
 // AdaptiveResult reports a hardened SOS run.
 type AdaptiveResult struct {
@@ -107,392 +91,412 @@ type AdaptiveResult struct {
 	// and the progress accounting still count, but anomaly monitoring is
 	// skipped for the window.
 	LostWindows int
-	// Events is a deterministic, human-readable log of every degraded-mode
-	// decision (retry, skip, fallback, anomaly, churn).
-	Events []string
 }
 
-// plan is the scheduling decision the symbios phase currently executes.
-type plan struct {
-	sched    schedule.Schedule
-	predIPC  float64 // sample-phase IPC of the pick; 0 disables monitoring
-	fallback bool
+// Each controller is a pure transition function, step, from drive's answer
+// to the act it last asked for, to the next act. drive owns the Machine,
+// the candidates and the pick, the warm-up, the churn script, the tracer and
+// the weighted-speedup sum. A test can thus walk every event order without a
+// core; DESIGN §14 tabulates the adaptive machine and the rules its
+// explorer checks.
+
+// actKind is what a controller asks drive to do next.
+type actKind uint8
+
+const (
+	actStart  actKind = iota // nothing asked yet: the first event answers nothing
+	actDraw                  // draw a sample phase's candidates
+	actSample                // measure candidate cand for one rotation
+	actPick                  // pick from the phase's samples
+	actWindow                // run the plan in force for slices slices
+	actDone                  // the symbios budget is spent
+)
+
+// acts is one step's request. The flags say what the step decided, for the
+// tracer: a retry, a skipped candidate, a resample, a fall back to round
+// robin.
+type acts struct {
+	kind    actKind
+	cand    int  // actSample: the candidate, in draw order
+	backoff int  // actSample: round-robin slices to run first, unmeasured
+	slices  int  // actWindow: the window's length
+	rr      bool // actWindow: run round robin rather than the pick
+
+	retry, skipped, resample, fallback bool
 }
 
-// adaptiveState carries RunAdaptiveCtx's mutable pieces through its helpers.
+// event is drive's answer to the act it performed.
+type event struct {
+	n          int     // actDraw: the candidates drawn
+	lost       bool    // actSample, actWindow: the run lost counter reads
+	degenerate bool    // actPick: the samples cannot support a prediction
+	ipc        float64 // actPick: the pick's sample IPC; actWindow: the observed mean IPC
+	slices     int     // actWindow: the slices run, fewer than asked when churn is due
+	churned    bool    // actWindow: the jobmix changed at its end
+	tasks      int     // actWindow: the task count after it
+}
+
+// rrState is the oblivious baseline: round robin for the whole budget, one
+// window per churn segment, never a sample.
+type rrState struct{ budget, done int }
+
+func (s rrState) step(e event) (rrState, acts) {
+	s.done += e.slices
+	if s.done >= s.budget {
+		return s, acts{kind: actDone}
+	}
+	return s, acts{kind: actWindow, slices: s.budget - s.done, rr: true}
+}
+
+// adaptiveState is everything the hardened controller decides by. last is
+// the act the next event answers; while sampling, n candidates were drawn,
+// last.cand is being measured after attempt failed measurements, and short
+// records a skipped one. In symbios the plan in force is round robin (rr)
+// or the pick, whose sample IPC pred the monitor holds windows to.
 type adaptiveState struct {
-	ctx     context.Context
-	m       *Machine
-	y, z    int
-	opt     AdaptiveOptions
-	r       *rng.Stream
-	jobs    []*workload.Job
-	jobSolo [][]float64 // per job, per thread; nil when no solo rates
-	res     *AdaptiveResult
-	warmed  bool
-	tr      *obs.Tracer // from the context; nil is a free no-op
+	y, z, budget int // fixed for the run
+	tasks, done  int // the machine's tasks, and the symbios slices run
+	last         acts
+	n, attempt   int
+	short, rr    bool
+	pred         float64
+	res          AdaptiveResult // the degraded-mode counts
+}
+
+func (s adaptiveState) step(e event) (adaptiveState, acts) {
+	var a acts
+	switch s.last.kind {
+	case actStart:
+		a.kind = actDraw
+	case actDraw:
+		s.n, s.short = e.n, false
+		a = s.next(0)
+	case actSample:
+		switch {
+		case !e.lost:
+			a = s.next(s.last.cand + 1)
+		case s.attempt < sampleRetries:
+			s.attempt++
+			s.res.Retries++
+			a = acts{kind: actSample, cand: s.last.cand, backoff: backoffSlices << (s.attempt - 1), retry: true}
+		default:
+			s.res.SkippedSamples++
+			s.short = true
+			a = s.next(s.last.cand + 1)
+			a.skipped = true
+		}
+	case actPick:
+		if e.degenerate {
+			a = s.fallback()
+		} else {
+			s.rr, s.pred = false, e.ipc
+			a = s.window()
+		}
+	case actWindow:
+		s.done += e.slices
+		s.tasks = e.tasks
+		if s.rr {
+			s.res.FallbackSlices += e.slices
+		}
+		if e.lost {
+			s.res.LostWindows++
+		}
+		switch {
+		case s.done >= s.budget:
+			a.kind = actDone
+		// A window with lost reads is not judged: its IPC is partial.
+		case e.churned || !e.lost && s.pred > 0 && e.ipc < (1-anomalyTolerance)*s.pred:
+			a = s.replan()
+		default:
+			a = s.window()
+		}
+	}
+	s.last = a
+	return s, a
+}
+
+// next measures candidate i or, when every candidate has had its turn,
+// ends the phase: a phase that skipped one falls back, any other picks.
+func (s *adaptiveState) next(i int) acts {
+	s.attempt = 0
+	switch {
+	case i < s.n:
+		return acts{kind: actSample, cand: i}
+	case s.short:
+		return s.fallback()
+	}
+	return acts{kind: actPick}
+}
+
+// replan re-enters the sample phase while the resample budget lasts, and
+// falls back to round robin after.
+func (s *adaptiveState) replan() acts {
+	if s.res.Resamples >= maxResamples {
+		return s.fallback()
+	}
+	s.res.Resamples++
+	return acts{kind: actDraw, resample: true}
+}
+
+func (s *adaptiveState) fallback() acts {
+	s.rr, s.pred = true, 0
+	a := s.window()
+	a.fallback = true
+	return a
+}
+
+// window is the next monitoring window of the plan in force: the budget
+// split monitorWindows ways, in whole rotations so every task receives
+// equal CPU time within it, clamped to what remains.
+func (s *adaptiveState) window() acts {
+	z := s.z
+	if s.rr {
+		z = s.y
+	}
+	rot := schedule.Rotation(s.tasks, z)
+	w := s.budget / monitorWindows
+	if w < rot {
+		w = rot
+	} else {
+		w -= w % rot
+	}
+	return acts{kind: actWindow, slices: min(w, s.budget-s.done), rr: s.rr}
 }
 
 // RunAdaptiveCtx executes the hardened SOS pipeline on m: a sample phase
 // that retries transiently failed evaluations with bounded backoff, a
 // round-robin fallback when the predictor inputs are degenerate, and a
 // monitored symbios phase that re-enters sampling when the observed IPC
-// deviates from the prediction or the jobmix churns. solo, when non-nil,
-// must hold each task's solo offer rate and enables the weighted-speedup
-// report; churn arrivals extend it via ChurnEvent.ArriveSolo.
+// falls short of the prediction or the jobmix churns (opt.Churn). solo,
+// when non-nil, must hold each task's solo offer rate and enables the
+// weighted-speedup report; churn arrivals extend it via
+// ChurnEvent.ArriveSolo.
 //
-// Cancellation and deadlines are honoured at every timeslice, window and
-// sample-evaluation boundary, returning the context's error promptly with
-// the machine left consistent.
-func RunAdaptiveCtx(ctx context.Context, m *Machine, y, z int, solo []float64, opt AdaptiveOptions) (AdaptiveResult, error) {
+// Cancellation and deadlines are honoured at every timeslice, returning the
+// context's error promptly with the machine left consistent. The tracer in
+// ctx, if any, receives the phase spans and the point events sos/retry,
+// sos/sample-skipped, sos/resample, sos/fallback and sos/churn.
+func RunAdaptiveCtx(ctx context.Context, m *Machine, y, z int, solo []float64, opt Options) (AdaptiveResult, error) {
 	if opt.Samples < 1 {
 		return AdaptiveResult{}, fmt.Errorf("core: Samples must be >= 1")
 	}
+	s := adaptiveState{y: y, z: z, budget: opt.SymbiosSlices, tasks: m.NumTasks()}
+	res, err := drive(ctx, m, y, z, solo, opt, func(e event) (a acts) {
+		s, a = s.step(e)
+		return a
+	})
+	out := s.res
+	out.WeightedSpeedup, out.Cycles = res.WeightedSpeedup, res.Cycles
+	return out, err
+}
+
+// RunRoundRobinCtx runs the oblivious baseline through the same driver:
+// round robin for opt.SymbiosSlices, through opt.Churn, warmed and measured
+// as RunAdaptiveCtx is. It reads no counter for a decision, so counter
+// faults cannot touch it; it reports WeightedSpeedup and Cycles only.
+func RunRoundRobinCtx(ctx context.Context, m *Machine, y int, solo []float64, opt Options) (AdaptiveResult, error) {
+	s := rrState{budget: opt.SymbiosSlices}
+	return drive(ctx, m, y, y, solo, opt, func(e event) (a acts) {
+		s, a = s.step(e)
+		return a
+	})
+}
+
+// drive runs one controller on m: the loop RunAdaptiveCtx and
+// RunRoundRobinCtx share. It performs each act step asks for and answers it
+// with one event. The first act that runs the machine warms it with its own
+// schedule; every churn event due at a window's end applies before step
+// hears of the window, so coincident events cost one replan. WS sums
+// committed/solo window by window, task by task, over the windows' cycles.
+func drive(ctx context.Context, m *Machine, y, z int, solo []float64, opt Options, step func(event) acts) (AdaptiveResult, error) {
 	if opt.SymbiosSlices < 1 {
 		return AdaptiveResult{}, fmt.Errorf("core: SymbiosSlices must be >= 1")
 	}
-	if opt.MaxSampleRetries == 0 {
-		opt.MaxSampleRetries = 2
+	if solo != nil && len(solo) != m.NumTasks() {
+		return AdaptiveResult{}, fmt.Errorf("core: %d solo rates for %d tasks", len(solo), m.NumTasks())
 	}
-	if opt.BackoffSlices < 1 {
-		opt.BackoffSlices = 1
-	}
-	if opt.MonitorWindows < 1 {
-		opt.MonitorWindows = 8
-	}
-	if opt.AnomalyTolerance <= 0 {
-		opt.AnomalyTolerance = 0.3
-	}
-	if opt.MaxResamples == 0 {
-		opt.MaxResamples = 3
-	}
-
-	var res AdaptiveResult
-	a := &adaptiveState{
-		ctx: ctx,
-		m:   m, y: y, z: z, opt: opt,
-		r:    rng.New(opt.Seed),
-		jobs: m.Jobs(),
-		res:  &res,
-		tr:   obs.TracerFrom(ctx),
-	}
-	if solo != nil {
-		var err error
-		a.jobSolo, err = splitSolo(a.jobs, solo)
-		if err != nil {
-			return res, err
-		}
-	}
-	churn := append([]ChurnEvent(nil), opt.Churn...)
-	sort.SliceStable(churn, func(i, j int) bool { return churn[i].AtSlice < churn[j].AtSlice })
+	churn := slices.Clone(opt.Churn)
+	slices.SortStableFunc(churn, func(a, b ChurnEvent) int { return cmp.Compare(a.AtSlice, b.AtSlice) })
 	for _, ev := range churn {
 		if ev.AtSlice < 1 {
-			return res, fmt.Errorf("core: churn event at slice %d; events fire between slices, so AtSlice must be >= 1", ev.AtSlice)
+			return AdaptiveResult{}, fmt.Errorf("core: churn event at slice %d; events fire between slices, so AtSlice must be >= 1", ev.AtSlice)
 		}
-		if len(ev.Arrive) != len(ev.ArriveSolo) && a.jobSolo != nil {
-			return res, fmt.Errorf("core: churn event arrives %d jobs with %d solo-rate sets", len(ev.Arrive), len(ev.ArriveSolo))
+		if len(ev.Arrive) != len(ev.ArriveSolo) && solo != nil {
+			return AdaptiveResult{}, fmt.Errorf("core: churn event arrives %d jobs with %d solo-rate sets", len(ev.Arrive), len(ev.ArriveSolo))
 		}
-	}
-
-	p, err := a.samplePlan()
-	if err != nil {
-		return res, err
 	}
 
 	var (
-		done      int
-		num       float64 // Σ committed/solo across windows
-		den       uint64  // Σ cycles across windows
-		nextChurn int
+		res       AdaptiveResult
+		num       float64 // Σ committed/solo
+		done      int     // symbios slices run
+		r         = rng.New(opt.Seed)
+		tr        = obs.TracerFrom(ctx)
+		cands     []schedule.Schedule
+		samples   []Sample
+		pick      schedule.Schedule
+		warmed    bool
+		endSample func() // set while a sample phase runs
+		e         event
 	)
-	for done < opt.SymbiosSlices {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	defer func() {
+		if endSample != nil {
+			endSample()
 		}
-		w := a.windowSlices(p.sched, opt.SymbiosSlices-done)
-		if nextChurn < len(churn) && churn[nextChurn].AtSlice-done < w {
-			w = churn[nextChurn].AtSlice - done
+	}()
+	warm := func(s schedule.Schedule) error {
+		if warmed || opt.WarmupCycles == 0 {
+			return nil
 		}
-		endWin := a.tr.Span("sos/symbios", "")
-		run, err := m.RunScheduleCtx(ctx, p.sched, w)
-		endWin()
-		if err != nil {
-			return res, err
+		warmed = true
+		defer tr.Span("sos/warmup", "")()
+		return m.Warm(ctx, s, opt.WarmupCycles)
+	}
+	for {
+		a := step(e)
+		e = event{}
+		if a.retry {
+			tr.Event("sos/retry")
 		}
-		if a.jobSolo != nil {
-			soloTask := flattenSolo(a.jobSolo)
-			for i, c := range run.Committed {
-				num += float64(c) / soloTask[i]
-			}
+		if a.skipped {
+			tr.Event("sos/sample-skipped")
 		}
-		den += run.Cycles
-		res.Cycles += run.Cycles
-		if run.ReadFailures > 0 {
-			// The work ran and its progress counts toward WS — the machine
-			// does not stop because the PMU misbehaved — but the window's
-			// observation is incomplete, so the anomaly monitor below must
-			// not judge the schedule on partial data.
-			res.LostWindows++
-			a.event("window at slice %d: %d counter reads lost, monitoring skipped", done, run.ReadFailures)
+		if endSample != nil && a.kind != actSample {
+			endSample()
+			endSample = nil
 		}
-		done += w
-		if p.fallback {
-			res.FallbackSlices += w
+		if a.resample {
+			tr.Event("sos/resample")
+		}
+		if a.fallback {
+			tr.Event("sos/fallback")
 		}
 
-		if nextChurn < len(churn) && done >= churn[nextChurn].AtSlice {
-			ev := churn[nextChurn]
-			nextChurn++
-			if err := a.applyChurn(ev, done); err != nil {
-				return res, err
+		switch a.kind {
+		case actDone:
+			if solo != nil && res.Cycles > 0 {
+				res.WeightedSpeedup = num / float64(res.Cycles)
 			}
-			p, err = a.replan("churn")
-			if err != nil {
-				return res, err
-			}
-			continue
-		}
+			return res, nil
 
-		if run.ReadFailures == 0 && p.predIPC > 0 {
-			observed := meanIPC(run.SliceIPCs)
-			if observed < (1-opt.AnomalyTolerance)*p.predIPC {
-				a.event("anomaly at slice %d: observed IPC %.3f below predicted %.3f", done, observed, p.predIPC)
-				p, err = a.replan("anomaly")
+		case actDraw:
+			cands, samples = schedule.Sample(r, m.NumTasks(), y, z, opt.Samples), nil
+			e.n = len(cands)
+
+		case actSample:
+			if err := warm(cands[a.cand]); err != nil {
+				return res, err
+			}
+			if endSample == nil {
+				endSample = tr.Span("sos/sample", "")
+			}
+			if a.backoff > 0 {
+				rr, err := RoundRobin(m.NumTasks(), y)
+				if err == nil {
+					_, err = m.RunScheduleCtx(ctx, rr, a.backoff)
+				}
 				if err != nil {
 					return res, err
 				}
 			}
-		}
-	}
+			got, err := SamplePhase(ctx, m, cands[a.cand:a.cand+1], 1)
+			switch {
+			case errors.Is(err, ErrCounterRead):
+				e.lost = true
+			case err != nil:
+				return res, err
+			}
+			samples = append(samples, got...)
 
-	if a.jobSolo != nil && den > 0 {
-		res.WeightedSpeedup = num / float64(den)
-	}
-	return res, nil
-}
+		case actPick:
+			if e.degenerate = degenerate(samples); !e.degenerate {
+				endOpt := tr.Span("sos/optimize", "")
+				best := samples[Pick(samples, opt.Predictor)]
+				endOpt()
+				pick, e.ipc = best.Sched, best.IPC
+			}
 
-// windowSlices picks the next monitoring window length: the symbios budget
-// split MonitorWindows ways, rounded to whole rotations of s so every task
-// receives equal CPU time within a window, clamped to what remains.
-func (a *adaptiveState) windowSlices(s schedule.Schedule, remaining int) int {
-	rot := s.CycleSlices()
-	w := a.opt.SymbiosSlices / a.opt.MonitorWindows
-	if w < rot {
-		w = rot
-	} else {
-		w -= w % rot
-	}
-	if w > remaining {
-		w = remaining
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// event appends a deterministic log line to the result.
-func (a *adaptiveState) event(format string, args ...any) {
-	a.res.Events = append(a.res.Events, fmt.Sprintf(format, args...))
-}
-
-// replan re-enters the sample phase if the resample budget allows, else
-// degrades to the round-robin fallback.
-func (a *adaptiveState) replan(cause string) (plan, error) {
-	if a.res.Resamples >= a.opt.MaxResamples {
-		a.event("resample budget exhausted on %s: degrading to round-robin", cause)
-		return a.fallbackPlan(fmt.Sprintf("%s after resample budget", cause))
-	}
-	a.res.Resamples++
-	a.event("resampling on %s (%d/%d)", cause, a.res.Resamples, a.opt.MaxResamples)
-	a.tr.Event("sos/resample")
-	return a.samplePlan()
-}
-
-// samplePlan runs one sample phase — candidate draw, per-schedule evaluation
-// with bounded-backoff retries, degenerate-input detection — and returns the
-// chosen plan. The decision tree is retry → fallback; re-entry (resample) is
-// the monitor loop's job.
-func (a *adaptiveState) samplePlan() (plan, error) {
-	x := a.m.NumTasks()
-	scheds := schedule.Sample(a.r, x, a.y, a.z, a.opt.Samples)
-	if len(scheds) == 0 {
-		return a.fallbackPlan("no schedule candidates")
-	}
-
-	if !a.warmed && a.opt.WarmupCycles > 0 {
-		a.warmed = true
-		// Warmup work is unmeasured; lost counter reads during it are
-		// harmless and ignored.
-		endWarm := a.tr.Span("sos/warmup", "")
-		err := a.m.Warm(a.ctx, scheds[0], a.opt.WarmupCycles)
-		endWarm()
-		if err != nil {
-			return plan{}, err
-		}
-	}
-
-	endSample := a.tr.Span("sos/sample", "")
-	var samples []Sample
-	for _, s := range scheds {
-		if err := a.ctx.Err(); err != nil {
-			endSample()
-			return plan{}, err
-		}
-		sample, ok, err := a.evalWithRetry(s)
-		if err != nil {
-			endSample()
-			return plan{}, err
-		}
-		if ok {
-			samples = append(samples, sample)
-		}
-	}
-	endSample()
-
-	if len(samples) < len(scheds) {
-		return a.fallbackPlan(fmt.Sprintf("only %d of %d samples evaluated", len(samples), len(scheds)))
-	}
-	if reason, bad := degenerateSamples(samples); bad {
-		return a.fallbackPlan("degenerate samples: " + reason)
-	}
-	endOpt := a.tr.Span("sos/optimize", "")
-	idx := Pick(samples, a.opt.Predictor)
-	endOpt()
-	return plan{sched: samples[idx].Sched, predIPC: samples[idx].IPC}, nil
-}
-
-// evalWithRetry evaluates one candidate schedule for a full rotation. An
-// evaluation that lost any counter read is untrustworthy — the predictor
-// would judge the schedule on partial counts — so it is retried with bounded,
-// doubling round-robin backoff (the machine makes fair forward progress while
-// waiting out the fault). ok=false means the retry budget ran out and the
-// sample is skipped.
-func (a *adaptiveState) evalWithRetry(s schedule.Schedule) (Sample, bool, error) {
-	backoff := a.opt.BackoffSlices
-	for attempt := 0; ; attempt++ {
-		if err := a.ctx.Err(); err != nil {
-			return Sample{}, false, err
-		}
-		run, err := a.m.RunScheduleCtx(a.ctx, s, s.CycleSlices())
-		if err != nil {
-			return Sample{}, false, err
-		}
-		if run.ReadFailures == 0 {
-			return NewSample(s, run), true, nil
-		}
-		if attempt >= a.opt.MaxSampleRetries {
-			a.res.SkippedSamples++
-			a.event("sample %s skipped after %d transient failures", s, attempt+1)
-			a.tr.Event("sos/sample-skipped")
-			return Sample{}, false, nil
-		}
-		a.res.Retries++
-		a.event("sample %s attempt %d lost %d counter reads; backing off %d slices", s, attempt+1, run.ReadFailures, backoff)
-		a.tr.Event("sos/retry")
-		if rr, err := RoundRobin(a.m.NumTasks(), a.y); err == nil {
-			// Backoff work is unmeasured; lost reads during it are harmless,
-			// and a context abort here is caught by the next poll above.
-			_, _ = a.m.RunScheduleCtx(a.ctx, rr, backoff)
-		}
-		backoff *= 2
-	}
-}
-
-// fallbackPlan degrades to the round-robin schedule, or errors when the
-// caller ablated the fallback.
-func (a *adaptiveState) fallbackPlan(reason string) (plan, error) {
-	if a.opt.DisableFallback {
-		return plan{}, fmt.Errorf("core: predictor inputs unusable (%s) and fallback disabled", reason)
-	}
-	rr, err := RoundRobin(a.m.NumTasks(), a.y)
-	if err != nil {
-		return plan{}, fmt.Errorf("core: building round-robin fallback: %w", err)
-	}
-	a.event("fallback to round-robin: %s", reason)
-	a.tr.Event("sos/fallback")
-	return plan{sched: rr, fallback: true}, nil
-}
-
-// applyChurn mutates the job list per ev and rebinds the machine.
-func (a *adaptiveState) applyChurn(ev ChurnEvent, atSlice int) error {
-	a.tr.Event("sos/churn")
-	for _, id := range ev.Depart {
-		found := false
-		for i, j := range a.jobs {
-			if j.ID == id {
-				a.jobs = append(a.jobs[:i], a.jobs[i+1:]...)
-				if a.jobSolo != nil {
-					a.jobSolo = append(a.jobSolo[:i], a.jobSolo[i+1:]...)
+		case actWindow:
+			s := pick
+			if a.rr {
+				var err error
+				if s, err = RoundRobin(m.NumTasks(), y); err != nil {
+					return res, err
 				}
-				found = true
-				break
+			}
+			if err := warm(s); err != nil {
+				return res, err
+			}
+			w := a.slices
+			if len(churn) > 0 {
+				w = min(w, churn[0].AtSlice-done)
+			}
+			endWin := tr.Span("sos/symbios", "")
+			run, err := m.RunScheduleCtx(ctx, s, w)
+			endWin()
+			if err != nil {
+				return res, err
+			}
+			if solo != nil {
+				for i, c := range run.Committed {
+					num += float64(c) / solo[i]
+				}
+			}
+			res.Cycles += run.Cycles
+			done += w
+			e = event{slices: w, lost: run.ReadFailures > 0, ipc: meanIPC(run.SliceIPCs)}
+			for ; len(churn) > 0 && churn[0].AtSlice <= done; churn = churn[1:] {
+				tr.Event("sos/churn")
+				if solo, err = applyChurn(m, solo, churn[0]); err != nil {
+					return res, err
+				}
+				e.churned = true
+			}
+			e.tasks = m.NumTasks()
+		}
+	}
+}
+
+// applyChurn applies ev to m's job list and returns the solo rates of the
+// new task list (nil when solo is nil).
+func applyChurn(m *Machine, solo []float64, ev ChurnEvent) ([]float64, error) {
+	jobs := m.Jobs()
+	for _, id := range ev.Depart {
+		i := slices.IndexFunc(jobs, func(j *workload.Job) bool { return j.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("core: churn at slice %d departs unknown job %d", ev.AtSlice, id)
+		}
+		jobs = slices.Delete(jobs, i, i+1)
+	}
+	var kept []float64
+	if solo != nil {
+		for i, t := range m.Tasks() {
+			if slices.Contains(jobs, t.Job) {
+				kept = append(kept, solo[i])
 			}
 		}
-		if !found {
-			return fmt.Errorf("core: churn at slice %d departs unknown job %d", atSlice, id)
-		}
-		a.event("churn at slice %d: -job%d", atSlice, id)
-	}
-	for i, j := range ev.Arrive {
-		a.jobs = append(a.jobs, j)
-		if a.jobSolo != nil {
+		for i, j := range ev.Arrive {
 			if len(ev.ArriveSolo[i]) != j.Threads() {
-				return fmt.Errorf("core: churn arrival %s has %d solo rates for %d threads", j.Name(), len(ev.ArriveSolo[i]), j.Threads())
+				return nil, fmt.Errorf("core: churn arrival %s has %d solo rates for %d threads", j.Name(), len(ev.ArriveSolo[i]), j.Threads())
 			}
-			a.jobSolo = append(a.jobSolo, ev.ArriveSolo[i])
+			kept = append(kept, ev.ArriveSolo[i]...)
 		}
-		a.event("churn at slice %d: +%s (job%d)", atSlice, j.Name(), j.ID)
 	}
-	return a.m.SetTasks(a.jobs)
+	return kept, m.SetTasks(append(jobs, ev.Arrive...))
 }
 
-// degenerateSamples reports whether a sample set cannot support a
-// prediction: any non-finite predictor quantity, or an all-zero IPC column
-// (every observation claims the machine retired nothing).
-func degenerateSamples(samples []Sample) (string, bool) {
-	allZero := true
+// degenerate reports whether a sample set cannot support a prediction: any
+// non-finite predictor quantity, or no sample that retired anything (every
+// observation claims an idle machine).
+func degenerate(samples []Sample) bool {
 	for _, s := range samples {
-		for _, v := range []float64{s.IPC, s.AllConf, s.Dcache, s.FQ, s.FP, s.Sum2, s.Diversity, s.Balance} {
+		for _, v := range [...]float64{s.IPC, s.AllConf, s.Dcache, s.FQ, s.FP, s.Sum2, s.Diversity, s.Balance} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Sprintf("non-finite predictor input for %s", s.Sched), true
+				return true
 			}
 		}
-		if s.IPC > 0 {
-			allZero = false
-		}
 	}
-	if allZero {
-		return "all-zero IPC", true
-	}
-	return "", false
-}
-
-// splitSolo groups a per-task solo-rate vector by job.
-func splitSolo(jobs []*workload.Job, solo []float64) ([][]float64, error) {
-	total := 0
-	for _, j := range jobs {
-		total += j.Threads()
-	}
-	if len(solo) != total {
-		return nil, fmt.Errorf("core: %d solo rates for %d tasks", len(solo), total)
-	}
-	out := make([][]float64, len(jobs))
-	k := 0
-	for i, j := range jobs {
-		out[i] = append([]float64(nil), solo[k:k+j.Threads()]...)
-		k += j.Threads()
-	}
-	return out, nil
-}
-
-// flattenSolo is the inverse of splitSolo for the current job list.
-func flattenSolo(jobSolo [][]float64) []float64 {
-	var out []float64
-	for _, s := range jobSolo {
-		out = append(out, s...)
-	}
-	return out
+	return !slices.ContainsFunc(samples, func(s Sample) bool { return s.IPC > 0 })
 }
 
 // meanIPC averages a window's per-slice machine IPC.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"symbios/internal/arch"
 	"symbios/internal/counters"
+	"symbios/internal/obs"
 	"symbios/internal/rng"
 	"symbios/internal/workload"
 )
@@ -92,7 +94,7 @@ func TestRunAdaptiveRetriesTransientFailures(t *testing.T) {
 	m.SetCounterReader(&flakyReader{n: 7})
 	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64,
-		WarmupCycles: 200_000, Seed: 9, MaxSampleRetries: 4,
+		WarmupCycles: 200_000, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,12 +109,12 @@ func TestRunAdaptiveRetriesTransientFailures(t *testing.T) {
 
 // TestRunAdaptiveFallsBackOnDegenerateSamples: an all-zero counter view is
 // degenerate input, so the scheduler must degrade to round-robin rather
-// than trust a predictor over garbage — and must error instead when the
-// fallback is ablated.
+// than trust a predictor over garbage, and tell its tracer so.
 func TestRunAdaptiveFallsBackOnDegenerateSamples(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m.SetCounterReader(zeroReader{})
-	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	ctx, trace := tracedCtx()
+	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 32, Seed: 9,
 	})
 	if err != nil {
@@ -124,25 +126,15 @@ func TestRunAdaptiveFallsBackOnDegenerateSamples(t *testing.T) {
 	if res.WeightedSpeedup <= 0 {
 		t.Errorf("WS %.3f, want > 0 under round-robin fallback", res.WeightedSpeedup)
 	}
-	found := false
-	for _, e := range res.Events {
-		if strings.Contains(e, "fallback to round-robin") {
-			found = true
-		}
+	if !strings.Contains(trace.String(), `"name":"sos/fallback"`) {
+		t.Errorf("no sos/fallback event traced:\n%s", trace)
 	}
-	if !found {
-		t.Errorf("no fallback event logged: %v", res.Events)
-	}
+}
 
-	m2, mix2, solo2 := adaptiveSetup(t, "Jsb(4,2,2)", 3)
-	m2.SetCounterReader(zeroReader{})
-	_, err = RunAdaptiveCtx(context.Background(), m2, mix2.SMTLevel, mix2.Swap, solo2, AdaptiveOptions{
-		Samples: 6, Predictor: PredScore, SymbiosSlices: 32, Seed: 9,
-		DisableFallback: true,
-	})
-	if err == nil {
-		t.Error("DisableFallback accepted degenerate samples")
-	}
+// tracedCtx returns a context whose tracer writes JSONL to the buffer.
+func tracedCtx() (context.Context, *bytes.Buffer) {
+	var buf bytes.Buffer
+	return obs.WithTracer(context.Background(), obs.NewTracer(&buf, nil)), &buf
 }
 
 // TestRunAdaptiveChurn: a scripted departure and arrival mid-run changes
@@ -160,7 +152,8 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	}
 	arrival = workload.MustNewJob(spec, 100, 77) // fresh progress after calibration probe
 
-	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	ctx, trace := tracedCtx()
+	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
 		Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
 		WarmupCycles: 100_000, Seed: 11,
 		Churn: []ChurnEvent{{
@@ -186,14 +179,8 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	if res.WeightedSpeedup <= 0 {
 		t.Errorf("WS %.3f, want > 0 across churn", res.WeightedSpeedup)
 	}
-	churnLogged := false
-	for _, e := range res.Events {
-		if strings.Contains(e, "churn at slice") {
-			churnLogged = true
-		}
-	}
-	if !churnLogged {
-		t.Errorf("no churn event logged: %v", res.Events)
+	if !strings.Contains(trace.String(), `"name":"sos/churn"`) {
+		t.Errorf("no sos/churn event traced:\n%s", trace)
 	}
 }
 
@@ -233,5 +220,57 @@ func TestRunScheduleErrors(t *testing.T) {
 	}
 	if _, err := NewMachine(archFor(mix), jobs, 0); err == nil {
 		t.Error("NewMachine accepted a zero timeslice")
+	}
+}
+
+// TestCoincidentChurnAppliesTogether: churn events due at the same slice
+// all apply at that slice, before one replan. Under either policy the run
+// equals the run of one event that makes both changes, and the adaptive
+// run charges one resample for the pair.
+func TestCoincidentChurnAppliesTogether(t *testing.T) {
+	spec := workload.MustLookup("IS")
+	spec.Threads, spec.SyncEvery = 1, 0
+	mix := workload.MustMix("Jsb(5,2,2)")
+	arrSolo, err := SoloRates(context.Background(), archFor(mix), []*workload.Job{workload.MustNewJob(spec, 100, 77), workload.MustNewJob(spec, 101, 78)}, []uint64{77, 78}, 200_000, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// script builds fresh arrivals per run, since jobs are stateful.
+	script := func(merged bool) []ChurnEvent {
+		a, b := workload.MustNewJob(spec, 100, 77), workload.MustNewJob(spec, 101, 78)
+		if merged {
+			return []ChurnEvent{{AtSlice: 20, Depart: []int{0, 1}, Arrive: []*workload.Job{a, b}, ArriveSolo: [][]float64{arrSolo[:1], arrSolo[1:]}}}
+		}
+		return []ChurnEvent{
+			{AtSlice: 20, Depart: []int{0}, Arrive: []*workload.Job{a}, ArriveSolo: [][]float64{arrSolo[:1]}},
+			{AtSlice: 20, Depart: []int{1}, Arrive: []*workload.Job{b}, ArriveSolo: [][]float64{arrSolo[1:]}},
+		}
+	}
+	run := func(adaptive, merged bool) AdaptiveResult {
+		m, mix, solo := adaptiveSetup(t, "Jsb(5,2,2)", 3)
+		opt := AdaptiveOptions{
+			Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
+			WarmupCycles: 100_000, Seed: 11, Churn: script(merged),
+		}
+		var res AdaptiveResult
+		var err error
+		if adaptive {
+			res, err = RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, opt)
+		} else {
+			res, err = RunRoundRobinCtx(context.Background(), m, mix.SMTLevel, solo, opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, adaptive := range []bool{false, true} {
+		pair, one := run(adaptive, false), run(adaptive, true)
+		if pair != one {
+			t.Errorf("adaptive=%v: two events at slice 20 give %+v, one event making both changes %+v", adaptive, pair, one)
+		}
+		if adaptive && pair.Resamples != 1 {
+			t.Errorf("the pair charged %d resamples, want 1", pair.Resamples)
+		}
 	}
 }

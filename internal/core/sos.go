@@ -28,6 +28,10 @@ type Options struct {
 	WarmupCycles uint64
 	// Seed drives schedule sampling.
 	Seed uint64
+	// Churn scripts jobmix changes for RunAdaptiveCtx and RunRoundRobinCtx,
+	// applied in AtSlice order. Run, whose symbios phase is one unmonitored
+	// run, refuses it.
+	Churn []ChurnEvent
 }
 
 // Result reports a full SOS run.
@@ -85,6 +89,9 @@ func Run(ctx context.Context, m *Machine, y, z int, soloIPC []float64, opt Optio
 	}
 	if opt.SymbiosSlices < 1 {
 		return Result{}, fmt.Errorf("core: SymbiosSlices must be >= 1")
+	}
+	if len(opt.Churn) > 0 {
+		return Result{}, fmt.Errorf("core: Run applies no churn; use RunAdaptiveCtx")
 	}
 	if soloIPC != nil && len(soloIPC) != m.NumTasks() {
 		return Result{}, fmt.Errorf("core: %d solo rates for %d tasks", len(soloIPC), m.NumTasks())

@@ -143,46 +143,50 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 	}
 
 	row := RobustnessRow{Mix: label, Fault: fc.String()}
-
-	naiveChurn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
-	if err != nil {
-		return RobustnessRow{}, err
-	}
-	row.NaiveWS, err = naiveChurnWS(ctx, mix, cfg, slice, sc, symSlices, naiveChurn, solo)
-	if err != nil {
-		return RobustnessRow{}, err
-	}
-
 	row.PredWS, err = staticPredictorWS(ctx, mix, cfg, slice, sc, fc, solo, cellSeed)
 	if err != nil {
 		return RobustnessRow{}, err
 	}
 
-	jobs, _, err := buildJobs(mix, sc.Seed)
+	// The baseline and the adaptive run each get a fresh jobmix and fresh
+	// arrivals (jobs are stateful) under the same budget and churn script.
+	setup := func() (*core.Machine, core.Options, error) {
+		jobs, _, err := buildJobs(mix, sc.Seed)
+		if err != nil {
+			return nil, core.Options{}, err
+		}
+		m, err := core.NewMachine(cfg, jobs, slice)
+		if err != nil {
+			return nil, core.Options{}, err
+		}
+		churn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
+		return m, core.Options{
+			Samples:       sc.MaxSamples,
+			Predictor:     core.PredScore,
+			SymbiosSlices: symSlices,
+			WarmupCycles:  sc.WarmupCycles,
+			Seed:          rng.Hash2(cellSeed, 4, saltRobustSched),
+			Churn:         churn,
+		}, err
+	}
+	m, opt, err := setup()
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	m, err := core.NewMachine(cfg, jobs, slice)
+	naive, err := core.RunRoundRobinCtx(ctx, m, mix.SMTLevel, solo, opt)
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	afc := fc
-	afc.Seed = rng.Hash2(cellSeed, 3, saltRobustFault)
-	if afc.Active() {
+	row.NaiveWS = naive.WeightedSpeedup
+
+	if m, opt, err = setup(); err != nil {
+		return RobustnessRow{}, err
+	}
+	if afc := fc; afc.Active() {
+		afc.Seed = rng.Hash2(cellSeed, 3, saltRobustFault)
 		m.SetCounterReader(faults.New(afc))
 	}
-	adChurn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
-	if err != nil {
-		return RobustnessRow{}, err
-	}
-	res, err := core.RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, core.AdaptiveOptions{
-		Samples:       sc.MaxSamples,
-		Predictor:     core.PredScore,
-		SymbiosSlices: symSlices,
-		WarmupCycles:  sc.WarmupCycles,
-		Seed:          rng.Hash2(cellSeed, 4, saltRobustSched),
-		Churn:         adChurn,
-	})
+	res, err := core.RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, opt)
 	if err != nil {
 		return RobustnessRow{}, fmt.Errorf("experiments: %s under %s: %w", label, fc, err)
 	}
@@ -297,118 +301,4 @@ func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config
 		evs = append(evs, ev)
 	}
 	return evs, nil
-}
-
-// naiveChurnWS measures the oblivious round-robin baseline over the symbios
-// budget, applying the same churn script and the same cycle-weighted WS
-// accounting RunAdaptiveCtx uses. Round-robin reads no counters, so counter
-// faults cannot affect it — it is the floor an adaptive scheduler must not
-// sink below.
-func naiveChurnWS(ctx context.Context, mix workload.Mix, cfg arch.Config, slice uint64, sc Scale, symSlices int, churn []core.ChurnEvent, solo []float64) (float64, error) {
-	jobs, _, err := buildJobs(mix, sc.Seed)
-	if err != nil {
-		return 0, err
-	}
-	m, err := core.NewMachine(cfg, jobs, slice)
-	if err != nil {
-		return 0, err
-	}
-	rr, err := core.RoundRobin(m.NumTasks(), mix.SMTLevel)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Warm(ctx, rr, sc.WarmupCycles); err != nil {
-		return 0, err
-	}
-	jobSolo, err := splitByJob(jobs, solo)
-	if err != nil {
-		return 0, err
-	}
-
-	var (
-		num  float64
-		den  uint64
-		done int
-		next int
-	)
-	for done < symSlices {
-		w := symSlices - done
-		if next < len(churn) && churn[next].AtSlice-done < w {
-			w = churn[next].AtSlice - done
-		}
-		if w < 1 {
-			w = 1
-		}
-		run, err := m.RunScheduleCtx(ctx, rr, w)
-		if err != nil {
-			return 0, err
-		}
-		soloTask := flattenByJob(jobSolo)
-		for i, c := range run.Committed {
-			num += float64(c) / soloTask[i]
-		}
-		den += run.Cycles
-		done += w
-
-		if next < len(churn) && done >= churn[next].AtSlice {
-			ev := churn[next]
-			next++
-			for _, id := range ev.Depart {
-				found := false
-				for i, j := range jobs {
-					if j.ID == id {
-						jobs = append(jobs[:i], jobs[i+1:]...)
-						jobSolo = append(jobSolo[:i], jobSolo[i+1:]...)
-						found = true
-						break
-					}
-				}
-				if !found {
-					return 0, fmt.Errorf("experiments: churn departs unknown job %d", id)
-				}
-			}
-			for i, j := range ev.Arrive {
-				jobs = append(jobs, j)
-				jobSolo = append(jobSolo, ev.ArriveSolo[i])
-			}
-			if err := m.SetTasks(jobs); err != nil {
-				return 0, err
-			}
-			rr, err = core.RoundRobin(m.NumTasks(), mix.SMTLevel)
-			if err != nil {
-				return 0, err
-			}
-		}
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("experiments: naive baseline measured no cycles")
-	}
-	return num / float64(den), nil
-}
-
-// splitByJob groups a per-task solo-rate vector by job.
-func splitByJob(jobs []*workload.Job, solo []float64) ([][]float64, error) {
-	total := 0
-	for _, j := range jobs {
-		total += j.Threads()
-	}
-	if len(solo) != total {
-		return nil, fmt.Errorf("experiments: %d solo rates for %d tasks", len(solo), total)
-	}
-	out := make([][]float64, len(jobs))
-	k := 0
-	for i, j := range jobs {
-		out[i] = append([]float64(nil), solo[k:k+j.Threads()]...)
-		k += j.Threads()
-	}
-	return out, nil
-}
-
-// flattenByJob is the inverse of splitByJob for the current job list.
-func flattenByJob(jobSolo [][]float64) []float64 {
-	var out []float64
-	for _, s := range jobSolo {
-		out = append(out, s...)
-	}
-	return out
 }

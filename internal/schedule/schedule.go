@@ -86,10 +86,11 @@ func (s Schedule) Partitioned() bool { return s.Z == s.Y && s.X()%s.Y == 0 }
 // rotation every task appears in exactly Y/gcd(X,Z) coschedules, so an
 // evaluation that runs an integer multiple of this many slices gives every
 // job equal CPU time.
-func (s Schedule) CycleSlices() int {
-	x := s.X()
-	return x / gcd(x, s.Z)
-}
+func (s Schedule) CycleSlices() int { return Rotation(s.X(), s.Z) }
+
+// Rotation is CycleSlices for any schedule of x entries swapping z per
+// slice: x / gcd(x, z).
+func Rotation(x, z int) int { return x / gcd(x, z) }
 
 // Tuples returns the coschedules of one full rotation, in rotation order.
 // For a partitioned schedule this is simply the fixed groups.

@@ -165,7 +165,7 @@ func (e *evaluator) adaptive(ctx context.Context, req ScheduleRequest, mix workl
 	if symSlices < 1 {
 		symSlices = 1
 	}
-	res, err := core.RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, core.AdaptiveOptions{
+	res, err := core.RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, core.Options{
 		Samples:       req.Samples,
 		Predictor:     pred,
 		SymbiosSlices: symSlices,

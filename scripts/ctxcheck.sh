@@ -7,15 +7,15 @@
 # nil context cuts that chain — and a nil one panics at the first poll — so
 # non-test code under internal/, cmd/ and examples/ may contain neither
 # context.TODO() nor a nil first argument to RunScheduleCtx, Warm,
-# SoloRate(s), RunAdaptiveCtx, core.Run, SamplePhase or parallel.Map /
-# ForEach. The check greps source lines; it runs nothing.
+# SoloRate(s), RunAdaptiveCtx, RunRoundRobinCtx, core.Run, SamplePhase or
+# parallel.Map / ForEach. The check greps source lines; it runs nothing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 patterns=(
     'context\.TODO\(\)'
-    '\b(RunScheduleCtx|Warm|SoloRates?|RunAdaptiveCtx|SamplePhase)\(\s*nil\s*[,)]'
+    '\b(RunScheduleCtx|Warm|SoloRates?|RunAdaptiveCtx|RunRoundRobinCtx|SamplePhase)\(\s*nil\s*[,)]'
     '(\bcore\.|(^|[^.[:alnum:]_]))Run\(\s*nil\s*[,)]'
     '(\bparallel\.|(^|[^.[:alnum:]_]))(Map|ForEach)\(\s*nil\s*[,)]'
 )
