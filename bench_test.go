@@ -175,6 +175,7 @@ func BenchmarkWarmstart(b *testing.B) {
 // over a naive scheduler at SMT levels 2, 3, 4 and 6.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		experiments.ClearEvalCache() // a cold sweep, as in BenchmarkFigure1
 		rows, err := experiments.Figure5(context.Background(), experiments.QuickQueueScale())
 		if err != nil {
 			b.Fatal(err)
@@ -191,6 +192,7 @@ func BenchmarkFigure5(b *testing.B) {
 // arrival rate at SMT level 3.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		experiments.ClearEvalCache() // a cold sweep, as in BenchmarkFigure1
 		rows, err := experiments.Figure6(context.Background(), experiments.QuickQueueScale(), nil)
 		if err != nil {
 			b.Fatal(err)

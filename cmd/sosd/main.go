@@ -36,6 +36,14 @@ const (
 	exitUsage    = 2
 )
 
+const (
+	// checkpointEvery is how many recorded responses pass between
+	// checkpoint flushes.
+	checkpointEvery = 8
+	// warmTimeout bounds the cache fetch from each -warm-from sibling.
+	warmTimeout = 10 * time.Second
+)
+
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -44,53 +52,32 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sosd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	// Every policy knob binds straight into the service config, defaulting
-	// to the library's own defaults.
+	// Every policy flag binds straight into the service config, defaulting
+	// to the library's own defaults; knobs without a flag keep them.
 	cfg := serve.DefaultConfig()
 	var (
 		addr    = fs.String("addr", "127.0.0.1:8723", "listen address (host:port; port 0 picks a free port)")
 		scale   = fs.String("scale", "serve", "cycle budget: serve, quick or default")
 		chaos   = fs.Float64("chaos", 0, "probability of injected counter-read failure per read (chaos mode; also unlocks per-request fault blocks)")
 		ckpt    = fs.String("checkpoint", "", "response-cache checkpoint file (resumed when it exists)")
-		every   = fs.Int("checkpoint-every", 8, "flush the checkpoint every N recorded responses")
 		warm    = fs.String("warm-from", "", "comma-separated sibling sosd base URLs to warm the response cache from on boot (requires -checkpoint; /readyz reports 503 until the transfer settles)")
-		warmTO  = fs.Duration("warm-timeout", 10*time.Second, "per-sibling cache warm-up fetch timeout")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		version = fs.Bool("version", false, "print version and exit")
 	)
 	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "mount net/http/pprof endpoints under /debug/pprof/")
 
-	fs.DurationVar(&cfg.DeadlineDef, "deadline-default", cfg.DeadlineDef, "per-request deadline when the client sets none")
-	fs.DurationVar(&cfg.DeadlineMax, "deadline-max", cfg.DeadlineMax, "per-request deadline ceiling")
-
 	fs.Float64Var(&cfg.Rate, "rate", cfg.Rate, "admission rate, requests/second")
 	fs.Float64Var(&cfg.Burst, "burst", cfg.Burst, "admission burst (0 = same as -rate)")
-	fs.IntVar(&cfg.Queue, "queue", cfg.Queue, "work queue depth")
-	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "work queue workers")
 
-	fs.DurationVar(&cfg.QueueTarget, "queue-target", cfg.QueueTarget, "CoDel sojourn target: shed while queued time stays above this for -queue-interval (0 disables)")
-	fs.DurationVar(&cfg.QueueInterval, "queue-interval", cfg.QueueInterval, "CoDel sustained-exceedance window (0 = 4x -queue-target)")
+	fs.DurationVar(&cfg.QueueTarget, "queue-target", cfg.QueueTarget, "CoDel sojourn target: shed while queued time stays above this for 4x the target (0 disables)")
 
 	fs.IntVar(&cfg.BrownoutPin, "brownout-pin", cfg.BrownoutPin, "pin the degradation mode 0..2 (-1 runs the hysteresis controller)")
-	fs.DurationVar(&cfg.BrownoutDown, "brownout-down", cfg.BrownoutDown, "queue sojourn above this steps the ladder down")
-	fs.DurationVar(&cfg.BrownoutUp, "brownout-up", cfg.BrownoutUp, "queue sojourn below this steps the ladder back up (0 = -brownout-down/4)")
+	fs.DurationVar(&cfg.BrownoutDown, "brownout-down", cfg.BrownoutDown, "queue sojourn above this steps the ladder down; below a quarter of it steps back up")
 	fs.DurationVar(&cfg.BrownoutDownHold, "brownout-down-hold", cfg.BrownoutDownHold, "sustained exceedance required before a step down")
 	fs.DurationVar(&cfg.BrownoutUpHold, "brownout-up-hold", cfg.BrownoutUpHold, "sustained recovery required before a step up (0 = 4x -brownout-down-hold)")
 
 	fs.Float64Var(&cfg.Divergence, "divergence", cfg.Divergence, "fault injection: fraction of schedule fingerprints answered with deterministically perturbed bytes (models a divergent replica)")
 	fs.DurationVar(&cfg.DivergenceFor, "divergence-for", cfg.DivergenceFor, "fault injection: close the -divergence window after this much uptime (0 = never)")
-
-	fs.IntVar(&cfg.BreakerWindow, "breaker-window", cfg.BreakerWindow, "breaker sliding window size")
-	fs.IntVar(&cfg.BreakerMin, "breaker-min", cfg.BreakerMin, "breaker minimum samples before tripping")
-	fs.Float64Var(&cfg.BreakerRate, "breaker-rate", cfg.BreakerRate, "breaker error-rate threshold")
-	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", cfg.BreakerCooldown, "breaker open-state cooldown")
-	fs.IntVar(&cfg.BreakerProbes, "breaker-probes", cfg.BreakerProbes, "breaker half-open probe quota")
-
-	fs.IntVar(&cfg.RetryAttempts, "retry-attempts", cfg.RetryAttempts, "max evaluation attempts per request")
-	fs.DurationVar(&cfg.RetryBase, "retry-base", cfg.RetryBase, "retry backoff base delay")
-	fs.DurationVar(&cfg.RetryMax, "retry-max", cfg.RetryMax, "retry backoff max delay")
-	fs.Float64Var(&cfg.RetryBudgetRatio, "retry-budget-ratio", cfg.RetryBudgetRatio, "retry credit earned per first attempt, per client")
-	fs.Float64Var(&cfg.RetryBudgetCap, "retry-budget-cap", cfg.RetryBudgetCap, "retry credit ceiling per client")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `sosd — resilient SOS coscheduling service
 
@@ -153,7 +140,7 @@ Flags:
 
 	var rec *checkpoint.Recorder
 	if *ckpt != "" {
-		r, resumed, err := serve.OpenCache(*ckpt, *scale, cfg, *every)
+		r, resumed, err := serve.OpenCache(*ckpt, *scale, cfg, checkpointEvery)
 		if err != nil {
 			logger.Printf("checkpoint resume failed: %v", err)
 			return exitInternal
@@ -176,7 +163,7 @@ Flags:
 	// once a sibling's cache has been merged (or every sibling failed and
 	// the node falls through to a cold start).
 	if siblings := serve.SplitSiblings(*warm); len(siblings) > 0 {
-		srv.WarmFrom(siblings, *warmTO)
+		srv.WarmFrom(siblings, warmTimeout)
 	}
 
 	// Signals are caught before the address line is printed, so a supervisor

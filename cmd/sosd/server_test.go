@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -504,6 +506,23 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("sosd")) {
 		t.Fatalf("version output %q does not name the binary", out.String())
+	}
+}
+
+// TestFlagSet pins sosd's flags: each one is set by a test, a script, the
+// benchmark or a documented procedure, and every other knob is fixed at
+// serve.DefaultConfig's value.
+func TestFlagSet(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := realMain([]string{"-h"}, &out, &errOut); code != exitUsage {
+		t.Fatalf("-h: exit %d, want %d", code, exitUsage)
+	}
+	got := strings.Join(regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllString(errOut.String(), -1), "")
+	want := "  -addr  -brownout-down  -brownout-down-hold  -brownout-pin  -brownout-up-hold" +
+		"  -burst  -chaos  -checkpoint  -divergence  -divergence-for  -drain  -pprof" +
+		"  -queue-target  -rate  -scale  -version  -warm-from"
+	if got != want {
+		t.Errorf("flags:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"symbios/internal/buildinfo"
 	"symbios/internal/fleet"
 	"symbios/internal/obs"
-	"symbios/internal/resilience"
 )
 
 // Exit codes.
@@ -59,46 +58,22 @@ func parseFlags(args []string, stderr io.Writer) (o options, ok bool) {
 	fs := flag.NewFlagSet("sosfront", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	var (
-		addr     = fs.String("addr", "127.0.0.1:8822", "listen address (host:port; port 0 picks a free port)")
-		backends = fs.String("backends", "", "comma-separated sosd base URLs to shard across (required)")
-		replicas = fs.Int("replicas", 2, "replica placement width per key")
-		vnodes   = fs.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		version  = fs.Bool("version", false, "print version and exit")
+	// The flags bind straight into the front's config, defaulting to the
+	// values fleet.DefaultConfig fixes for every knob without a flag.
+	o = options{addr: "127.0.0.1:8822", drain: 10 * time.Second, front: fleet.DefaultConfig()}
+	backends := fs.String("backends", "", "comma-separated sosd base URLs to shard across (required)")
+	fs.StringVar(&o.addr, "addr", o.addr, "listen address (host:port; port 0 picks a free port)")
+	fs.DurationVar(&o.drain, "drain", o.drain, "graceful-shutdown drain budget")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
 
-		deadlineDef = fs.Duration("deadline-default", 5*time.Second, "per-request dispatch deadline when the client sets none")
-		deadlineMax = fs.Duration("deadline-max", 30*time.Second, "per-request dispatch deadline ceiling")
+	fs.IntVar(&o.front.Replicas, "replicas", o.front.Replicas, "replica placement width per key")
+	fs.DurationVar(&o.front.AttemptTimeout, "attempt-timeout", o.front.AttemptTimeout, "per-backend attempt timeout inside a dispatch (0 = dispatch deadline only; bounds slow-loris backends)")
 
-		hedgeQuantile = fs.Float64("hedge-quantile", 0.95, "latency quantile, tracked per request class (cached, rank, adaptive), that arms the hedge timer")
-		hedgeMin      = fs.Duration("hedge-min", 20*time.Millisecond, "hedge delay floor")
-		hedgeMax      = fs.Duration("hedge-max", 2*time.Second, "hedge delay ceiling (also the unwarmed delay)")
-		hedgeWarmup   = fs.Int("hedge-warmup", 20, "latency samples a request class needs before its tracked quantile is trusted")
-		hedgeRatio    = fs.Float64("hedge-budget-ratio", 0.1, "hedge credit earned per attempt, per backend")
-		hedgeCap      = fs.Float64("hedge-budget-cap", 10, "hedge credit ceiling per backend")
-
-		attemptTimeout = fs.Duration("attempt-timeout", 10*time.Second, "per-backend attempt timeout inside a dispatch (0 = dispatch deadline only; bounds slow-loris backends)")
-		failoverBase   = fs.Duration("failover-base", 10*time.Millisecond, "full-jitter backoff base between failover attempts")
-		failoverMax    = fs.Duration("failover-max", 250*time.Millisecond, "full-jitter backoff ceiling between failover attempts")
-		requireDigest  = fs.Bool("require-digest", true, "reject backend responses that carry no X-Content-Digest stamp (corrupted stamps are always rejected)")
-
-		auditRate       = fs.Float64("audit-rate", 0.05, "per-answered-request probability of a background divergence audit (0 disables audits and quarantine readmission)")
-		auditSeed       = fs.Uint64("audit-seed", 1, "deterministic audit draw seed")
-		quarantineAfter = fs.Int("quarantine-after", 3, "divergence observations before a backend is quarantined from placement")
-		quarantineClean = fs.Int("quarantine-readmit", 2, "consecutive clean probes before a quarantined backend is readmitted")
-		noHedgeCompare  = fs.Bool("no-hedge-compare", false, "do not digest-compare hedge losers against the winner (hedge losers are cancelled instead)")
-
-		healthEvery   = fs.Duration("health-interval", 500*time.Millisecond, "active health probe interval")
-		healthTimeout = fs.Duration("health-timeout", 0, "health probe timeout (0 = same as -health-interval)")
-		ejectAfter    = fs.Int("eject-after", 3, "consecutive failed probes before a backend is ejected")
-		readmitAfter  = fs.Int("readmit-after", 2, "consecutive successful probes before an ejected backend is readmitted")
-
-		brkWindow   = fs.Int("breaker-window", 16, "per-backend breaker sliding window size")
-		brkMin      = fs.Int("breaker-min", 4, "per-backend breaker minimum samples before tripping")
-		brkRate     = fs.Float64("breaker-rate", 0.5, "per-backend breaker error-rate threshold")
-		brkCooldown = fs.Duration("breaker-cooldown", 2*time.Second, "per-backend breaker open-state cooldown")
-		brkProbes   = fs.Int("breaker-probes", 2, "per-backend breaker half-open probe quota")
-	)
+	div := &o.front.Divergence
+	fs.Float64Var(&div.AuditRate, "audit-rate", div.AuditRate, "per-answered-request probability of a background divergence audit (0 disables audits and quarantine readmission)")
+	fs.Uint64Var(&div.Seed, "audit-seed", div.Seed, "deterministic audit draw seed")
+	fs.IntVar(&div.QuarantineAfter, "quarantine-after", div.QuarantineAfter, "divergence observations before a backend is quarantined from placement")
+	fs.IntVar(&div.ReadmitAfter, "quarantine-readmit", div.ReadmitAfter, "consecutive clean probes before a quarantined backend is readmitted")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `sosfront — fleet front tier for sosd
 
@@ -117,7 +92,6 @@ Flags:
 	if err := fs.Parse(args); err != nil {
 		return o, false
 	}
-	o = options{addr: *addr, drain: *drain, version: *version}
 	if o.version {
 		return o, true
 	}
@@ -125,47 +99,7 @@ Flags:
 		fmt.Fprintln(stderr, "-backends is required (comma-separated sosd base URLs)")
 		return o, false
 	}
-	o.front = fleet.Config{
-		Backends: strings.Split(*backends, ","),
-		Replicas: *replicas,
-		VNodes:   *vnodes,
-
-		DeadlineDef: *deadlineDef,
-		DeadlineMax: *deadlineMax,
-
-		HedgeQuantile: *hedgeQuantile,
-		HedgeMin:      *hedgeMin,
-		HedgeMax:      *hedgeMax,
-		HedgeWarmup:   *hedgeWarmup,
-
-		AttemptTimeout: *attemptTimeout,
-		FailoverBase:   *failoverBase,
-		FailoverMax:    *failoverMax,
-		RequireDigest:  *requireDigest,
-
-		Divergence: fleet.DivergenceConfig{
-			CompareHedges:   !*noHedgeCompare,
-			AuditRate:       *auditRate,
-			Seed:            *auditSeed,
-			QuarantineAfter: *quarantineAfter,
-			ReadmitAfter:    *quarantineClean,
-		},
-
-		Health: fleet.HealthConfig{
-			Interval:     *healthEvery,
-			Timeout:      *healthTimeout,
-			EjectAfter:   *ejectAfter,
-			ReadmitAfter: *readmitAfter,
-		},
-		Breaker: resilience.BreakerConfig{
-			Window:     *brkWindow,
-			MinSamples: *brkMin,
-			ErrorRate:  *brkRate,
-			Cooldown:   *brkCooldown,
-			Probes:     *brkProbes,
-		},
-		Budget: resilience.BudgetConfig{Ratio: *hedgeRatio, Cap: *hedgeCap},
-	}
+	o.front.Backends = strings.Split(*backends, ",")
 	return o, true
 }
 

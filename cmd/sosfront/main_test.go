@@ -7,12 +7,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"symbios/internal/fleet"
 	"symbios/internal/integrity"
 	"symbios/internal/leakcheck"
 )
@@ -48,6 +51,39 @@ func TestRealMainExitCodes(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.wantStderr) {
 			t.Errorf("%s: stderr %q lacks %q", tc.name, stderr.String(), tc.wantStderr)
 		}
+	}
+}
+
+// TestFlagSet pins sosfront's flags: each one is set by a test, the
+// benchmark or a documented procedure, and every other knob is fixed at
+// fleet.DefaultConfig's value.
+func TestFlagSet(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := realMain([]string{"-h"}, io.Discard, &stderr); code != exitUsage {
+		t.Fatalf("-h: exit %d, want %d", code, exitUsage)
+	}
+	got := strings.Join(regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllString(stderr.String(), -1), "")
+	want := "  -addr  -attempt-timeout  -audit-rate  -audit-seed  -backends  -drain" +
+		"  -quarantine-after  -quarantine-readmit  -replicas  -version"
+	if got != want {
+		t.Errorf("flags:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestParseFlagsDefaults checks that a front given only -backends runs
+// with fleet.DefaultConfig.
+func TestParseFlagsDefaults(t *testing.T) {
+	o, ok := parseFlags([]string{"-backends", "http://a,http://b"}, io.Discard)
+	if !ok {
+		t.Fatal("parseFlags rejected -backends alone")
+	}
+	want := fleet.DefaultConfig()
+	want.Backends = []string{"http://a", "http://b"}
+	if !reflect.DeepEqual(o.front, want) {
+		t.Errorf("config\n got %+v\nwant %+v", o.front, want)
+	}
+	if o.addr != "127.0.0.1:8822" || o.drain != 10*time.Second {
+		t.Errorf("addr %q drain %v, want 127.0.0.1:8822 and 10s", o.addr, o.drain)
 	}
 }
 

@@ -51,9 +51,6 @@ func NewTLB(entries, pageBytes int) *TLB {
 	}
 }
 
-// Entries returns the TLB capacity.
-func (t *TLB) Entries() int { return len(t.entries) }
-
 // Stats returns the event counts so far.
 func (t *TLB) Stats() Stats { return t.stats }
 

@@ -44,9 +44,6 @@ type ChurnEvent struct {
 	ArriveSolo [][]float64
 }
 
-// AdaptiveOptions is Options under the name RunAdaptiveCtx's callers know.
-type AdaptiveOptions = Options
-
 // The hardened controller's policy.
 const (
 	// sampleRetries is how often a candidate whose measurement lost

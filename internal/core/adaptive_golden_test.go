@@ -35,14 +35,14 @@ func runAdaptiveGolden(t *testing.T) []adaptiveGolden {
 		name   string
 		mix    string
 		reader CounterReader
-		opt    func(t *testing.T, mix workload.Mix) AdaptiveOptions
+		opt    func(t *testing.T, mix workload.Mix) Options
 	}
-	base := func(symbios int, warmup uint64) func(*testing.T, workload.Mix) AdaptiveOptions {
-		return func(*testing.T, workload.Mix) AdaptiveOptions {
-			return AdaptiveOptions{Samples: 6, Predictor: PredScore, SymbiosSlices: symbios, WarmupCycles: warmup, Seed: 9}
+	base := func(symbios int, warmup uint64) func(*testing.T, workload.Mix) Options {
+		return func(*testing.T, workload.Mix) Options {
+			return Options{Samples: 6, Predictor: PredScore, SymbiosSlices: symbios, WarmupCycles: warmup, Seed: 9}
 		}
 	}
-	churn := func(t *testing.T, mix workload.Mix) AdaptiveOptions {
+	churn := func(t *testing.T, mix workload.Mix) Options {
 		spec := workload.MustLookup("IS")
 		spec.Threads, spec.SyncEvery = 1, 0
 		probe := workload.MustNewJob(spec, 100, 77)
@@ -50,7 +50,7 @@ func runAdaptiveGolden(t *testing.T) []adaptiveGolden {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return AdaptiveOptions{
+		return Options{
 			Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
 			WarmupCycles: 100_000, Seed: 11,
 			Churn: []ChurnEvent{{

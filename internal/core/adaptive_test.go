@@ -69,7 +69,7 @@ func adaptiveSetup(t *testing.T, label string, seed uint64) (*Machine, workload.
 // positive weighted speedup.
 func TestRunAdaptiveClean(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
-	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64,
 		WarmupCycles: 200_000, Seed: 9,
 	})
@@ -92,7 +92,7 @@ func TestRunAdaptiveClean(t *testing.T) {
 func TestRunAdaptiveRetriesTransientFailures(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m.SetCounterReader(&flakyReader{n: 7})
-	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(context.Background(), m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64,
 		WarmupCycles: 200_000, Seed: 9,
 	})
@@ -114,7 +114,7 @@ func TestRunAdaptiveFallsBackOnDegenerateSamples(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	m.SetCounterReader(zeroReader{})
 	ctx, trace := tracedCtx()
-	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 32, Seed: 9,
 	})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestRunAdaptiveChurn(t *testing.T) {
 	arrival = workload.MustNewJob(spec, 100, 77) // fresh progress after calibration probe
 
 	ctx, trace := tracedCtx()
-	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	res, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
 		WarmupCycles: 100_000, Seed: 11,
 		Churn: []ChurnEvent{{
@@ -190,7 +190,7 @@ func TestRunAdaptiveChurn(t *testing.T) {
 func TestRunAdaptiveAbort(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	ctx := &pollCtx{Context: context.Background(), after: 40}
-	_, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	_, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64, Seed: 9,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -248,7 +248,7 @@ func TestCoincidentChurnAppliesTogether(t *testing.T) {
 	}
 	run := func(adaptive, merged bool) AdaptiveResult {
 		m, mix, solo := adaptiveSetup(t, "Jsb(5,2,2)", 3)
-		opt := AdaptiveOptions{
+		opt := Options{
 			Samples: 5, Predictor: PredScore, SymbiosSlices: 60,
 			WarmupCycles: 100_000, Seed: 11, Churn: script(merged),
 		}

@@ -46,40 +46,58 @@ func SoloRates(ctx context.Context, cfg arch.Config, jobs []*workload.Job, seeds
 // read, never advanced; streams are pure functions, so the rebuilt job
 // replays identically.
 func SoloRate(ctx context.Context, cfg arch.Config, j *workload.Job, seed, warmup, measure uint64) ([]float64, error) {
-	if measure == 0 {
-		return nil, fmt.Errorf("core: zero measurement interval")
-	}
-	if j.Spec.Threads > cfg.Contexts {
-		return nil, fmt.Errorf("core: calibrating %s: %d threads exceed %d contexts",
-			j.Name(), j.Spec.Threads, cfg.Contexts)
-	}
 	r, err := workload.NewJob(j.Spec, j.ID, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrating %s: %w", j.Name(), err)
 	}
+	rates, err := CoRun(ctx, cfg, []*workload.Job{r}, warmup, measure)
+	if err != nil {
+		return nil, err
+	}
+	for t, rate := range rates {
+		if rate <= 0 {
+			return nil, fmt.Errorf("core: calibrating %s: thread %d made no progress alone", j.Name(), t)
+		}
+	}
+	return rates, nil
+}
+
+// CoRun runs jobs together, continuously, on a fresh core: every thread of
+// every job on its own context, in job order, for warmup cycles and then
+// measure cycles of observation. It returns each thread's committed
+// instructions per measured cycle, in the same order, and polls ctx every
+// soloPoll cycles. The jobs are advanced, so each call needs fresh ones.
+func CoRun(ctx context.Context, cfg arch.Config, jobs []*workload.Job, warmup, measure uint64) ([]float64, error) {
+	if measure == 0 {
+		return nil, fmt.Errorf("core: zero measurement interval")
+	}
 	c, err := cpu.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: calibrating %s: %w", j.Name(), err)
+		return nil, err
 	}
-	for t := 0; t < r.Threads(); t++ {
-		c.Attach(t, r.Source(t), 0, r.Gate(), t)
+	threads := 0
+	for _, j := range jobs {
+		if threads+j.Threads() > cfg.Contexts {
+			return nil, fmt.Errorf("core: running %s: %d threads exceed %d contexts", j.Name(), threads+j.Threads(), cfg.Contexts)
+		}
+		for t := 0; t < j.Threads(); t++ {
+			c.Attach(threads, j.Source(t), 0, j.Gate(), t)
+			threads++
+		}
 	}
 	if err := runPolled(ctx, c, warmup); err != nil {
 		return nil, err
 	}
-	before := make([]uint64, r.Threads())
+	before := make([]uint64, threads)
 	for t := range before {
 		before[t] = c.ThreadCommitted(t)
 	}
 	if err := runPolled(ctx, c, measure); err != nil {
 		return nil, err
 	}
-	rates := make([]float64, r.Threads())
+	rates := make([]float64, threads)
 	for t := range rates {
 		rates[t] = float64(c.ThreadCommitted(t)-before[t]) / float64(measure)
-		if rates[t] <= 0 {
-			return nil, fmt.Errorf("core: calibrating %s: thread %d made no progress alone", j.Name(), t)
-		}
 	}
 	return rates, nil
 }

@@ -64,7 +64,7 @@ func TestRunAdaptiveCtxDeadline(t *testing.T) {
 	m, mix, solo := adaptiveSetup(t, "Jsb(4,2,2)", 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	_, err := RunAdaptiveCtx(ctx, m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64, Seed: 9,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -73,7 +73,7 @@ func TestRunAdaptiveCtxDeadline(t *testing.T) {
 
 	dl, cancel2 := context.WithTimeout(context.Background(), -1)
 	defer cancel2()
-	_, err = RunAdaptiveCtx(dl, m, mix.SMTLevel, mix.Swap, solo, AdaptiveOptions{
+	_, err = RunAdaptiveCtx(dl, m, mix.SMTLevel, mix.Swap, solo, Options{
 		Samples: 6, Predictor: PredScore, SymbiosSlices: 64, Seed: 9,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

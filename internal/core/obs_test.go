@@ -108,7 +108,7 @@ func TestSimMetricsNoAllocs(t *testing.T) {
 // must emit the SOS phase spans, and the traced run's result must equal
 // an untraced one.
 func TestAdaptiveTracerSpans(t *testing.T) {
-	opts := AdaptiveOptions{
+	opts := Options{
 		Samples:       3,
 		Predictor:     PredScore,
 		SymbiosSlices: 8,

@@ -56,7 +56,7 @@ func openLoadDists(kind string, interarrival, jobCycles float64) (inter, jobs qu
 func openLoadCompare(ctx context.Context, pt openLoadPoint, qs QueueScale) ([]OpenLoadRow, error) {
 	const level = 3
 	cfg := arch.Default21264(level)
-	solo, err := queueing.CalibrateSolo(ctx, cfg, qs.CalibWarmup, qs.CalibMeasure)
+	solo, err := calibrateSolo(ctx, level, qs.CalibWarmup, qs.CalibMeasure)
 	if err != nil {
 		return nil, err
 	}

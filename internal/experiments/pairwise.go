@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"symbios/internal/arch"
-	"symbios/internal/cpu"
+	"symbios/internal/core"
 	"symbios/internal/rng"
 	"symbios/internal/workload"
 )
@@ -34,17 +33,16 @@ func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error)
 
 	// Solo rates, one calibration per benchmark; each runs on its own
 	// machine, so the calibrations fan out.
-	solo, err := shardedMap(ctx, "pairwise-solo", names, func(_ context.Context, i int, name string) (float64, error) {
-		spec, err := workload.Lookup(name)
+	solo, err := shardedMap(ctx, "pairwise-solo", names, func(ctx context.Context, i int, name string) (float64, error) {
+		job, seed, err := pairJob(name, i, sc.Seed, 0x9a1)
 		if err != nil {
 			return 0, err
 		}
-		spec.Threads, spec.SyncEvery = 1, 0
-		job, err := workload.NewJob(spec, i, rng.Hash2(sc.Seed, uint64(i), 0x9a1))
+		rates, err := core.SoloRate(ctx, cfg, job, seed, sc.CalibWarmup, sc.CalibMeasure)
 		if err != nil {
 			return 0, err
 		}
-		return soloOnly(cfg, job, sc)
+		return rates[0], nil
 	})
 	if err != nil {
 		return nil, err
@@ -64,8 +62,8 @@ func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error)
 			cells = append(cells, pairCell{i, j})
 		}
 	}
-	wss, err := shardedMap(ctx, "pairwise/cell", cells, func(_ context.Context, _ int, cl pairCell) (float64, error) {
-		return pairWS(cfg, names, solo, cl, sc)
+	wss, err := shardedMap(ctx, "pairwise/cell", cells, func(ctx context.Context, _ int, cl pairCell) (float64, error) {
+		return pairWS(ctx, cfg, names, solo, cl, sc)
 	})
 	if err != nil {
 		return nil, err
@@ -79,56 +77,37 @@ func Pairwise(ctx context.Context, sc Scale, names []string) (*PairTable, error)
 // pairCell indexes one upper-triangle cell of the matrix.
 type pairCell struct{ i, j int }
 
-// soloOnly measures one job's solo IPC.
-func soloOnly(cfg arch.Config, job *workload.Job, sc Scale) (float64, error) {
-	c, err := cpu.New(cfg)
+// pairJob instantiates benchmark name, single-threaded, as job id of the
+// matrix, returning it with its stream seed.
+func pairJob(name string, id int, seed, salt uint64) (*workload.Job, uint64, error) {
+	spec, err := workload.Lookup(name)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	c.Attach(0, job.Source(0), 0, nil, 0)
-	c.Run(sc.CalibWarmup)
-	before := c.ThreadCommitted(0)
-	c.Run(sc.CalibMeasure)
-	rate := float64(c.ThreadCommitted(0)-before) / float64(sc.CalibMeasure)
-	if rate <= 0 {
-		return 0, fmt.Errorf("experiments: %s made no solo progress", job.Name())
-	}
-	return rate, nil
+	spec.Threads, spec.SyncEvery = 1, 0
+	seed = rng.Hash2(seed, uint64(id), salt)
+	job, err := workload.NewJob(spec, id, seed)
+	return job, seed, err
 }
 
 // pairWS coschedules one benchmark pair continuously on a two-context core
 // and returns its weighted speedup.
-func pairWS(cfg arch.Config, names []string, solo []float64, cl pairCell, sc Scale) (float64, error) {
-	mk := func(name string, id int) (*workload.Job, error) {
-		spec, err := workload.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		spec.Threads, spec.SyncEvery = 1, 0
-		return workload.NewJob(spec, id, rng.Hash2(sc.Seed, uint64(id), 0x9a2))
-	}
-	ja, err := mk(names[cl.i], 0)
+func pairWS(ctx context.Context, cfg arch.Config, names []string, solo []float64, cl pairCell, sc Scale) (float64, error) {
+	ja, _, err := pairJob(names[cl.i], 0, sc.Seed, 0x9a2)
 	if err != nil {
 		return 0, err
 	}
-	jb, err := mk(names[cl.j], 1)
+	jb, _, err := pairJob(names[cl.j], 1, sc.Seed, 0x9a2)
 	if err != nil {
 		return 0, err
 	}
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	c.Attach(0, ja.Source(0), 0, nil, 0)
-	c.Attach(1, jb.Source(0), 0, nil, 0)
-	c.Run(sc.WarmupCycles)
-	a0, b0 := c.ThreadCommitted(0), c.ThreadCommitted(1)
 	measure := sc.SymbiosCycles / 4
 	if measure == 0 {
 		measure = 1_000_000
 	}
-	c.Run(measure)
-	wsA := float64(c.ThreadCommitted(0)-a0) / float64(measure) / solo[cl.i]
-	wsB := float64(c.ThreadCommitted(1)-b0) / float64(measure) / solo[cl.j]
-	return wsA + wsB, nil
+	rates, err := core.CoRun(ctx, cfg, []*workload.Job{ja, jb}, sc.WarmupCycles, measure)
+	if err != nil {
+		return 0, err
+	}
+	return rates[0]/solo[cl.i] + rates[1]/solo[cl.j], nil
 }

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"symbios/internal/trace"
 )
 
 // TestPairwiseMatrix: the symbiosis matrix is symmetric with a unit
@@ -61,5 +65,52 @@ func TestPairwiseMatrix(t *testing.T) {
 	// EP (fp compute) + GO (int branchy) should symbiose: WS > 1.
 	if tbl.WS[0][1] <= 1.0 {
 		t.Errorf("EP+GO WS %.3f; diverse pair should exceed time-sharing", tbl.WS[0][1])
+	}
+}
+
+// pollCtx answers its first after Err polls with nil and every later one
+// with cancellation, counting them and calling onExpire at the first
+// refused poll: a deterministic stand-in for a deadline firing mid-cell.
+type pollCtx struct {
+	context.Context
+	after    int64
+	polls    atomic.Int64
+	onExpire func()
+}
+
+func (c *pollCtx) Err() error {
+	switch n := c.polls.Add(1); {
+	case n <= c.after:
+		return nil
+	case n == c.after+1:
+		c.onExpire()
+	}
+	return context.Canceled
+}
+
+// TestPairwiseStopsWithinOnePoll: a pair cell polls its context as it
+// simulates, so a context that expires mid-cell stops Pairwise at the
+// cell's next poll: nothing is simulated after the poll that sees the
+// expiry, although the cell had millions of cycles left to run.
+func TestPairwiseStopsWithinOnePoll(t *testing.T) {
+	sc := Scale{
+		SymbiosCycles: 8_000_000, // a 2M-cycle measurement
+		WarmupCycles:  2_000_000,
+		CalibWarmup:   20_000,
+		CalibMeasure:  20_000,
+		Seed:          2,
+	}
+	var generated, atExpiry atomic.Int64
+	trace.SetFillHook(func(n int) { generated.Add(int64(n)) })
+	defer trace.SetFillHook(nil)
+	// The two calibrations and the fan-outs poll a few times each; the
+	// rest of the allowance is the cell's, 100k cycles a poll.
+	ctx := &pollCtx{Context: context.Background(), after: 20, onExpire: func() { atExpiry.Store(generated.Load()) }}
+	_, err := Pairwise(ctx, sc, []string{"EP", "GO"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v after %d polls, want context.Canceled", err, ctx.polls.Load())
+	}
+	if after := generated.Load() - atExpiry.Load(); after != 0 {
+		t.Errorf("%d instructions generated after the context expired, want 0", after)
 	}
 }

@@ -70,13 +70,23 @@ func QuickQueueScale() QueueScale {
 // lambdaFactor scales the offered arrival rate (1.0 sits near 90% of the
 // machine's solo-job-equivalent capacity, which settles the system around
 // N ~= 2 x SMT level; above 1.0 the load is heavier). ctx bounds the
-// calibration and both runs, at timeslice granularity.
+// calibration and both runs, at timeslice granularity. Rows and the
+// calibrations behind them are memoized per process: Figure 6's factor
+// 1.0 is Figure 5's level-3 row, and every row at a level shares one
+// calibration.
 func ResponseCompare(ctx context.Context, level int, qs QueueScale, lambdaFactor float64) (ResponseRow, error) {
 	if level < 1 {
 		return ResponseRow{}, fmt.Errorf("experiments: SMT level %d", level)
 	}
+	return responseMemo.do(responseKey{level, qs, lambdaFactor}, func() (ResponseRow, error) {
+		return responseCompare(ctx, level, qs, lambdaFactor)
+	})
+}
+
+// responseCompare computes one ResponseCompare row.
+func responseCompare(ctx context.Context, level int, qs QueueScale, lambdaFactor float64) (ResponseRow, error) {
 	cfg := arch.Default21264(level)
-	solo, err := queueing.CalibrateSolo(ctx, cfg, qs.CalibWarmup, qs.CalibMeasure)
+	solo, err := calibrateSolo(ctx, level, qs.CalibWarmup, qs.CalibMeasure)
 	if err != nil {
 		return ResponseRow{}, err
 	}

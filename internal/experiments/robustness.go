@@ -148,25 +148,26 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 		return RobustnessRow{}, err
 	}
 
-	// The baseline and the adaptive run each get a fresh jobmix and fresh
-	// arrivals (jobs are stateful) under the same budget and churn script.
+	// The churn script is resolved once per cell; the baseline and the
+	// adaptive run each get a fresh jobmix and fresh arrivals (jobs are
+	// stateful) under the same budget and script.
+	churnEvs, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
+	if err != nil {
+		return RobustnessRow{}, err
+	}
 	setup := func() (*core.Machine, core.Options, error) {
 		jobs, _, err := buildJobs(mix, sc.Seed)
 		if err != nil {
 			return nil, core.Options{}, err
 		}
 		m, err := core.NewMachine(cfg, jobs, slice)
-		if err != nil {
-			return nil, core.Options{}, err
-		}
-		churn, err := resolveChurn(ctx, churn, cfg, sc, symSlices, cellSeed)
 		return m, core.Options{
 			Samples:       sc.MaxSamples,
 			Predictor:     core.PredScore,
 			SymbiosSlices: symSlices,
 			WarmupCycles:  sc.WarmupCycles,
 			Seed:          rng.Hash2(cellSeed, 4, saltRobustSched),
-			Churn:         churn,
+			Churn:         freshChurn(churnEvs),
 		}, err
 	}
 	m, opt, err := setup()
@@ -256,10 +257,8 @@ func staticPredictorWS(ctx context.Context, mix workload.Mix, cfg arch.Config, s
 }
 
 // resolveChurn converts fault-layer churn specs into concrete core events:
-// slice ordinals from budget fractions, and freshly instantiated, solo-
-// calibrated arrival jobs. Each call builds new job instances (jobs are
-// stateful), from the same seeds, so the naive and adaptive runs of a cell
-// see identical arrivals.
+// slice ordinals from budget fractions, and instantiated, solo-calibrated
+// arrival jobs. Each run of a cell takes its own copy through freshChurn.
 func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config, sc Scale, symSlices int, cellSeed uint64) ([]core.ChurnEvent, error) {
 	var evs []core.ChurnEvent
 	for i, spec := range specs {
@@ -283,15 +282,11 @@ func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config
 			jspec.Threads, jspec.SyncEvery = 1, 0
 			id := 1000 + i // distinct from mix-assigned IDs (list ordinals)
 			jseed := rng.Hash2(cellSeed, uint64(i), saltRobustArr)
-			cal, err := workload.NewJob(jspec, id, jseed)
+			arr, err := workload.NewJob(jspec, id, jseed)
 			if err != nil {
 				return nil, err
 			}
-			soloArr, err := core.SoloRate(ctx, cfg, cal, jseed, sc.CalibWarmup, sc.CalibMeasure)
-			if err != nil {
-				return nil, err
-			}
-			arr, err := workload.NewJob(jspec, id, jseed) // fresh progress after the calibration probe
+			soloArr, err := core.SoloRate(ctx, cfg, arr, jseed, sc.CalibWarmup, sc.CalibMeasure)
 			if err != nil {
 				return nil, err
 			}
@@ -301,4 +296,18 @@ func resolveChurn(ctx context.Context, specs []faults.ChurnSpec, cfg arch.Config
 		evs = append(evs, ev)
 	}
 	return evs, nil
+}
+
+// freshChurn copies evs with a fresh instance of every arriving job, so
+// each run of a cell sees identical arrivals without recalibrating them.
+func freshChurn(evs []core.ChurnEvent) []core.ChurnEvent {
+	out := make([]core.ChurnEvent, len(evs))
+	for i, ev := range evs {
+		out[i] = ev
+		out[i].Arrive = make([]*workload.Job, len(ev.Arrive))
+		for k, j := range ev.Arrive {
+			out[i].Arrive[k] = j.Fresh()
+		}
+	}
+	return out
 }

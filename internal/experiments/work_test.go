@@ -8,13 +8,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"symbios/internal/faults"
 	"symbios/internal/rng"
 	"symbios/internal/schedule"
 	"symbios/internal/trace"
 	"symbios/internal/workload"
 )
 
-var updateWork = flag.Bool("update-work", false, "rewrite testdata/eval_work.json from the current code")
+var updateWork = flag.Bool("update-work", false, "rewrite the work-count files under testdata from the current code")
 
 // evalWork is what one mix evaluation generated: every instruction a
 // stream drew, whether into a tape chunk or straight into a reader's
@@ -27,30 +28,49 @@ type evalWork struct {
 // TestEvalWorkCounts is an exact regression gate on instruction
 // generation: one serve-scale Jsb(6,3,3) evaluation of three sampled
 // schedules at seed 1, the same shape as BenchmarkRankMiss's rank plus its
-// calibrations and symbios runs. Streams are pure in seq and the simulator
-// is deterministic, so the count carries no noise; the test fails when it
-// rises. When it falls it logs the new value; re-cut the file with
-// -update-work in the same change.
+// calibrations and symbios runs.
 func TestEvalWorkCounts(t *testing.T) {
 	sc := ServeScale()
 	sc.Seed = 1
 	mix := workload.MustMix("Jsb(6,3,3)")
 	scheds := schedule.Sample(rng.New(1), mix.Tasks(), mix.SMTLevel, mix.Swap, 3)
+	checkWork(t, "testdata/eval_work.json", func() error {
+		_, err := EvalMixSchedules(context.Background(), mix, scheds, sc)
+		return err
+	})
+}
 
+// TestChurnWorkCounts is the same gate on one clean robustness cell of
+// Jsb(4,2,2) under the default churn script: its calibrations, the static
+// predictor runs, and the baseline and adaptive runs with their arrival.
+func TestChurnWorkCounts(t *testing.T) {
+	sc := quickRobustScale()
+	checkWork(t, "testdata/churn_work.json", func() error {
+		_, err := robustnessCell(context.Background(), "Jsb(4,2,2)", faults.Config{}, DefaultChurn(), sc, rng.Hash2(sc.Seed, 0, saltRobustCell))
+		return err
+	})
+}
+
+// checkWork counts what run generates and compares it with the counts
+// committed at path. Streams are pure in seq and the simulator is
+// deterministic, so a count carries no noise; the gate fails when one
+// rises. When one falls it logs the new values; re-cut the file with
+// -update-work in the same change.
+func checkWork(t *testing.T, path string, run func() error) {
+	t.Helper()
 	var got evalWork
 	var generated, fills atomic.Uint64
 	trace.SetFillHook(func(n int) {
 		generated.Add(uint64(n))
 		fills.Add(1)
 	})
-	_, err := EvalMixSchedules(context.Background(), mix, scheds, sc)
+	err := run()
 	trace.SetFillHook(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got.Generated, got.Fills = generated.Load(), fills.Load()
 
-	const path = "testdata/eval_work.json"
 	data, err := json.MarshalIndent(got, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ import (
 type DivergenceConfig struct {
 	// CompareHedges lets a hedge loser run to completion and be digest-
 	// compared against the winner instead of being cancelled on the spot.
-	// The zero value is off; sosfront turns it on unless -no-hedge-compare.
+	// The zero value is off; sosfront always turns it on.
 	// It trades a second complete run of every hedged request — a full
 	// evaluation, for a miss — for a divergence probe.
 	CompareHedges bool

@@ -95,9 +95,9 @@ type Config struct {
 
 	// RequireDigest treats a backend reply without an X-Content-Digest
 	// header as a failure. The zero value is off, so a front can sit over
-	// backends that predate the envelope; sosfront turns it on unless
-	// -require-digest=false. A digest that is present but wrong is ALWAYS a
-	// failure regardless of this setting.
+	// backends that predate the envelope; sosfront always turns it on. A
+	// digest that is present but wrong is ALWAYS a failure regardless of
+	// this setting.
 	RequireDigest bool
 
 	// Divergence tunes replica divergence detection and quarantine.
@@ -110,6 +110,36 @@ type Config struct {
 	Logger *log.Logger
 	// Registry receives fleet metrics; nil disables them.
 	Registry *obs.Registry
+}
+
+// DefaultConfig returns the configuration sosfront runs with: every field
+// but Backends, Client, Logger and Registry. Zero fields New fills in are
+// left to New.
+func DefaultConfig() Config {
+	return Config{
+		Replicas:       2,
+		VNodes:         64,
+		DeadlineDef:    5 * time.Second,
+		DeadlineMax:    30 * time.Second,
+		HedgeQuantile:  0.95,
+		HedgeMin:       20 * time.Millisecond,
+		HedgeMax:       2 * time.Second,
+		HedgeWarmup:    20,
+		AttemptTimeout: 10 * time.Second,
+		FailoverBase:   10 * time.Millisecond,
+		FailoverMax:    250 * time.Millisecond,
+		RequireDigest:  true,
+		Divergence: DivergenceConfig{
+			CompareHedges:   true,
+			AuditRate:       0.05,
+			Seed:            1,
+			QuarantineAfter: 3,
+			ReadmitAfter:    2,
+		},
+		Health:  HealthConfig{Interval: 500 * time.Millisecond, EjectAfter: 3, ReadmitAfter: 2},
+		Breaker: resilience.BreakerConfig{Window: 16, MinSamples: 4, ErrorRate: 0.5, Cooldown: 2 * time.Second, Probes: 2},
+		Budget:  resilience.BudgetConfig{Ratio: 0.1, Cap: 10},
+	}
 }
 
 // backend is one sosd instance plus its guard rails.

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +22,33 @@ import (
 	"symbios/internal/resilience"
 	"symbios/internal/rng"
 )
+
+// TestDefaultConfig pins DefaultConfig field for field to the values
+// sosfront has always run with (its former flag defaults). The repository
+// benchmark's in-process front copies the same values.
+func TestDefaultConfig(t *testing.T) {
+	want := Config{
+		Replicas:       2,
+		VNodes:         64,
+		DeadlineDef:    5 * time.Second,
+		DeadlineMax:    30 * time.Second,
+		HedgeQuantile:  0.95,
+		HedgeMin:       20 * time.Millisecond,
+		HedgeMax:       2 * time.Second,
+		HedgeWarmup:    20,
+		Health:         HealthConfig{Interval: 500 * time.Millisecond, Timeout: 0, EjectAfter: 3, ReadmitAfter: 2},
+		Breaker:        resilience.BreakerConfig{Window: 16, MinSamples: 4, ErrorRate: 0.5, Cooldown: 2 * time.Second, Probes: 2},
+		Budget:         resilience.BudgetConfig{Ratio: 0.1, Cap: 10},
+		AttemptTimeout: 10 * time.Second,
+		FailoverBase:   10 * time.Millisecond,
+		FailoverMax:    250 * time.Millisecond,
+		RequireDigest:  true,
+		Divergence:     DivergenceConfig{CompareHedges: true, AuditRate: 0.05, Seed: 1, QuarantineAfter: 3, ReadmitAfter: 2},
+	}
+	if got := DefaultConfig(); !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultConfig() =\n%+v\nwant\n%+v", got, want)
+	}
+}
 
 // fakeBackend is an httptest sosd stand-in whose handler the test can swap
 // mid-flight.

@@ -28,8 +28,8 @@ func (f *Front) Handler() http.Handler {
 // httpError writes a JSON error body with the given status. Every body the
 // front writes itself is digest-stamped — the integrity envelope's promise
 // is "every byte on the wire is verifiable", and a strict verifier (the fleet
-// soaks, -require-digest) must be able to tell a front-synthesized answer from a
-// backend envelope a hop stripped.
+// soaks, Config.RequireDigest) must be able to tell a front-synthesized
+// answer from a backend envelope a hop stripped.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeStamped(w, status, "application/json", errorBody(fmt.Sprintf(format, args...)))
 }

@@ -1,148 +1,12 @@
-// Package report renders experiment results as aligned text tables and
-// ASCII bar charts — the presentation layer for cmd/sosbench and the
-// examples. It depends only on the standard library and holds no
-// experiment logic.
+// Package report renders the pairwise symbiosis matrix as an aligned text
+// table — the presentation layer cmd/sosbench and the examples share. It
+// depends only on the standard library and holds no experiment logic.
 package report
 
 import (
 	"fmt"
 	"io"
-	"strings"
 )
-
-// Table accumulates rows of cells and renders them with columns aligned.
-type Table struct {
-	header []string
-	rows   [][]string
-	// RightAlign[i] right-aligns column i (numeric columns).
-	rightAlign map[int]bool
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header, rightAlign: map[int]bool{}}
-}
-
-// AlignRight marks columns as numeric (right-aligned).
-func (t *Table) AlignRight(cols ...int) *Table {
-	for _, c := range cols {
-		t.rightAlign[c] = true
-	}
-	return t
-}
-
-// Row appends a row; cells are formatted with %v, and float64 values are
-// rendered with three decimals.
-func (t *Table) Row(cells ...any) *Table {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out[i] = fmt.Sprintf("%.3f", v)
-		case string:
-			out[i] = v
-		default:
-			out[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.rows = append(t.rows, out)
-	return t
-}
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
-// Render writes the aligned table to w.
-func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) error {
-		var b strings.Builder
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			pad := widths[i] - len(cell)
-			if pad < 0 {
-				pad = 0
-			}
-			if t.rightAlign[i] {
-				b.WriteString(strings.Repeat(" ", pad))
-				b.WriteString(cell)
-			} else {
-				b.WriteString(cell)
-				b.WriteString(strings.Repeat(" ", pad))
-			}
-		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	if err := writeRow(sep); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
-}
-
-// Bars renders labeled values as an ASCII bar chart, scaled so the largest
-// value occupies width characters.
-func Bars(w io.Writer, width int, labels []string, values []float64) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("report: %d labels for %d values", len(labels), len(values))
-	}
-	if width < 1 {
-		width = 40
-	}
-	maxLabel, maxVal := 0, 0.0
-	for i, l := range labels {
-		if len(l) > maxLabel {
-			maxLabel = len(l)
-		}
-		if values[i] > maxVal {
-			maxVal = values[i]
-		}
-	}
-	if maxVal <= 0 {
-		maxVal = 1
-	}
-	for i, l := range labels {
-		n := int(values[i] / maxVal * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		if _, err := fmt.Fprintf(w, "%-*s %8.3f  %s\n", maxLabel, l, values[i], strings.Repeat("#", n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Matrix renders a labeled square matrix of float64 values (for the
 // pairwise symbiosis table).

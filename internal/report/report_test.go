@@ -5,68 +5,6 @@ import (
 	"testing"
 )
 
-// TestTableAlignment: columns align, numeric columns right-align, floats
-// render with three decimals.
-func TestTableAlignment(t *testing.T) {
-	tbl := NewTable("Mix", "WS").AlignRight(1)
-	tbl.Row("Jsb(6,3,3)", 1.505)
-	tbl.Row("Jpb(10,2,2)", 0.9)
-	out := tbl.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines:\n%s", len(lines), out)
-	}
-	if !strings.Contains(lines[2], "1.505") || !strings.Contains(lines[3], "0.900") {
-		t.Errorf("float formatting wrong:\n%s", out)
-	}
-	// Right alignment: the WS values end at the same column.
-	if idx1, idx2 := strings.Index(lines[2], "1.505")+5, strings.Index(lines[3], "0.900")+5; idx1 != idx2 {
-		t.Errorf("numeric column not aligned:\n%s", out)
-	}
-	if tbl.Rows() != 2 {
-		t.Errorf("Rows() = %d", tbl.Rows())
-	}
-}
-
-// TestTableWideCells: cells wider than headers stretch the column.
-func TestTableWideCells(t *testing.T) {
-	tbl := NewTable("A", "B")
-	tbl.Row("a-very-long-cell", "x")
-	lines := strings.Split(tbl.String(), "\n")
-	if len(lines[0]) < len("a-very-long-cell") {
-		t.Errorf("header row narrower than data: %q", lines[0])
-	}
-}
-
-// TestBars: bars scale to the maximum and label/value mismatches error.
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	if err := Bars(&b, 10, []string{"best", "worst"}, []float64{2.0, 1.0}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if strings.Count(lines[0], "#") != 10 {
-		t.Errorf("max bar not full width: %q", lines[0])
-	}
-	if strings.Count(lines[1], "#") != 5 {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if err := Bars(&b, 10, []string{"a"}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-// TestBarsDegenerate: zero or negative values render without panic.
-func TestBarsDegenerate(t *testing.T) {
-	var b strings.Builder
-	if err := Bars(&b, 0, []string{"z"}, []float64{0}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "z") {
-		t.Error("label missing")
-	}
-}
-
 // TestMatrix renders a small symmetric matrix.
 func TestMatrix(t *testing.T) {
 	var b strings.Builder

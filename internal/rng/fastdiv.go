@@ -41,9 +41,6 @@ func NewDivisor(d uint64) Divisor {
 	return Divisor{d: d, cHi: qHi + carry, cLo: cLo}
 }
 
-// D returns the divisor value.
-func (v Divisor) D() uint64 { return v.d }
-
 // Div returns n / v.d.
 func (v Divisor) Div(n uint64) uint64 {
 	if v.cHi == 0 { // d == 1
