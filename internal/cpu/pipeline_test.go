@@ -125,22 +125,7 @@ func TestContextCountScaling(t *testing.T) {
 func TestRandomConfigRobustness(t *testing.T) {
 	r := rng.New(77)
 	f := func(seed uint64) bool {
-		cfg := arch.Default21264(1 + r.Intn(4))
-		cfg.FetchWidth = 1 + r.Intn(8)
-		cfg.FetchThreads = 1 + r.Intn(2)
-		cfg.IssueWidth = 1 + r.Intn(8)
-		cfg.RetireWidth = 1 + r.Intn(8)
-		cfg.WindowSize = 8 << r.Intn(4) // 8..64, power of two
-		cfg.IntQueue = 4 + r.Intn(24)
-		cfg.FPQueue = 4 + r.Intn(16)
-		cfg.IntRenameRegs = 8 + r.Intn(48)
-		cfg.FPRenameRegs = 8 + r.Intn(48)
-		cfg.IntALUs = 1 + r.Intn(4)
-		cfg.FPUnits = 1 + r.Intn(3)
-		cfg.LSUnits = 1 + r.Intn(3)
-		if r.Intn(2) == 0 {
-			cfg.FetchPolicy = arch.FetchRoundRobin
-		}
+		cfg := randomConfig(r, 4)
 		c, err := New(cfg)
 		if err != nil {
 			t.Logf("config rejected: %v", err)
