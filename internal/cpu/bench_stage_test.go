@@ -62,15 +62,11 @@ func BenchmarkIssue(b *testing.B) {
 		for k := 0; k < cfg.IntQueue; k++ {
 			gi := int32(k)
 			u := &c.u[gi]
-			*u = slot{op: trace.IALU, state: stQueued, gen: 1, wakeHead: -1}
-			u.qpos = q.push(qent{gi: gi, gen: 1, cls: clsInt})
+			*u = slot{op: trace.IALU, wakeHead: -1}
+			u.qpos = q.push(qent{gi: gi, cls: clsInt})
 			q.setElig(u.qpos)
 		}
 		c.t[0].unissued = cfg.IntQueue
-		for i := range c.wheel {
-			c.wheel[i] = c.wheel[i][:0]
-		}
-		c.pendingWheel = 0
 		for k := range c.busy[clsInt] {
 			c.busy[clsInt][k] = 0
 		}
@@ -100,10 +96,12 @@ func BenchmarkRetire(b *testing.B) {
 	}
 	t := &c.t[0]
 	t.live = true
+	// Every entry completed on the current cycle, so every one can retire.
+	c.cycle = 1
 	prime := func() {
 		for gi := 0; gi < cfg.WindowSize; gi++ {
 			c.u[gi].op = trace.IALU
-			c.u[gi].state = stDone
+			c.u[gi].doneAt = c.cycle
 		}
 		t.head, t.count = 0, cfg.WindowSize
 		t.headSeq, t.committed = 0, 0
@@ -113,7 +111,9 @@ func BenchmarkRetire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.retire()
+		if c.retire() == 0 {
+			b.Fatal("a retire pass retired nothing: the primed window is not done")
+		}
 		if t.count == 0 {
 			b.StopTimer()
 			prime()

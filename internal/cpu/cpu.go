@@ -34,9 +34,9 @@
 // The kernel is organised for throughput (DESIGN.md §12). Pipeline state
 // lives in two flat, index-addressed slices of records: one slot per window
 // entry, at the global window index gi = ctx<<winShift | ring index, and one
-// thread per hardware context. Queues, wheels and wakeup lists refer to
-// entries by index, never by pointer, and the hot loops take one pointer per
-// record they touch. Fetch reads each thread's instructions in
+// thread per hardware context. Queues, the readiness wheel and wakeup lists
+// refer to entries by index, never by pointer, and the hot loops take one
+// pointer per record they touch. Fetch reads each thread's instructions in
 // place from a small per-context buffer that its Source refills a block at a
 // time and Attach empties. What dispatch, unit selection, latency and retire
 // need to know about an op comes from a per-Core table built in New, and the
@@ -47,14 +47,21 @@
 // bounds); an entry waits on a readiness wheel until its bound arrives and
 // only then joins its queue's eligibility set, so a scan examines only
 // entries that can act, and within a scan it passes over every entry whose
-// functional-unit class it has already found fully busy. On top of that, Run
-// detects quiescent cycles — no fetch, issue, completion, or retirement, and
-// no thread state change — and jumps directly to the next event (earliest
-// completion-wheel entry, fetch-stall expiry, or functional-unit release),
+// functional-unit class it has already found fully busy. Completion is a
+// comparison, not an event: an issued entry records its completion cycle,
+// and it is done once the clock reaches it. A completion can matter in only
+// three ways, each settled when the instruction issues: it lets the window
+// head retire, it makes a dependant ready (the wakeup edges push its cycle),
+// or it resolves a mispredicted branch (issue sets the thread's fetch
+// restart). On top of that, Run detects quiescent cycles — no fetch, issue
+// or retirement, and no thread state change — and jumps directly to the
+// next event (a window head's completion, an entry whose producers have all
+// issued coming due, a fetch-stall expiry, or a functional-unit release),
 // attributing every skipped cycle the exact per-resource conflict pattern the
 // quiescent cycle latched. All of this is observably equivalent to stepping
 // cycle by cycle; the golden suite in golden_test.go pins that equivalence
-// bit for bit.
+// bit for bit, and skip_test.go checks it against step() on generated
+// scripts.
 package cpu
 
 import (
@@ -87,20 +94,10 @@ type SyncGate interface {
 
 const noSeq = math.MaxUint64
 
-// uopState tracks an instruction's progress through the pipeline.
-type uopState = uint8
-
-const (
-	stQueued uopState = iota // dispatched, waiting in IQ/FQ
-	stIssued                 // executing on a functional unit
-	stDone                   // completed, awaiting in-order retire
-)
-
 // qent is a queue reference to a window entry; the entry's readiness bound
 // lives in its slot record, Core.u[gi].ready.
 type qent struct {
-	gi  int32 // global window index
-	gen uint32
+	gi  int32     // global window index
 	cls unitClass // the functional-unit class the instruction issues to
 }
 
@@ -141,7 +138,7 @@ type opInfo struct {
 	latMin uint64    // lower bound on its latency, for dependant wake-up bounds
 }
 
-const wheelSize = 1024 // > worst-case instruction latency
+const wheelSize = 1024 // readiness-wheel buckets; further bounds park at its far edge
 
 // maxContexts bounds arch.Config.Contexts: fetch ranks the live contexts in
 // a fixed array of this size.
@@ -161,9 +158,6 @@ type fetchBuf struct {
 	in  [fetchBufLen]trace.Inst
 }
 
-// wheel entries pack (generation, global window index) into one word.
-func wheelRef(gen uint32, gi int32) uint64 { return uint64(gen)<<32 | uint64(uint32(gi)) }
-
 // slot is one window entry's pipeline state. Slots hold stale contents from
 // earlier attachments (exactly like the recycled window rings they
 // replace); every read is guarded by a seq or generation check.
@@ -172,7 +166,7 @@ type slot struct {
 	dep1   uint64 // producers' sequence numbers, or noSeq
 	dep2   uint64
 	addr   uint64
-	doneAt uint64 // completion cycle once issued
+	doneAt uint64 // completion cycle once issued, 0 while queued
 	// ready caches the entry's readiness bound while queued. It is exact —
 	// the max of the producers' completion cycles — once pending hits zero;
 	// until then it is a lower bound and the issue scan re-polls on expiry.
@@ -195,7 +189,6 @@ type slot struct {
 	parkNext int32 // next entry in the same readiness bucket
 
 	op      trace.Op
-	state   uopState
 	mispred bool
 	pending uint8
 }
@@ -258,9 +251,6 @@ type Core struct {
 
 	busy [numClasses][]uint64 // busy-until cycle per unit
 
-	wheel        [wheelSize][]uint64
-	pendingWheel int // entries (live or stale) currently on the wheel
-
 	cycle uint64
 	ctr   counters.Set
 
@@ -309,7 +299,7 @@ func New(cfg arch.Config) (*Core, error) {
 	}
 	ops := opTable(cfg)
 	if lo, hi := latencyRange(cfg, &ops); lo < 1 || hi >= wheelSize {
-		return nil, fmt.Errorf("cpu: execution latencies span [%d, %d]; the completion wheel holds [1, %d]", lo, hi, wheelSize-1)
+		return nil, fmt.Errorf("cpu: execution latencies span [%d, %d]; the kernel supports [1, %d]", lo, hi, wheelSize-1)
 	}
 	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: WindowSize %d must be a power of two", cfg.WindowSize)
@@ -333,16 +323,6 @@ func New(cfg arch.Config) (*Core, error) {
 		lineMask: ^uint64(cfg.L1ILineBytes - 1),
 	}
 	c.ops = ops
-	// Pre-size the completion-wheel buckets out of one backing array so the
-	// issue stage's bucket appends never grow storage in the steady state
-	// (a bucket holds the instructions completing on one cycle; more than
-	// issue-width entries per cycle is rare, and overflow just reallocates
-	// that bucket).
-	bucketCap := max(cfg.IssueWidth, 4)
-	backing := make([]uint64, wheelSize*bucketCap)
-	for i := range c.wheel {
-		c.wheel[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
-	}
 	for i := range c.readyHead {
 		c.readyHead[i] = -1
 	}
@@ -375,11 +355,13 @@ func opTable(cfg arch.Config) [trace.NumOps]opInfo {
 
 // latencyRange returns the smallest and largest execution latency of any op
 // under cfg: the table's fixed latencies and the data path's, from an L1
-// hit to a TLB miss that goes to memory. A completion must land on a
-// future bucket of the wheel, so New requires the range within
-// [1, wheelSize-1]: a zero latency would land in the bucket complete() has
-// already drained, and wheelSize or more would wrap, firing a full turn of
-// the wheel late.
+// hit to a TLB miss that goes to memory. New requires the range within
+// [1, wheelSize-1]. The lower end is the model's: an instruction completes
+// after the cycle it issues in, so a dependant never issues in the same
+// cycle as its producer, and doneAt is never the 0 that marks a queued
+// entry. The upper end is the range New has always accepted; nothing in
+// the kernel needs it any more (a far readiness bound parks at the wheel's
+// edge), but it keeps the set of accepted configurations unchanged.
 func latencyRange(cfg arch.Config, ops *[trace.NumOps]opInfo) (lo, hi int) {
 	lo, hi = cfg.L1DHitLatency, cfg.L1DHitLatency
 	for _, p := range []int{cfg.TLBMissPenalty, cfg.L2HitLatency, cfg.MemLatency} {
@@ -440,8 +422,7 @@ func (c *Core) Detach(ctx int) (resumeSeq, committed uint64) {
 		c.regsFree[c.ops[c.u[base|((t.head+i)&c.winMask)].op].side]++
 	}
 	// Purge queue entries belonging to this context and unlink those parked
-	// on the readiness wheel. Completion-wheel entries are invalidated
-	// lazily via the generation check.
+	// on the readiness wheel.
 	for side := range c.q {
 		c.q[side].purge(ctx, c.winShift, c.u)
 	}
@@ -498,16 +479,15 @@ func (c *Core) Run(n uint64) {
 }
 
 // step advances the core by one cycle and reports whether the cycle was
-// quiescent: no instruction completed, retired, issued, or fetched, and no
-// thread fetch state changed. After a quiescent cycle the core is at a
-// fixed point that only an already-scheduled event can disturb.
+// quiescent: no instruction retired, issued, or fetched, and no thread
+// fetch state changed. After a quiescent cycle the core is at a fixed point
+// that only an already-scheduled event can disturb.
 func (c *Core) step() bool {
 	c.cycle++
 	c.work.Steps++
 	c.conf = 0
 
-	quiet := !c.complete()
-	quiet = c.retire() == 0 && quiet
+	quiet := c.retire() == 0
 	quiet = c.issue() == 0 && quiet
 	fetched, mutated := c.fetch()
 	quiet = fetched == 0 && !mutated && quiet
@@ -526,16 +506,22 @@ func (c *Core) step() bool {
 // which is what stepping would have done, because a quiescent core re-latches
 // the identical pattern until one of the bounding events fires:
 //
-//   - a completion-wheel entry for a live instruction (wakes dependants,
-//     resolves branches, unblocks retire — every queue/register/window
-//     transition descends from a completion);
-//   - a fetch-stall expiry on a live thread;
+//   - a live thread's window head completes (retire resumes; the quiescent
+//     cycle retired nothing, so the head is queued or still executing);
+//   - a readiness bucket makes eligible an entry whose producers have all
+//     issued, so its bound is exact and it may issue;
+//   - a fetch-stall expiry on a live thread, including a mispredicted
+//     branch's fetch restart, which issue set;
 //   - a functional-unit release, when the quiescent cycle latched a unit
-//     denial (only the denied classes can act before any completion).
+//     denial (only the denied classes can act before any other event).
 //
-// Barrier-blocked threads need no bound: TryPass is idempotent and its
-// verdict can only flip when a sibling progresses, which requires one of
-// the events above.
+// A completion below the head is none of these: its dependants wait on
+// their readiness buckets. An entry with a producer still queued
+// (pending != 0) may come due without bounding the jump: until an issue,
+// retire or dispatch changes what its poll reads, the poll can only
+// re-park it. Barrier-blocked threads need no bound: TryPass is idempotent
+// and its verdict can only flip when a sibling progresses, which requires
+// one of the events above.
 func (c *Core) skipAhead(target uint64) {
 	cyc := c.cycle
 	if target <= cyc+1 {
@@ -543,8 +529,17 @@ func (c *Core) skipAhead(target uint64) {
 	}
 	event := target
 	for i := range c.t {
-		if t := &c.t[i]; t.live && t.stall > cyc && t.stall < event {
+		t := &c.t[i]
+		if !t.live {
+			continue
+		}
+		if t.stall > cyc && t.stall < event {
 			event = t.stall
+		}
+		if t.count > 0 {
+			if d := c.u[i<<c.winShift|t.head].doneAt; d > cyc && d < event {
+				event = d
+			}
 		}
 	}
 	for cls, busy := range c.busy {
@@ -552,36 +547,15 @@ func (c *Core) skipAhead(target uint64) {
 			event = minBusy(event, cyc, busy)
 		}
 	}
-	if c.pendingWheel > 0 {
-		maxd := event - cyc
-		if maxd > wheelSize {
-			maxd = wheelSize
-		}
-		for d := uint64(1); d < maxd; d++ {
-			b := c.wheel[(cyc+d)&(wheelSize-1)]
-			if len(b) == 0 {
-				continue
-			}
-			// Stale entries (squashed by detach) may be jumped over: they
-			// are generation-checked whenever their bucket is eventually
-			// processed. A live entry is a hard event boundary.
-			for _, ref := range b {
-				gi := int32(uint32(ref))
-				if t := &c.t[int(gi)>>c.winShift]; t.live && t.gen == uint32(ref>>32) {
-					event = cyc + d
-					break
-				}
-			}
-			if event == cyc+d {
-				break
-			}
+	// Draining a bucket ahead of its cycle is what that cycle's issue would
+	// do first; the jump stops at the first bucket that can lead to an issue.
+	for t := cyc + 1; t < event && c.parked > 0; t++ {
+		if c.drainReady(t) {
+			event = t
 		}
 	}
 	if event <= cyc+1 {
 		return
-	}
-	for t := cyc + 1; t < event && c.parked > 0; t++ {
-		c.drainReady(t)
 	}
 	skip := event - 1 - cyc
 	c.cycle = event - 1
@@ -603,37 +577,6 @@ func minBusy(event, cyc uint64, busy []uint64) uint64 {
 	return event
 }
 
-// complete processes instructions whose execution finishes this cycle. It
-// reports whether any live instruction completed.
-func (c *Core) complete() bool {
-	bucket := &c.wheel[c.cycle&(wheelSize-1)]
-	if len(*bucket) == 0 {
-		return false
-	}
-	active := false
-	for _, ref := range *bucket {
-		gi := int32(uint32(ref))
-		t := &c.t[int(gi)>>c.winShift]
-		if !t.live || t.gen != uint32(ref>>32) {
-			continue // squashed
-		}
-		u := &c.u[gi]
-		if u.state != stIssued {
-			continue
-		}
-		u.state = stDone
-		active = true
-		if u.mispred && t.wait == u.seq {
-			// Resolve: fetch restarts after the refill penalty.
-			t.wait = noSeq
-			t.stall = c.cycle + uint64(c.cfg.MispredictPenalty)
-		}
-	}
-	c.pendingWheel -= len(*bucket)
-	*bucket = (*bucket)[:0]
-	return active
-}
-
 // retire commits completed instructions in order, per thread, and returns
 // the number retired.
 func (c *Core) retire() int {
@@ -645,13 +588,13 @@ func (c *Core) retire() int {
 		}
 		base := ctx << c.winShift
 		head, count := t.head, t.count
-		if count == 0 || c.u[base|head].state != stDone {
+		if count == 0 || !c.u[base|head].done(c.cycle) {
 			continue
 		}
 		committed := uint64(0)
 		for n := 0; n < c.cfg.RetireWidth && count > 0; n++ {
 			u := &c.u[base|head]
-			if u.state != stDone {
+			if !u.done(c.cycle) {
 				break
 			}
 			op := u.op
@@ -673,6 +616,9 @@ func (c *Core) retire() int {
 	return retired
 }
 
+// done reports whether u has issued and its completion cycle has arrived.
+func (u *slot) done(cycle uint64) bool { return u.doneAt != 0 && u.doneAt <= cycle }
+
 // producer returns the window entry that holds producer sequence p of the
 // thread on ctx, or nil if p is absent, retired or pre-attach, or was
 // squashed by a detach and never re-fetched under this attachment: either
@@ -689,8 +635,8 @@ func (c *Core) producer(ctx int, t *thread, p uint64) *slot {
 }
 
 // depAvail returns the earliest cycle producer sequence p of thread ctx
-// could be complete: 0 if it is architecturally available, its known
-// completion cycle if executing, or a lower bound if still queued.
+// could be complete: 0 if it is architecturally available, its completion
+// cycle (past or future) once issued, or a lower bound if still queued.
 // consumerSide tells which queue the consumer sits in, which determines
 // whether a queued producer could still issue in the current cycle (the
 // integer queue is scanned before the floating-point queue).
@@ -699,10 +645,7 @@ func (c *Core) depAvail(ctx int, t *thread, p uint64, consumerSide int) uint64 {
 	if u == nil {
 		return 0
 	}
-	switch u.state {
-	case stDone:
-		return 0
-	case stIssued:
+	if u.doneAt != 0 {
 		return u.doneAt
 	}
 	// Still queued: it must issue and execute first. For a producer
@@ -854,13 +797,16 @@ scan:
 			info := &c.ops[u.op]
 			lat := c.latency(u, info)
 			busy[unit] = cyc + info.occupy
-			u.state = stIssued
 			done := cyc + lat
 			u.doneAt = done
-			b := &c.wheel[done&(wheelSize-1)]
-			*b = append(*b, wheelRef(e.gen, gi))
-			c.pendingWheel++
-			c.t[ctx].unissued--
+			t := &c.t[ctx]
+			t.unissued--
+			if u.mispred {
+				// The branch resolves at done; fetch restarts after the
+				// refill penalty.
+				t.wait = noSeq
+				t.stall = done + uint64(c.cfg.MispredictPenalty)
+			}
 			// Wake dependants: they now know this producer's exact completion.
 			for eid := u.wakeHead; eid >= 0; {
 				cons := &c.u[eid>>1]
@@ -898,12 +844,13 @@ func (c *Core) park(gi int32, at, now uint64) {
 
 // drainReady processes cycle t's readiness bucket: each entry whose bound
 // has arrived joins its queue's eligibility set, and one whose bound a
-// wakeup raised is parked again at the new bound.
-func (c *Core) drainReady(t uint64) {
+// wakeup raised is parked again at the new bound. It reports whether an
+// entry whose producers have all issued joined a set.
+func (c *Core) drainReady(t uint64) (woke bool) {
 	h := &c.readyHead[t&(wheelSize-1)]
 	gi := *h
 	if gi < 0 {
-		return
+		return false
 	}
 	// Re-parking never lands in bucket t (park keeps at within t+1 and
 	// t+wheelSize-1), so the bucket can be emptied before it is walked.
@@ -916,9 +863,11 @@ func (c *Core) drainReady(t uint64) {
 			c.park(gi, u.ready, t)
 		} else {
 			c.q[c.ops[u.op].side].setElig(u.qpos)
+			woke = woke || u.pending == 0
 		}
 		gi = next
 	}
+	return woke
 }
 
 // unpark removes context ctx's entries from the readiness wheel.
@@ -1081,7 +1030,6 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		u.wakeNext = [2]int32{}
 		u.parkNext = 0
 		u.op = in.Op
-		u.state = stQueued
 		u.mispred = false
 		u.pending = 0
 		ready := c.resolveDep(ctx, t, gi, 0, u.dep1, cyc)
@@ -1095,7 +1043,7 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		if q.hi == len(q.ent) {
 			q.compact(c.u)
 		}
-		u.qpos = q.push(qent{gi: gi, gen: t.gen, cls: info.cls})
+		u.qpos = q.push(qent{gi: gi, cls: info.cls})
 		// The next scan is next cycle's: eligible if ready by then.
 		if ready <= cyc+1 {
 			q.setElig(u.qpos)
@@ -1134,10 +1082,7 @@ func (c *Core) resolveDep(ctx int, t *thread, consGi int32, k int, p, cyc uint64
 	if u == nil {
 		return 0
 	}
-	switch u.state {
-	case stDone:
-		return 0
-	case stIssued:
+	if u.doneAt != 0 {
 		return u.doneAt
 	}
 	cons := &c.u[consGi]

@@ -390,7 +390,7 @@ func TestConfigRejected(t *testing.T) {
 	cfg = arch.Default21264(2)
 	cfg.MemLatency = wheelSize + 100
 	if _, err := New(cfg); err == nil {
-		t.Error("latency beyond wheel capacity accepted")
+		t.Error("latency beyond the supported range accepted")
 	}
 	cfg = arch.Default21264(0)
 	if _, err := New(cfg); err == nil {
@@ -411,10 +411,11 @@ func TestConfigRejected(t *testing.T) {
 	}
 }
 
-// TestLatencyBounds: every execution latency must land on a future bucket
-// of the completion wheel. A zero latency would complete in the bucket
-// already drained this cycle and a latency of wheelSize or more would wrap;
-// either fires a full turn of the wheel late, so New refuses both.
+// TestLatencyBounds: New accepts exactly the execution latencies in
+// [1, wheelSize-1]. A zero latency would let an instruction complete in the
+// cycle it issues, with a doneAt that can read as queued; the upper end is
+// the range New has always accepted, kept so that no configuration changes
+// verdict.
 func TestLatencyBounds(t *testing.T) {
 	def := arch.Default21264(1)
 	for _, tc := range []struct {
@@ -575,15 +576,16 @@ func TestFetchPoliciesDiffer(t *testing.T) {
 	}
 }
 
-// TestRapidReattachGenerationSafety is a regression test: stale completion
-// wheel entries from a detached thread must not corrupt a thread attached
-// to the same context shortly after (the per-context generation check).
+// TestRapidReattachGenerationSafety is a regression test: instructions a
+// detached thread left executing must not corrupt a thread attached to the
+// same context shortly after (the per-context generation check on stale
+// slots).
 func TestRapidReattachGenerationSafety(t *testing.T) {
 	c := mustCore(t, arch.Default21264(2))
 	var seqA, seqB uint64
 	for i := 0; i < 200; i++ {
 		c.Attach(0, mkSource(t, "MG", 9, 0), seqA, nil, 0)
-		c.Run(uint64(50 + i%37)) // well inside the wheel horizon
+		c.Run(uint64(50 + i%37)) // shorter than a memory access
 		seqA, _ = c.Detach(0)
 		c.Attach(0, mkSource(t, "IS", 11, 1), seqB, nil, 0)
 		c.Run(uint64(50 + i%29))
@@ -684,8 +686,8 @@ func (c *Core) checkIssueState() error {
 			n++
 			if u := &c.u[gi]; u.qpos != int32(p) {
 				return fmt.Errorf("side %d: slot %d at position %d, qpos says %d", side, gi, p, u.qpos)
-			} else if u.state != stQueued {
-				return fmt.Errorf("side %d: slot %d in the queue in state %d", side, gi, u.state)
+			} else if u.doneAt != 0 {
+				return fmt.Errorf("side %d: slot %d in the queue has issued (doneAt %d)", side, gi, u.doneAt)
 			}
 			eligible[gi] = el
 		}
