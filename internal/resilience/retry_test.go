@@ -3,7 +3,9 @@ package resilience
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,6 +233,93 @@ func TestBudgetPoolPerClient(t *testing.T) {
 	a.TryWithdraw()
 	if !b.TryWithdraw() {
 		t.Fatal("client a's withdrawal drained client b")
+	}
+}
+
+// TestBudgetSpendBounded checks the budget's three invariants over random
+// interleavings of Deposit and TryWithdraw, sequential and concurrent:
+// successful withdrawals never exceed the starting token plus Ratio per
+// deposit, the banked credit stays in [0, Cap] after every operation (a
+// fresh budget holds its starting token even under a Cap below one), and
+// Exhausted counts every refusal.
+func TestBudgetSpendBounded(t *testing.T) {
+	r := rand.New(rand.NewPCG(2, 3))
+	// spendOK allows the rounding of repeated float additions.
+	spendOK := func(b *Budget, spent, deposits uint64) bool {
+		return float64(spent) <= 1+b.cfg.Ratio*float64(deposits)+1e-9*float64(deposits+1)
+	}
+	bankOK := func(b *Budget) bool {
+		tok := b.Tokens()
+		return tok >= 0 && tok <= b.cfg.Cap
+	}
+	draw := func() BudgetConfig {
+		return BudgetConfig{Ratio: []float64{0, 0.01, 0.1, 1.0 / 3, 0.5, 1, 2.5}[r.IntN(7)],
+			Cap: []float64{0, 0.5, 1, 2, 10}[r.IntN(5)]}
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		b := NewBudget(draw())
+		var deposits, spent, refused uint64
+		for op := 0; op < 400; op++ {
+			switch {
+			case r.IntN(3) == 0: // withdrawals outnumber deposits, so the budget runs dry
+				b.Deposit()
+				deposits++
+			case b.TryWithdraw():
+				spent++
+			default:
+				refused++
+			}
+			if !spendOK(b, spent, deposits) {
+				t.Fatalf("%+v: %d withdrawals on %d deposits", b.cfg, spent, deposits)
+			}
+			if !bankOK(b) {
+				t.Fatalf("%+v: %v tokens banked", b.cfg, b.Tokens())
+			}
+			if b.Exhausted() != refused {
+				t.Fatalf("%+v: Exhausted() = %d after %d refusals", b.cfg, b.Exhausted(), refused)
+			}
+		}
+	}
+
+	// Concurrent clients of one budget, checked as they go for the bank's
+	// range and at the end for the spend bound and the refusal count.
+	for trial := 0; trial < 20; trial++ {
+		b := NewBudget(draw())
+		var deposits, spent, refused atomic.Uint64
+		var bad atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				gr := rand.New(rand.NewPCG(seed, 7))
+				for op := 0; op < 500; op++ {
+					switch {
+					case gr.IntN(3) == 0:
+						b.Deposit()
+						deposits.Add(1)
+					case b.TryWithdraw():
+						spent.Add(1)
+					default:
+						refused.Add(1)
+					}
+					if !bankOK(b) {
+						bad.Store(true)
+					}
+				}
+			}(uint64(trial*4 + g))
+		}
+		wg.Wait()
+		if bad.Load() {
+			t.Fatalf("%+v: banked credit left [0, Cap] under concurrent use", b.cfg)
+		}
+		if !spendOK(b, spent.Load(), deposits.Load()) {
+			t.Fatalf("%+v: %d withdrawals on %d deposits", b.cfg, spent.Load(), deposits.Load())
+		}
+		if b.Exhausted() != refused.Load() {
+			t.Fatalf("%+v: Exhausted() = %d after %d refusals", b.cfg, b.Exhausted(), refused.Load())
+		}
 	}
 }
 
