@@ -29,15 +29,6 @@ type Stats struct {
 // Accesses returns total accesses.
 func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
-// HitRate returns hits/accesses, or 1 when there were no accesses.
-func (s Stats) HitRate() float64 {
-	a := s.Accesses()
-	if a == 0 {
-		return 1
-	}
-	return float64(s.Hits) / float64(a)
-}
-
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	sets      int
@@ -77,15 +68,6 @@ func New(sets, assoc, lineBytes int) *Cache {
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
-
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
-
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int { return 1 << c.lineShift }
-
-// CapacityBytes returns the total capacity.
-func (c *Cache) CapacityBytes() int { return c.sets * c.assoc * (1 << c.lineShift) }
 
 // Stats returns the event counts so far.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -138,14 +120,3 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush empties every way (used to model a cold machine).
 func (c *Cache) Flush() { clear(c.lines) }
-
-// Resident returns the number of filled ways (test/diagnostic helper).
-func (c *Cache) Resident() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].stamp != 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -71,12 +71,12 @@ func TestFlush(t *testing.T) {
 	for i := uint64(0); i < 32; i++ {
 		c.Access(i * 64)
 	}
-	if c.Resident() == 0 {
+	if resident(c) == 0 {
 		t.Fatal("nothing resident before flush")
 	}
 	c.Flush()
-	if c.Resident() != 0 {
-		t.Errorf("%d lines resident after flush", c.Resident())
+	if resident(c) != 0 {
+		t.Errorf("%d lines resident after flush", resident(c))
 	}
 }
 
@@ -90,7 +90,7 @@ func TestResidencyBound(t *testing.T) {
 			c.Access(uint64(r.Intn(4096)) * 8)
 		}
 		s := c.Stats()
-		return c.Resident() <= 16 && s.Accesses() == uint64(n)
+		return resident(c) <= 16 && s.Accesses() == uint64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -133,14 +133,14 @@ func TestGeometryPanics(t *testing.T) {
 	}
 }
 
-// TestCapacityAccessors sanity-check the geometry accessors.
+// TestCapacityAccessors checks New keeps the geometry it was given.
 func TestCapacityAccessors(t *testing.T) {
 	c := New(128, 4, 32)
-	if c.Sets() != 128 || c.Assoc() != 4 || c.LineBytes() != 32 {
-		t.Errorf("geometry accessors wrong: %d/%d/%d", c.Sets(), c.Assoc(), c.LineBytes())
+	if c.Sets() != 128 || c.assoc != 4 || 1<<c.lineShift != 32 {
+		t.Errorf("geometry wrong: %d/%d/%d", c.Sets(), c.assoc, 1<<c.lineShift)
 	}
-	if c.CapacityBytes() != 128*4*32 {
-		t.Errorf("capacity %d", c.CapacityBytes())
+	if len(c.lines) != 128*4 {
+		t.Errorf("%d ways, want %d", len(c.lines), 128*4)
 	}
 }
 
@@ -157,13 +157,13 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-// TestHitRate covers the Stats helpers.
-func TestHitRate(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 1}
-	if s.HitRate() != 0.75 {
-		t.Errorf("hit rate %f", s.HitRate())
+// resident returns the number of filled ways.
+func resident(c *Cache) int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].stamp != 0 {
+			n++
+		}
 	}
-	if (Stats{}).HitRate() != 1 {
-		t.Error("empty stats hit rate should be 1")
-	}
+	return n
 }

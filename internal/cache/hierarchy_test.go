@@ -63,7 +63,7 @@ func TestHierarchyFlushAndReset(t *testing.T) {
 		t.Error("ResetStats left counters")
 	}
 	h.Flush()
-	if h.L1D.Resident() != 0 || h.L2.Resident() != 0 {
+	if resident(h.L1D) != 0 || resident(h.L2) != 0 {
 		t.Error("Flush left lines resident")
 	}
 	if _, hit := h.DataAccess(0x8000); hit {

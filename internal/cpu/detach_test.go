@@ -90,7 +90,7 @@ func TestDetachInflightPurge(t *testing.T) {
 		}
 		base := ctx << c.winShift
 		for i := 0; i < th.count; i++ {
-			if c.u[base|((th.head+i)&c.winMask)].op.IsFP() {
+			if c.ops[c.u[base|((th.head+i)&c.winMask)].op].side == sideFP {
 				wantFPFree--
 			} else {
 				wantIntFree--

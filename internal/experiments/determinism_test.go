@@ -92,7 +92,7 @@ func TestEvalMixCachedSingleflight(t *testing.T) {
 	defer ClearEvalCache()
 
 	const callers = 8
-	evs, err := parallel.Map(context.Background(), parallel.Indices(callers), parallel.Options{Workers: callers},
+	evs, err := parallel.Map(context.Background(), make([]int, callers), parallel.Options{Workers: callers},
 		func(_ int, _ int) (*MixEval, error) {
 			return EvalMixCached(context.Background(), "Jsb(4,2,2)", sc)
 		})

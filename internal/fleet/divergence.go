@@ -27,14 +27,9 @@ import (
 //   - Background audits (AuditRate): a deterministic low-rate draw re-asks
 //     a second replica after a request was answered and compares.
 //
-// A mismatch alone does not convict — two replicas disagreeing identifies
-// no culprit — so arbitrate asks a third replica and the odd one out takes
-// the divergence observation (both do, when no third exists). A backend
-// reaching QuarantineAfter observations is quarantined: excluded from
-// placement entirely (see candidates) until ReadmitAfter consecutive clean
-// readmit probes — which ride the same audit draws, re-asking every
-// quarantined backend and comparing against the authoritative answer —
-// prove it agrees with the fleet again.
+// A mismatch alone does not convict: arbitrate asks a third replica, and
+// charges says whom its answer convicts. Readmit probes ride the audit
+// draws. The backend machine (backend.go) turns both into quarantine.
 //
 // The byte-identical contract holds between replicas at full service only: a
 // browned-out replica answers an adaptive request as a rank request (mode 1)
@@ -63,9 +58,10 @@ type DivergenceConfig struct {
 	// ReadmitAfter is the consecutive clean readmit probes required to lift
 	// a quarantine (< 1 selects 2).
 	ReadmitAfter int
-	// AuditTimeout bounds one audit or readmit probe (<= 0 selects 2s).
-	AuditTimeout time.Duration
 }
+
+// auditTimeout bounds one audit's or straggler compare's attempts.
+const auditTimeout = 2 * time.Second
 
 // fullService reports whether r was answered at full service — the only
 // kind of answer the byte-identical contract covers.
@@ -108,7 +104,7 @@ func (f *Front) audit(req *request, winner *Result) {
 	if !fullService(winner) {
 		return // a degraded answer is no authority to compare against
 	}
-	ctx, cancel := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
+	ctx, cancel := context.WithTimeout(f.base, auditTimeout)
 	defer cancel()
 	wantDigest := integrity.Digest(winner.Body)
 
@@ -125,111 +121,81 @@ func (f *Front) audit(req *request, winner *Result) {
 }
 
 // arbiter returns a backend able to give a second opinion: the first
-// healthy, non-quarantined backend whose base is not excluded. The fleet's
-// byte-identical contract means an arbiter need not sit in the key's
-// replica set — every correct replica computes the same bytes — so
+// candidate (healthy, not quarantined) whose base is not excluded. The
+// fleet's byte-identical contract means an arbiter need not sit in the
+// key's replica set — every correct replica computes the same bytes — so
 // opinions are drawn fleet-wide. That matters at Replicas=2, where the
 // placement set contains exactly the two disagreeing parties.
 func (f *Front) arbiter(exclude ...string) *backend {
 	for _, b := range f.backends {
-		if !b.isQuarantined() && b.isHealthy() && !slices.Contains(exclude, b.base) {
+		if b.state().verdict() == candidate && !slices.Contains(exclude, b.base) {
 			return b
 		}
 	}
 	return nil
 }
 
+// charges reads a third replica's answer (nil when there was none) against
+// the digests of a mismatched pair and returns which of the two takes a
+// divergence observation: the odd one out. With no third replica, or when
+// all three disagree, both do — the contract says they cannot both be
+// right, and in a two-replica fleet symmetric suspicion beats guessing. But
+// when a third exists and merely fails to give evidence (timeout, shed,
+// wire damage, brownout), no one does: transport trouble is not divergence,
+// and convicting the honest half of a mismatch would let a flaky wire
+// quarantine correct replicas. A real divergence is deterministic, so the
+// mismatch resurfaces on a later audit and conviction is only delayed.
+func charges(third *attemptOut, da, db string) [2]bool {
+	switch {
+	case third == nil:
+	case !evidence(*third):
+		return [2]bool{}
+	case integrity.Digest(third.res.Body) == da:
+		return [2]bool{false, true}
+	case integrity.Digest(third.res.Body) == db:
+		return [2]bool{true, false}
+	}
+	return [2]bool{true, true}
+}
+
 // arbitrate resolves a divergence between two answers by asking a replica
-// that produced neither: the odd one out takes the divergence observation.
-// With no third replica available, both are observed — the contract says
-// they cannot both be right, and in a two-replica fleet symmetric suspicion
-// beats guessing. But when a third exists and merely fails to answer
-// (timeout, shed, wire damage), no one is charged: transport trouble is not
-// divergence evidence, and convicting the honest half of a mismatch would
-// let a flaky wire quarantine correct replicas. A real divergence is
-// deterministic, so the mismatch resurfaces on a later audit and conviction
-// is only delayed, never lost.
+// that produced neither, and charges whom its answer convicts.
 func (f *Front) arbitrate(ctx context.Context, req *request, a, b *Result) {
-	da, db := integrity.Digest(a.Body), integrity.Digest(b.Body)
-	third := f.arbiter(a.Backend, b.Backend)
-	if third != nil {
-		out := f.attempt(ctx, third, req, true)
-		if !evidence(out) {
-			return // inconclusive tiebreak: no evidence either way
+	var third *attemptOut
+	if t := f.arbiter(a.Backend, b.Backend); t != nil {
+		out := f.attempt(ctx, t, req, true)
+		third = &out
+	}
+	charged := charges(third, integrity.Digest(a.Body), integrity.Digest(b.Body))
+	for i, r := range [...]*Result{a, b} {
+		if charged[i] {
+			f.byBase[r.Backend].feed(backendEvent{kind: diverged}, f.cfg.Logger)
 		}
-		switch integrity.Digest(out.res.Body) {
-		case da:
-			f.observeDivergence(f.byBase[b.Backend])
-			return
-		case db:
-			f.observeDivergence(f.byBase[a.Backend])
-			return
-		}
-		// Three-way disagreement: at least two of three are wrong; fall
-		// through to symmetric suspicion.
-	}
-	f.observeDivergence(f.byBase[a.Backend])
-	f.observeDivergence(f.byBase[b.Backend])
-}
-
-// observeDivergence charges one divergence observation to a backend and
-// quarantines it when it crosses the configured threshold.
-func (f *Front) observeDivergence(b *backend) {
-	if b == nil {
-		return
-	}
-	b.obsDiverges.Inc()
-	b.mu.Lock()
-	b.divergences++
-	b.divergesSeen++
-	b.cleanProbes = 0
-	quarantineNow := !b.quarantined && b.divergences >= f.cfg.Divergence.QuarantineAfter
-	if quarantineNow {
-		b.quarantined = true
-		b.quarantines++
-	}
-	n := b.divergences
-	b.mu.Unlock()
-	if quarantineNow {
-		b.obsQuarantines.Inc()
-		f.cfg.Logger.Printf("backend %s quarantined after %d divergence observations", b.base, n)
-	} else {
-		f.cfg.Logger.Printf("backend %s divergence observation %d/%d", b.base, n, f.cfg.Divergence.QuarantineAfter)
 	}
 }
 
-// readmitProbes re-asks every quarantined backend and compares against the
-// authoritative digest; ReadmitAfter consecutive clean answers lift the
-// quarantine, any divergent answer resets the count (and recharges an
-// observation).
+// probeEvent reads a readmit probe's answer out against the served digest:
+// agreeing is clean, disagreeing recharges, and an answer that is no
+// evidence (failed, shed, browned out) is no event at all.
+func probeEvent(out attemptOut, want string) (backendEvent, bool) {
+	switch {
+	case !evidence(out):
+		return backendEvent{}, false
+	case integrity.Digest(out.res.Body) != want:
+		return backendEvent{kind: diverged}, true
+	}
+	return backendEvent{kind: cleanProbe}, true
+}
+
+// readmitProbes re-asks every quarantined backend and feeds what each
+// answer says about it.
 func (f *Front) readmitProbes(ctx context.Context, req *request, wantDigest string) {
 	for _, b := range f.backends {
-		if !b.isQuarantined() {
+		if b.state().verdict() != probeOnly {
 			continue
 		}
-		out := f.attempt(ctx, b, req, true)
-		if !evidence(out) {
-			continue // inconclusive: quarantine stands, count unchanged
-		}
-		if integrity.Digest(out.res.Body) != wantDigest {
-			f.observeDivergence(b)
-			continue
-		}
-		b.mu.Lock()
-		b.cleanProbes++
-		readmit := b.cleanProbes >= f.cfg.Divergence.ReadmitAfter
-		if readmit {
-			b.quarantined = false
-			b.divergences = 0
-			b.cleanProbes = 0
-			b.qReadmits++
-		}
-		n := b.cleanProbes
-		b.mu.Unlock()
-		if readmit {
-			f.cfg.Logger.Printf("backend %s readmitted from quarantine", b.base)
-		} else {
-			f.cfg.Logger.Printf("backend %s clean quarantine probe %d/%d", b.base, n, f.cfg.Divergence.ReadmitAfter)
+		if e, ok := probeEvent(f.attempt(ctx, b, req, true), wantDigest); ok {
+			b.feed(e, f.cfg.Logger)
 		}
 	}
 }
@@ -242,7 +208,7 @@ func (f *Front) compareStraggler(req *request, winner *Result, out attemptOut) {
 		integrity.Digest(out.res.Body) == integrity.Digest(winner.Body) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(f.base, f.cfg.Divergence.AuditTimeout)
+	ctx, cancel := context.WithTimeout(f.base, auditTimeout)
 	defer cancel()
 	f.arbitrate(ctx, req, winner, out.res)
 }

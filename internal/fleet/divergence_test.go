@@ -210,8 +210,7 @@ func TestFrontAuditQuarantineAndReadmit(t *testing.T) {
 	}
 
 	waitUntil(t, "quarantine", func() bool {
-		cb := f.byBase[c.ts.URL]
-		return cb.isQuarantined()
+		return f.byBase[c.ts.URL].state().quarantined
 	})
 	st := f.Stats()
 	if st.AuditMismatches < 3 {
@@ -262,7 +261,7 @@ func TestFrontAuditQuarantineAndReadmit(t *testing.T) {
 		if _, err := f.Dispatch(context.Background(), body); err != nil {
 			t.Fatalf("Dispatch during recovery: %v", err)
 		}
-		return !f.byBase[c.ts.URL].isQuarantined()
+		return !f.byBase[c.ts.URL].state().quarantined
 	})
 	for _, bs := range f.Stats().Backends {
 		if bs.Backend == c.ts.URL && bs.QReadmits != 1 {

@@ -11,7 +11,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -68,8 +67,8 @@ type Config struct {
 
 	// Health tunes the active /readyz prober.
 	Health HealthConfig
-	// Breaker is the per-backend circuit breaker template (OnTransition is
-	// wrapped to log which backend transitioned).
+	// Breaker is the per-backend circuit breaker template (its OnTransition
+	// is replaced by one logging which backend transitioned).
 	Breaker resilience.BreakerConfig
 	// Budget is the per-backend hedge budget: speculative duplicates are
 	// capped at Ratio times the backend's own attempt volume. Corrective
@@ -142,81 +141,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// backend is one sosd instance plus its guard rails.
-type backend struct {
-	base    string
-	breaker *resilience.Breaker
-	budget  *resilience.Budget
-
-	mu         sync.Mutex
-	healthy    bool
-	consecFail int
-	consecOK   int
-	ejections  uint64
-	readmits   uint64
-
-	// Divergence quarantine state (also under mu). Unlike a health
-	// ejection, a quarantined backend is excluded from placement entirely —
-	// it answers promptly and convincingly, just wrongly, so "last resort"
-	// would serve the wrong answer exactly when it matters.
-	quarantined  bool
-	divergences  int // observations since the last clean slate
-	cleanProbes  int // consecutive clean readmit probes
-	quarantines  uint64
-	qReadmits    uint64
-	divergesSeen uint64 // lifetime divergence observations
-
-	// mode is the backend's last advertised brownout mode (the
-	// X-Brownout-Mode response header; 0 = full service). Placement
-	// prefers less-degraded replicas, so a browned-out backend sheds
-	// first-choice traffic without being ejected.
-	mode atomic.Int64
-
-	obsEjections   *obs.Counter
-	obsFailovers   *obs.Counter
-	obsHedgeWins   *obs.Counter
-	obsRequests    *obs.Counter
-	obsFailures    *obs.Counter
-	obsIntegrity   *obs.Counter
-	obsDiverges    *obs.Counter
-	obsQuarantines *obs.Counter
-}
-
-// isHealthy reads the health bit.
-func (b *backend) isHealthy() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.healthy
-}
-
-// isQuarantined reads the quarantine bit.
-func (b *backend) isQuarantined() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.quarantined
-}
-
-// stats is the backend's /statz entry, its guarded state copied under one
-// lock, and its clean readmit probes, which only /v1/quarantine reports.
-func (b *backend) stats() (BackendStats, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BackendStats{
-		Backend:     b.base,
-		Healthy:     b.healthy,
-		Mode:        int(b.mode.Load()),
-		Ejections:   b.ejections,
-		Readmits:    b.readmits,
-		Requests:    b.obsRequests.Value(),
-		Failures:    b.obsFailures.Value(),
-		Quarantined: b.quarantined,
-		Divergences: b.divergesSeen,
-		Quarantines: b.quarantines,
-		QReadmits:   b.qReadmits,
-		Breaker:     b.breaker.Stats(),
-	}, b.cleanProbes
-}
-
 // Front is the fleet's shard-and-failover dispatcher.
 type Front struct {
 	cfg      Config
@@ -225,7 +149,6 @@ type Front struct {
 	byBase   map[string]*backend
 	flights  *flightGroup
 	hedge    *hedgeDelays
-	checker  *healthChecker
 
 	// base parents every dispatch; Close cancels it so in-flight backend
 	// calls abort.
@@ -233,8 +156,8 @@ type Front struct {
 	hardStop context.CancelFunc
 	draining atomic.Bool
 
-	// wg tracks every background goroutine the divergence machinery spawns
-	// (hedge-loser drains, audits), so Close accounts for all of them.
+	// wg tracks every background goroutine (the probe loop, hedge-loser
+	// drains, audits), so Close accounts for all of them.
 	wg       sync.WaitGroup
 	auditIdx atomic.Uint64
 
@@ -248,7 +171,7 @@ type Front struct {
 }
 
 // New builds a Front over cfg.Backends. Backends start healthy (optimistic)
-// and the checker demotes the sick ones within EjectAfter probe rounds of
+// and the probe loop demotes the sick ones within EjectAfter rounds of
 // Start.
 func New(cfg Config) (*Front, error) {
 	ring, err := NewRing(cfg.Backends, cfg.VNodes)
@@ -263,9 +186,11 @@ func New(cfg Config) (*Front, error) {
 	orDefault(&cfg.HedgeMax, 2*time.Second)
 	orDefault(&cfg.FailoverBase, 10*time.Millisecond)
 	orDefault(&cfg.FailoverMax, 250*time.Millisecond)
+	orDefault(&cfg.Health.Interval, 500*time.Millisecond)
+	orDefault(&cfg.Health.EjectAfter, 3)
+	orDefault(&cfg.Health.ReadmitAfter, 2)
 	orDefault(&cfg.Divergence.QuarantineAfter, 3)
 	orDefault(&cfg.Divergence.ReadmitAfter, 2)
-	orDefault(&cfg.Divergence.AuditTimeout, 2*time.Second)
 	cfg.Client = cmp.Or(cfg.Client, &http.Client{Timeout: 30 * time.Second})
 	cfg.Logger = cmp.Or(cfg.Logger, log.New(io.Discard, "", 0))
 	base, cancel := context.WithCancel(context.Background())
@@ -278,33 +203,20 @@ func New(cfg Config) (*Front, error) {
 		base:     base,
 		hardStop: cancel,
 	}
+	lim := backendLimits{cfg.Health.EjectAfter, cfg.Health.ReadmitAfter, cfg.Divergence.QuarantineAfter, cfg.Divergence.ReadmitAfter}
 	for _, baseURL := range cfg.Backends {
+		b := &backend{base: baseURL, st: backendState{lim: lim, healthy: true}, budget: resilience.NewBudget(cfg.Budget)}
 		bcfg := cfg.Breaker
-		b := &backend{base: baseURL, healthy: true, budget: resilience.NewBudget(cfg.Budget)}
-		prev := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to resilience.State) {
 			f.cfg.Logger.Printf("backend %s breaker: %s -> %s", baseURL, from, to)
-			if prev != nil {
-				prev(from, to)
-			}
 		}
 		b.breaker = resilience.NewBreaker(bcfg)
 		f.backends = append(f.backends, b)
 		f.byBase[baseURL] = b
 	}
-	hcfg := cfg.Health
-	prevChange := hcfg.OnChange
-	hcfg.OnChange = func(backend string, healthy bool) {
-		if healthy {
-			f.cfg.Logger.Printf("backend %s readmitted", backend)
-		} else {
-			f.cfg.Logger.Printf("backend %s ejected", backend)
-		}
-		if prevChange != nil {
-			prevChange(backend, healthy)
-		}
+	if f.cfg.Health.Probe == nil {
+		f.cfg.Health.Probe = f.httpProbe
 	}
-	f.checker = newHealthChecker(hcfg, f.backends, cfg.Client)
 	f.registerObs(cmp.Or(cfg.Registry, obs.NewRegistry()))
 	return f, nil
 }
@@ -352,24 +264,25 @@ func (f *Front) registerObs(reg *obs.Registry) {
 			func() float64 { return lt.Delay().Seconds() }, obs.L("class", reqClassNames[c]))
 	}
 	reg.GaugeFunc("fleet_healthy_backends", "Backends currently considered healthy.",
-		func() float64 { return float64(f.count((*backend).isHealthy)) })
+		func() float64 { return float64(f.count(func(s backendState) bool { return s.healthy })) })
 	reg.GaugeFunc("fleet_quarantined_backends", "Backends currently quarantined for divergence.",
-		func() float64 { return float64(f.count((*backend).isQuarantined)) })
+		func() float64 { return float64(f.count(func(s backendState) bool { return s.quarantined })) })
 }
 
-// Start launches the health checker. Idempotent.
+// Start launches the health probe loop. Idempotent.
 func (f *Front) Start() {
-	f.startOnce.Do(func() { go f.checker.run() })
+	f.startOnce.Do(func() {
+		f.wg.Add(1)
+		go f.probeLoop()
+	})
 }
 
-// Close stops the health checker, aborts in-flight dispatches, and waits
-// for every background audit/drain goroutine to exit. Idempotent; safe even
-// if Start was never called.
+// Close stops the probe loop, aborts in-flight dispatches, and waits for
+// every background goroutine to exit. Idempotent; safe even if Start was
+// never called, and a Start after Close does nothing.
 func (f *Front) Close() {
 	f.closeOnce.Do(func() {
-		f.startOnce.Do(func() { close(f.checker.done) }) // never started: mark drained
-		close(f.checker.stop)
-		<-f.checker.done
+		f.startOnce.Do(func() {})
 		f.hardStop()
 		f.wg.Wait()
 	})
@@ -461,36 +374,27 @@ type attemptOut struct {
 	hedge bool
 }
 
-// candidates maps the key's replica set to backends, healthy ones first
-// (stable within each group, preserving ring order). Healthy backends are
-// additionally ordered by ascending advertised brownout mode, so placement
-// prefers the least-degraded replica: a browned-out backend keeps serving
-// failover and hedge traffic but stops being anyone's first choice, which
-// itself relieves the overload that degraded it. Ejected backends stay in
-// the list as a last resort: with every replica ejected, trying one anyway
-// beats refusing outright. Quarantined backends, by contrast, are excluded
-// entirely — a diverging replica answers promptly and convincingly, just
-// wrongly, so "try it as a last resort" would serve the wrong answer
-// exactly when no one is left to contradict it.
+// candidates maps the key's replica set to the backends placement may use,
+// ordered by placeKey.before from one snapshot of each; ties keep ring
+// order. Quarantined backends are left out.
 func (f *Front) candidates(shardKey string) []*backend {
-	bases := f.ring.Lookup(shardKey, f.cfg.Replicas)
-	healthy := make([]*backend, 0, len(bases))
-	var ejected []*backend
-	for _, base := range bases {
+	cands := make([]*backend, 0, f.cfg.Replicas)
+	var buf [4]placeKey
+	keys := buf[:0]
+	for _, base := range f.ring.Lookup(shardKey, f.cfg.Replicas) {
 		b := f.byBase[base]
-		if b.isQuarantined() {
+		s := b.state()
+		k := placeKey{s.verdict(), s.mode}
+		if k.verdict == probeOnly {
 			continue
 		}
-		if b.isHealthy() {
-			healthy = append(healthy, b)
-		} else {
-			ejected = append(ejected, b)
+		cands, keys = append(cands, b), append(keys, k)
+		for j := len(keys) - 1; j > 0 && keys[j].before(keys[j-1]); j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+			keys[j], keys[j-1] = keys[j-1], keys[j]
 		}
 	}
-	sort.SliceStable(healthy, func(i, j int) bool {
-		return healthy[i].mode.Load() < healthy[j].mode.Load()
-	})
-	return append(healthy, ejected...)
+	return cands
 }
 
 // Dispatch routes one request body: singleflight-coalesced, ring-sharded,
@@ -560,7 +464,7 @@ func (f *Front) roundTrip(ctx context.Context, b *backend, method, path string, 
 	}
 	if v := resp.Header.Get("X-Brownout-Mode"); v != "" {
 		if m, perr := strconv.Atoi(v); perr == nil && m >= 0 {
-			b.mode.Store(int64(m))
+			b.feed(backendEvent{kind: advertised, mode: m}, f.cfg.Logger)
 		}
 	}
 	return &Result{
@@ -704,8 +608,21 @@ func (f *Front) Stats() Stats {
 		st.HedgeDelayMS[reqClassNames[c]] = float64(lt.Delay()) / float64(time.Millisecond)
 	}
 	for _, b := range f.backends {
-		bs, _ := b.stats()
-		st.Backends = append(st.Backends, bs)
+		s := b.state()
+		st.Backends = append(st.Backends, BackendStats{
+			Backend:     b.base,
+			Healthy:     s.healthy,
+			Mode:        s.mode,
+			Ejections:   s.ejections,
+			Readmits:    s.readmits,
+			Requests:    b.obsRequests.Value(),
+			Failures:    b.obsFailures.Value(),
+			Quarantined: s.quarantined,
+			Divergences: s.divergesSeen,
+			Quarantines: s.quarantines,
+			QReadmits:   s.qReadmits,
+			Breaker:     b.breaker.Stats(),
+		})
 		st.HedgeWins += b.obsHedgeWins.Value()
 		st.IntegrityFails += b.obsIntegrity.Value()
 		st.DivergencesTotal += b.obsDiverges.Value()
@@ -713,11 +630,11 @@ func (f *Front) Stats() Stats {
 	return st
 }
 
-// count counts the backends is holds for.
-func (f *Front) count(is func(*backend) bool) int {
+// count counts the backends whose state is holds for.
+func (f *Front) count(is func(backendState) bool) int {
 	n := 0
 	for _, b := range f.backends {
-		if is(b) {
+		if is(b.state()) {
 			n++
 		}
 	}

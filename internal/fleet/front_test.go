@@ -36,7 +36,7 @@ func TestDefaultConfig(t *testing.T) {
 		HedgeMin:       20 * time.Millisecond,
 		HedgeMax:       2 * time.Second,
 		HedgeWarmup:    20,
-		Health:         HealthConfig{Interval: 500 * time.Millisecond, Timeout: 0, EjectAfter: 3, ReadmitAfter: 2},
+		Health:         HealthConfig{Interval: 500 * time.Millisecond, EjectAfter: 3, ReadmitAfter: 2},
 		Breaker:        resilience.BreakerConfig{Window: 16, MinSamples: 4, ErrorRate: 0.5, Cooldown: 2 * time.Second, Probes: 2},
 		Budget:         resilience.BudgetConfig{Ratio: 0.1, Cap: 10},
 		AttemptTimeout: 10 * time.Second,
@@ -518,10 +518,7 @@ func TestFrontEjectedBackendSkipped(t *testing.T) {
 	f := newTestFront(t, []*fakeBackend{a, b}, nil)
 
 	body := bodyWithPrimary(t, f, a.ts.URL)
-	pa := f.byBase[a.ts.URL]
-	pa.mu.Lock()
-	pa.healthy = false
-	pa.mu.Unlock()
+	eject(f, f.byBase[a.ts.URL])
 
 	res, err := f.Dispatch(context.Background(), body)
 	if err != nil {
@@ -536,13 +533,17 @@ func TestFrontEjectedBackendSkipped(t *testing.T) {
 
 	// With every replica ejected, the front still tries one: degraded beats
 	// refusing outright.
-	pb := f.byBase[b.ts.URL]
-	pb.mu.Lock()
-	pb.healthy = false
-	pb.mu.Unlock()
+	eject(f, f.byBase[b.ts.URL])
 	res, err = f.Dispatch(context.Background(), body)
 	if err != nil || res.Status != http.StatusOK {
 		t.Fatalf("all-ejected dispatch = %v, %v; want the last-resort attempt to serve", res, err)
+	}
+}
+
+// eject fails b's health probes until its machine ejects it.
+func eject(f *Front, b *backend) {
+	for b.state().healthy {
+		b.feed(backendEvent{kind: probeFailed}, f.cfg.Logger)
 	}
 }
 

@@ -122,17 +122,10 @@ func (f *Front) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Quarantined int     `json:"quarantined"`
 		Backends    []entry `json:"backends"`
-	}{Quarantined: f.count((*backend).isQuarantined), Backends: []entry{}}
+	}{Quarantined: f.count(func(s backendState) bool { return s.quarantined }), Backends: []entry{}}
 	for _, b := range f.backends {
-		bs, clean := b.stats()
-		out.Backends = append(out.Backends, entry{
-			Backend:     bs.Backend,
-			Quarantined: bs.Quarantined,
-			Divergences: bs.Divergences,
-			CleanProbes: clean,
-			Quarantines: bs.Quarantines,
-			Readmits:    bs.QReadmits,
-		})
+		s := b.state()
+		out.Backends = append(out.Backends, entry{b.base, s.quarantined, s.divergesSeen, s.cleanProbes, s.quarantines, s.qReadmits})
 	}
 	writeJSON(w, "quarantine state", out)
 }
@@ -167,7 +160,7 @@ func (f *Front) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	if f.count((*backend).isHealthy) == 0 {
+	if f.count(func(s backendState) bool { return s.healthy }) == 0 {
 		httpError(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}

@@ -2,13 +2,14 @@ package fleet
 
 import (
 	"context"
+	"log"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"symbios/internal/leakcheck"
-	"symbios/internal/resilience"
 )
 
 // scriptedProbe answers probes from a per-backend boolean the test flips.
@@ -32,26 +33,23 @@ func (p *scriptedProbe) set(base string, up bool) {
 	p.mu.Unlock()
 }
 
-// changeLog collects OnChange events.
-type changeLog struct {
-	mu   sync.Mutex
-	seen []string
+// lineLog collects the lines a logger writes.
+type lineLog struct {
+	mu    sync.Mutex
+	lines []string
 }
 
-func (l *changeLog) record(backend string, healthy bool) {
+func (l *lineLog) Write(p []byte) (int, error) {
 	l.mu.Lock()
-	if healthy {
-		l.seen = append(l.seen, backend+":readmit")
-	} else {
-		l.seen = append(l.seen, backend+":eject")
-	}
+	l.lines = append(l.lines, strings.TrimSuffix(string(p), "\n"))
 	l.mu.Unlock()
+	return len(p), nil
 }
 
-func (l *changeLog) list() []string {
+func (l *lineLog) list() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.seen...)
+	return append([]string(nil), l.lines...)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -72,82 +70,71 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHealthCheckerEjectAndReadmit(t *testing.T) {
 	leakcheck.Check(t)
 	probe := &scriptedProbe{up: map[string]bool{"http://a": true, "http://b": true}}
-	logch := &changeLog{}
-	backends := []*backend{
-		{base: "http://a", healthy: true, budget: resilience.NewBudget(resilience.BudgetConfig{})},
-		{base: "http://b", healthy: true, budget: resilience.NewBudget(resilience.BudgetConfig{})},
-	}
-	hc := newHealthChecker(HealthConfig{
-		Interval:     3 * time.Millisecond,
-		EjectAfter:   3,
-		ReadmitAfter: 2,
-		Probe:        probe.probe,
-		OnChange:     logch.record,
-	}, backends, nil)
-	go hc.run()
-	defer func() { close(hc.stop); <-hc.done }()
+	lines := &lineLog{}
+	f := newTestFront(t, nil, func(cfg *Config) {
+		cfg.Backends = []string{"http://a", "http://b"}
+		cfg.Health = HealthConfig{Interval: 3 * time.Millisecond, EjectAfter: 3, ReadmitAfter: 2, Probe: probe.probe}
+		cfg.Logger = log.New(lines, "", 0)
+	})
+	f.Start()
 
-	a, b := backends[0], backends[1]
+	a, b := f.byBase["http://a"], f.byBase["http://b"]
 	// A single failed probe must not eject (EjectAfter = 3).
 	probe.set("http://a", false)
-	waitFor(t, "one failed probe", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.consecFail >= 1
-	})
+	waitFor(t, "one failed probe", func() bool { return a.state().streak >= 1 })
 	probe.set("http://a", true)
-	waitFor(t, "failure streak reset", func() bool {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.consecFail == 0
-	})
-	if !a.isHealthy() {
+	waitFor(t, "failure streak reset", func() bool { return a.state().streak == 0 })
+	if !a.state().healthy {
 		t.Fatal("backend ejected after a single failed probe")
 	}
 
 	// A sustained outage ejects; the healthy peer is untouched.
 	probe.set("http://a", false)
-	waitFor(t, "ejection", func() bool { return !a.isHealthy() })
-	if !b.isHealthy() {
+	waitFor(t, "ejection", func() bool { return !a.state().healthy })
+	if !b.state().healthy {
 		t.Fatal("healthy peer ejected alongside the sick one")
 	}
 
 	// Recovery readmits after ReadmitAfter consecutive successes.
 	probe.set("http://a", true)
-	waitFor(t, "readmission", func() bool { return a.isHealthy() })
+	waitFor(t, "readmission", func() bool { return a.state().healthy })
 
-	a.mu.Lock()
-	ej, re := a.ejections, a.readmits
-	a.mu.Unlock()
-	if ej != 1 || re != 1 {
-		t.Fatalf("ejections=%d readmits=%d, want 1 and 1", ej, re)
+	if st := a.state(); st.ejections != 1 || st.readmits != 1 {
+		t.Fatalf("ejections=%d readmits=%d, want 1 and 1", st.ejections, st.readmits)
 	}
-	want := []string{"http://a:eject", "http://a:readmit"}
-	got := logch.list()
+	want := []string{"backend http://a ejected", "backend http://a readmitted"}
+	got := lines.list()
 	if len(got) < 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("OnChange log %v, want prefix %v", got, want)
+		t.Fatalf("log %q, want prefix %q", got, want)
 	}
 }
 
-// TestHealthCheckerStops checks close(stop) halts the loop promptly even
-// mid-round.
+// TestHealthCheckerStops checks Close halts the probe loop promptly even
+// mid-round, and that a probe Close cuts short ejects no one.
 func TestHealthCheckerStops(t *testing.T) {
 	leakcheck.Check(t)
 	var probes atomic.Int64
-	backends := []*backend{{base: "http://a", healthy: true}}
-	hc := newHealthChecker(HealthConfig{
-		Interval: time.Millisecond,
-		Probe: func(ctx context.Context, base string) error {
+	f := newTestFront(t, nil, func(cfg *Config) {
+		cfg.Backends = []string{"http://a"}
+		cfg.Health = HealthConfig{Interval: time.Hour, EjectAfter: 1, Probe: func(ctx context.Context, base string) error {
 			probes.Add(1)
-			return nil
-		},
-	}, backends, nil)
-	go hc.run()
+			<-ctx.Done() // the round only ends when Close cancels it
+			return ctx.Err()
+		}}
+	})
+	f.Start()
 	waitFor(t, "first probe", func() bool { return probes.Load() > 0 })
-	close(hc.stop)
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
 	select {
-	case <-hc.done:
+	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("checker did not stop")
+		t.Fatal("probe loop did not stop")
+	}
+	if !f.byBase["http://a"].state().healthy {
+		t.Fatal("a probe cut short by Close ejected its backend")
 	}
 }

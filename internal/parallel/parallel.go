@@ -248,14 +248,3 @@ func ForEach[T any](ctx context.Context, items []T, opts Options, fn func(i int,
 	}
 	return finish(firstEr)
 }
-
-// Indices is a convenience for fan-outs over [0,n): it returns the slice
-// {0, 1, ..., n-1} for use as a Map/ForEach item list when the work is
-// indexed rather than value-driven.
-func Indices(n int) []int {
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i
-	}
-	return xs
-}

@@ -17,7 +17,7 @@ var bg = context.Background()
 // TestMapOrdering checks results land in input order at several worker
 // counts, including counts exceeding the item count.
 func TestMapOrdering(t *testing.T) {
-	items := Indices(100)
+	items := indices(100)
 	for _, w := range []int{1, 2, 3, 8, 200} {
 		got, err := Map(bg, items, Options{Workers: w}, func(i, v int) (int, error) {
 			return v * v, nil
@@ -36,7 +36,7 @@ func TestMapOrdering(t *testing.T) {
 // TestMapIdenticalAcrossWorkerCounts is the layer's core contract: the
 // same inputs produce byte-identical outputs at any worker count.
 func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
-	items := Indices(64)
+	items := indices(64)
 	fn := func(i, v int) (string, error) {
 		return fmt.Sprintf("item-%03d", v*7), nil
 	}
@@ -58,7 +58,7 @@ func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestFirstErrorByIndex checks the reported error is the lowest-indexed
 // failure regardless of completion order.
 func TestFirstErrorByIndex(t *testing.T) {
-	items := Indices(32)
+	items := indices(32)
 	for _, w := range []int{1, 4, 32} {
 		_, err := Map(bg, items, Options{Workers: w}, func(i, v int) (int, error) {
 			if v == 7 || v == 21 {
@@ -85,7 +85,7 @@ func TestFirstErrorByIndex(t *testing.T) {
 func TestErrorStopsDispatch(t *testing.T) {
 	var ran atomic.Int64
 	sentinel := errors.New("stop")
-	err := ForEach(bg, Indices(1000), Options{Workers: 1}, func(i, v int) error {
+	err := ForEach(bg, indices(1000), Options{Workers: 1}, func(i, v int) error {
 		ran.Add(1)
 		if v == 3 {
 			return sentinel
@@ -141,14 +141,13 @@ func TestWorkersEnv(t *testing.T) {
 	}
 }
 
-// TestIndices checks the index-list helper.
-func TestIndices(t *testing.T) {
-	if got := Indices(0); len(got) != 0 {
-		t.Fatalf("Indices(0) = %v", got)
+// indices returns {0, 1, ..., n-1}, an item list for indexed work.
+func indices(n int) []int {
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i
 	}
-	if got := Indices(3); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("Indices(3) = %v", got)
-	}
+	return xs
 }
 
 // TestForEachRecoversWorkerPanic checks that a panic inside a worker
@@ -173,7 +172,7 @@ func TestForEachRecoversWorkerPanic(t *testing.T) {
 					t.Errorf("workers=%d: PanicError carries no stack", workers)
 				}
 			}()
-			_ = ForEach(bg, Indices(8), Options{Workers: workers}, func(i, _ int) error {
+			_ = ForEach(bg, indices(8), Options{Workers: workers}, func(i, _ int) error {
 				if i == 3 {
 					panic("boom")
 				}
@@ -187,7 +186,7 @@ func TestForEachRecoversWorkerPanic(t *testing.T) {
 // TestForEachPanicLowestIndexWins checks the determinism rule for
 // concurrent panics: the re-raised PanicError is the lowest-indexed one.
 func TestForEachPanicLowestIndexWins(t *testing.T) {
-	items := Indices(4)
+	items := indices(4)
 	for trial := 0; trial < 20; trial++ {
 		func() {
 			defer func() {
@@ -219,7 +218,7 @@ func TestCancelStopsFanout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForEach(ctx, Indices(100), Options{Workers: workers}, func(i, _ int) error {
+		err := ForEach(ctx, indices(100), Options{Workers: workers}, func(i, _ int) error {
 			if ran.Add(1) >= 3 {
 				cancel()
 			}
@@ -244,7 +243,7 @@ func TestErrorFiresCancelToken(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	started := make(chan struct{})
-	err := ForEach(ctx, Indices(2), Options{Workers: 2}, func(i, _ int) error {
+	err := ForEach(ctx, indices(2), Options{Workers: 2}, func(i, _ int) error {
 		if i == 0 {
 			<-started
 			<-ctx.Done()
@@ -266,7 +265,7 @@ func TestSerialPathCancelAndPanic(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int
-	err := ForEach(ctx, Indices(5), Options{Workers: 1}, func(i, _ int) error {
+	err := ForEach(ctx, indices(5), Options{Workers: 1}, func(i, _ int) error {
 		ran++
 		if i == 2 {
 			cancel()
@@ -291,7 +290,7 @@ func TestContextAbortsFanout(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(ctx, Indices(50), Options{Workers: workers}, func(i, _ int) error {
+		err := ForEach(ctx, indices(50), Options{Workers: workers}, func(i, _ int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -309,7 +308,7 @@ func TestContextAbortsFanout(t *testing.T) {
 func TestContextDeadlineSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	err := ForEach(ctx, Indices(10_000), Options{Workers: 2}, func(i, _ int) error {
+	err := ForEach(ctx, indices(10_000), Options{Workers: 2}, func(i, _ int) error {
 		time.Sleep(200 * time.Microsecond)
 		return nil
 	})
@@ -325,7 +324,7 @@ func TestContextDeadlineSurfaces(t *testing.T) {
 func TestContextErrorNotMaskedByRacingWorkerFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := ForEach(ctx, Indices(4), Options{Workers: 2}, func(i, _ int) error {
+	err := ForEach(ctx, indices(4), Options{Workers: 2}, func(i, _ int) error {
 		<-ctx.Done()
 		return context.Canceled // side effect, not root cause
 	})
@@ -340,7 +339,7 @@ func TestRealErrorBeatsContextAbort(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := ForEach(ctx, Indices(2), Options{Workers: 2}, func(i, _ int) error {
+	err := ForEach(ctx, indices(2), Options{Workers: 2}, func(i, _ int) error {
 		if i == 0 {
 			cancel()
 			return boom

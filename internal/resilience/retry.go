@@ -37,7 +37,7 @@ type Budget struct {
 }
 
 // NewBudget returns a budget holding one initial token (a cold client may
-// retry once before it has earned credit).
+// retry once before it has earned credit), or Cap when that is less.
 func NewBudget(cfg BudgetConfig) *Budget {
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = 0.1
@@ -45,7 +45,7 @@ func NewBudget(cfg BudgetConfig) *Budget {
 	if cfg.Cap <= 0 {
 		cfg.Cap = 10
 	}
-	return &Budget{cfg: cfg, tokens: 1}
+	return &Budget{cfg: cfg, tokens: min(1, cfg.Cap)}
 }
 
 // Deposit credits the budget for one first attempt.

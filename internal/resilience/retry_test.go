@@ -239,9 +239,9 @@ func TestBudgetPoolPerClient(t *testing.T) {
 // TestBudgetSpendBounded checks the budget's three invariants over random
 // interleavings of Deposit and TryWithdraw, sequential and concurrent:
 // successful withdrawals never exceed the starting token plus Ratio per
-// deposit, the banked credit stays in [0, Cap] after every operation (a
-// fresh budget holds its starting token even under a Cap below one), and
-// Exhausted counts every refusal.
+// deposit, the banked credit stays in [0, Cap] from creation on (a fresh
+// budget's starting token is clamped to a Cap below one), and Exhausted
+// counts every refusal.
 func TestBudgetSpendBounded(t *testing.T) {
 	r := rand.New(rand.NewPCG(2, 3))
 	// spendOK allows the rounding of repeated float additions.
@@ -259,6 +259,9 @@ func TestBudgetSpendBounded(t *testing.T) {
 
 	for trial := 0; trial < 300; trial++ {
 		b := NewBudget(draw())
+		if !bankOK(b) {
+			t.Fatalf("%+v: a fresh budget banks %v tokens", b.cfg, b.Tokens())
+		}
 		var deposits, spent, refused uint64
 		for op := 0; op < 400; op++ {
 			switch {
@@ -286,6 +289,9 @@ func TestBudgetSpendBounded(t *testing.T) {
 	// range and at the end for the spend bound and the refusal count.
 	for trial := 0; trial < 20; trial++ {
 		b := NewBudget(draw())
+		if !bankOK(b) {
+			t.Fatalf("%+v: a fresh budget banks %v tokens", b.cfg, b.Tokens())
+		}
 		var deposits, spent, refused atomic.Uint64
 		var bad atomic.Bool
 		var wg sync.WaitGroup

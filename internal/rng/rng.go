@@ -157,17 +157,3 @@ func (s *Stream) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes xs in place.
-func (s *Stream) Shuffle(xs []int) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-// Fork derives an independent child stream; distinct labels give distinct
-// children. The parent's state is unchanged.
-func (s *Stream) Fork(label uint64) *Stream {
-	return New(Hash2(s.state, label, 0x5eed))
-}

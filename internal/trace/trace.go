@@ -71,9 +71,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// IsFP reports whether the op executes on a floating-point unit.
-func (o Op) IsFP() bool { return o == FADD || o == FMUL || o == FDIV }
-
 // IsMem reports whether the op accesses the data cache.
 func (o Op) IsMem() bool { return o == LOAD || o == STORE }
 

@@ -122,7 +122,7 @@ func TestInstructionMix(t *testing.T) {
 			stores++
 		case in.Op == BRANCH:
 			branches++
-		case in.Op.IsFP():
+		case in.Op == FADD || in.Op == FMUL || in.Op == FDIV:
 			fp++
 			if in.Op == FDIV {
 				divs++
